@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 
 from .congruence import all_congruences
 from .corpus import (
@@ -96,50 +97,40 @@ def _natural_reports(seed: int = 0):
         for name, s in catalog_for_acceptance(seed):
             conl = all_congruences(s)
             im = natural_eta(s, conl)
-            report = check_axioms(conl.lattice, im, seed=seed)
+            report = check_axioms(conl.lattice, im)
             rows.append((name, conl, im, report))
         _NATURAL[seed] = rows
     return _NATURAL[seed]
 
 
-_IMPLICATION: dict = {}
-
-
-def _implication_instances(seed: int = 0):
+@cache
+def _implication_instances():
     """Every (lattice, interior map) pair on the small-lattice corpus.
 
     Lattices: all isomorphism classes up to seven elements plus the
     three-atom Boolean lattice; maps: every operator passing the default
     interior axioms.
     """
-    if seed not in _IMPLICATION:
-        lattices = []
-        per_size: dict[int, int] = {}
-        for s in enumerate_semilattices(7):
-            k = per_size.get(s.n, 0)
-            per_size[s.n] = k + 1
-            lattices.append((f"L{s.n}-{k}", s.lattice))
-        lattices.append(("boolean(3)", boolean(3).structure.lattice))
-        rows = []
-        for lname, lat in lattices:
-            for i, im in enumerate(enumerate_eios(lat)):
-                report = check_axioms(lat, im, seed=seed)
-                rows.append((f"{lname}#h{i}", lname, lat, im, report))
-        _IMPLICATION[seed] = rows
-    return _IMPLICATION[seed]
+    lattices = []
+    per_size: dict[int, int] = {}
+    for s in enumerate_semilattices(7):
+        k = per_size.get(s.n, 0)
+        per_size[s.n] = k + 1
+        lattices.append((f"L{s.n}-{k}", s.lattice))
+    lattices.append(("boolean(3)", boolean(3).structure.lattice))
+    rows = []
+    for lname, lat in lattices:
+        for i, im in enumerate(enumerate_eios(lat)):
+            rows.append((f"{lname}#h{i}", lname, lat, im, check_axioms(lat, im)))
+    return rows
 
 
-_DEPENDENCE: dict = {}
-
-
-def _dependence_reports(seed: int = 0):
-    if seed not in _DEPENDENCE:
-        rows = []
-        for name, lname, lat, im, report in _implication_instances(seed):
-            i9 = report.verdict("I9").passed
-            rows.append((name, check_coatom_dependence(lat, im, i9_passed=i9)))
-        _DEPENDENCE[seed] = rows
-    return _DEPENDENCE[seed]
+@cache
+def _dependence_reports():
+    return [
+        (name, check_coatom_dependence(lat, im, i9=report.verdict("I9")))
+        for name, lname, lat, im, report in _implication_instances()
+    ]
 
 
 def suite_consl(seed: int = 0) -> list[CheckOutcome]:
@@ -154,23 +145,24 @@ def suite_consl(seed: int = 0) -> list[CheckOutcome]:
     return out
 
 
+def _axiom_outcome(check_name: str, structure: str, report, axiom_names) -> CheckOutcome:
+    """One row: the first failing axiom, else the first skipped one, else a pass."""
+    verdicts = [(ax, report.verdict(ax)) for ax in axiom_names]
+    for ax, v in verdicts:
+        if v.passed is False:
+            return CheckOutcome(check_name, structure, False, v.witness, f"failing axiom {ax}")
+    for ax, v in verdicts:
+        if v.passed is None:
+            return CheckOutcome(check_name, structure, None, None, f"{ax} {v.note}")
+    note = report.verdict("I9").note if check_name == "twelve" else None
+    return CheckOutcome(check_name, structure, True, None, note)
+
+
 def _axiom_suite(check_name: str, axiom_names: tuple[str, ...], seed: int) -> list[CheckOutcome]:
-    out = []
-    for name, conl, im, report in _natural_reports(seed):
-        witness = None
-        note = None
-        passed = True
-        for ax in axiom_names:
-            v = report.verdict(ax)
-            if v.passed is False:
-                passed = False
-                witness = v.witness
-                note = f"failing axiom {ax}"
-                break
-        if passed and check_name == "twelve":
-            note = report.verdict("I9").note
-        out.append(CheckOutcome(check_name, name, passed, witness, note))
-    return out
+    return [
+        _axiom_outcome(check_name, name, report, axiom_names)
+        for name, conl, im, report in _natural_reports(seed)
+    ]
 
 
 def suite_equaint(seed: int = 0) -> list[CheckOutcome]:
@@ -192,7 +184,7 @@ def suite_bicoatom(seed: int = 0) -> list[CheckOutcome]:
     """Lattices carrying a dagger-passing interior map are bicoatomic."""
     by_lattice: dict[str, tuple] = {}
     dagger_count: dict[str, int] = {}
-    for name, lname, lat, im, report in _implication_instances(seed):
+    for name, lname, lat, im, report in _implication_instances():
         by_lattice.setdefault(lname, (lname, lat))
         if report.verdict("dagger").passed:
             dagger_count[lname] = dagger_count.get(lname, 0) + 1
@@ -211,7 +203,7 @@ def suite_bicoatom(seed: int = 0) -> list[CheckOutcome]:
 def suite_four_coatom(seed: int = 0) -> list[CheckOutcome]:
     """Dagger-passing interior maps satisfy the four-coatom implication."""
     out = []
-    for name, lname, lat, im, report in _implication_instances(seed):
+    for name, lname, lat, im, report in _implication_instances():
         if not report.verdict("dagger").passed:
             out.append(CheckOutcome("four-coatom", name, None, None, "skip: dagger fails"))
             continue
@@ -222,7 +214,7 @@ def suite_four_coatom(seed: int = 0) -> list[CheckOutcome]:
 
 def _june_suite(entry_name: str, seed: int) -> list[CheckOutcome]:
     out = []
-    for name, dep in _dependence_reports(seed):
+    for name, dep in _dependence_reports():
         v = dep.verdict(entry_name)
         out.append(CheckOutcome(entry_name, name, v.passed, v.witness, v.note))
     return out
@@ -267,7 +259,7 @@ def suite_filterable(seed: int = 0) -> list[CheckOutcome]:
         res = check_filterable(s, members)
         out.append(CheckOutcome("filterable", name, res.passed, res.witness, res.note))
         lat, im, _ = sublattice_interior(s, members)
-        report = check_axioms(lat, im, seed=seed)
+        report = check_axioms(lat, im)
         bad = [ax for ax in ("I1", "I2", "I3", "I4", "I5", "I6", "I7")
                if report.verdict(ax).passed is False]
         out.append(CheckOutcome(

@@ -91,7 +91,7 @@ def _cmd_check_axioms(args) -> int:
     data = json.loads(_read(args.map))
     mapping = data.get("map", data)
     h = normalize_map(lat, mapping)
-    report = check_axioms(lat, h, i9_subset_bound=args.i9_bound, seed=args.seed)
+    report = check_axioms(lat, h)
     _emit(report.to_json(), args.out)
     return 0 if report.passed else 1
 
@@ -189,9 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-axioms", help="axiom battery for a unary map on a lattice")
     p.add_argument("file")
     p.add_argument("--map", required=True, help="JSON file with {\"map\": {label: label}}")
-    p.add_argument("--i9-bound", type=int, default=None,
-                   help="cap on family sizes for the I9 check")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_check_axioms)
 

@@ -102,7 +102,16 @@ def _evaluate_claim(entry: CorpusEntry, op: str):
         eios = enumerate_eios(lat, max_subsets=_evidence_cap(entry))
         if not eios:
             return None
-        return all(check_axioms(lat, im).verdict("I9").passed for im in eios)
+        skipped = None
+        for im in eios:
+            v = check_axioms(lat, im).verdict("I9")
+            if v.passed is False:
+                return False
+            if v.passed is None:
+                skipped = v.note
+        if skipped is not None:
+            raise SearchBudgetExceeded(f"I9 {skipped}")
+        return True
     if op == "dagger_witness":
         lat = _as_finite_lattice(st)
         return check_axioms(lat, entry.extra["interior"]).verdict("dagger").witness

@@ -19,6 +19,8 @@ lattice. tau is always derived from h by fiber joins:
 * I9  for every nonempty family z_1..z_k and all x, c:
       h(x) <= c and meet tau(z_i) <= tau(c)
       imply h(h(x) v meet tau(x ^ z_i)) <= c
+      (decided exactly over the meet-closure of per-family states; a
+      closure past its fixed cap is reported as a skip, never as a pass)
 * dagger   tau(x) <= tau(c) and h(z) <= c imply h(h(z) v tau(x ^ z)) <= c
 * ddagger  h(h(z) v tau(x ^ z)) <= h(z) v tau(x)
 
@@ -29,7 +31,6 @@ x -> (largest member of a fixed join-closed image set below x).
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -37,7 +38,6 @@ from typing import Iterable, Mapping, Sequence
 from .errors import InvariantViolation, SearchBudgetExceeded, resolve_budget
 from .order import FiniteLattice, iter_bits, popcount
 
-AXIOM_NAMES = ("I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8", "I9", "dagger", "ddagger")
 DEFAULT_EIO_AXIOMS = frozenset({"I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8"})
 
 
@@ -141,14 +141,37 @@ def _lab(l: FiniteLattice, i: int) -> str:
     return l.labels[i]
 
 
-def _fail_i1(l, h):
+@dataclass(frozen=True)
+class _MapData:
+    """A map on a lattice with the data the battery derives from it, built on first use."""
+
+    l: FiniteLattice
+    h: tuple[int, ...]
+
+    @cached_property
+    def tau(self) -> tuple[int, ...]:
+        return tau_of_map(self.l, self.h)
+
+    @cached_property
+    def tau_ge(self) -> tuple[int, ...]:
+        """tau_ge[e] is the mask of every c with e <= tau(c)."""
+        rows = [0] * self.l.n
+        for c, t in enumerate(self.tau):
+            for e in iter_bits(self.l.down[t]):
+                rows[e] |= 1 << c
+        return tuple(rows)
+
+
+def _fail_i1(m):
+    l, h = m.l, m.h
     for x in range(l.n):
         if not l.leq(h[x], x):
             return {"x": _lab(l, x)}
     return None
 
 
-def _fail_i2(l, h):
+def _fail_i2(m):
+    l, h = m.l, m.h
     for x in range(l.n):
         for y in iter_bits(l.down[x]):
             if not l.leq(h[y], h[x]):
@@ -156,20 +179,23 @@ def _fail_i2(l, h):
     return None
 
 
-def _fail_i3(l, h):
+def _fail_i3(m):
+    l, h = m.l, m.h
     for x in range(l.n):
         if h[h[x]] != h[x]:
             return {"x": _lab(l, x)}
     return None
 
 
-def _fail_i4(l, h):
+def _fail_i4(m):
+    l, h = m.l, m.h
     if h[l.top] != l.top:
         return {"x": _lab(l, l.top)}
     return None
 
 
-def _fail_i5(l, h):
+def _fail_i5(m):
+    l, h = m.l, m.h
     for x in range(l.n):
         for y in range(x + 1, l.n):
             if h[x] == h[y] and h[l.join(x, y)] != h[x]:
@@ -177,7 +203,8 @@ def _fail_i5(l, h):
     return None
 
 
-def _fail_i6(l, h):
+def _fail_i6(m):
+    l, h = m.l, m.h
     reps: dict[int, int] = {}
     for x in range(l.n):
         reps.setdefault(h[x], x)
@@ -191,7 +218,8 @@ def _fail_i6(l, h):
     return None
 
 
-def _fail_i7(l, h):
+def _fail_i7(m):
+    l, h = m.l, m.h
     image = sorted(set(h))
     img_set = set(image)
     for u in image:
@@ -201,8 +229,8 @@ def _fail_i7(l, h):
     return None
 
 
-def _fail_dagger(l, h, tau, up_mask, tau_ge):
-    full = (1 << l.n) - 1
+def _fail_dagger(m):
+    l, h, tau, tau_ge, up_mask = m.l, m.h, m.tau, m.tau_ge, m.l.up
     for xv in range(l.n):
         hypo_c = tau_ge[tau[xv]]
         if not hypo_c:
@@ -210,7 +238,7 @@ def _fail_dagger(l, h, tau, up_mask, tau_ge):
         best: tuple[int, int] | None = None
         for zv in range(l.n):
             value = h[l.join(h[zv], tau[l.meet(xv, zv)])]
-            fails = hypo_c & up_mask[h[zv]] & ~up_mask[value] & full
+            fails = hypo_c & up_mask[h[zv]] & ~up_mask[value]
             if fails:
                 c0 = (fails & -fails).bit_length() - 1
                 if best is None or (c0, zv) < best:
@@ -221,7 +249,8 @@ def _fail_dagger(l, h, tau, up_mask, tau_ge):
     return None
 
 
-def _fail_ddagger(l, h, tau):
+def _fail_ddagger(m):
+    l, h, tau = m.l, m.h, m.tau
     for xv in range(l.n):
         for zv in range(l.n):
             left = h[l.join(h[zv], tau[l.meet(xv, zv)])]
@@ -231,105 +260,95 @@ def _fail_ddagger(l, h, tau):
     return None
 
 
-def _i9_check_family(l, h, tau, up_mask, tau_ge, family, meet_tau_all, mvec):
-    """Return a witness dict if some (x, c) violates I9 for this family."""
-    full = (1 << l.n) - 1
-    for x in range(l.n):
-        value = h[l.join(h[x], mvec[x])]
-        fails = up_mask[h[x]] & tau_ge[meet_tau_all] & ~up_mask[value] & full
-        if fails:
-            c0 = (fails & -fails).bit_length() - 1
-            return {
-                "x": _lab(l, x),
-                "c": _lab(l, c0),
-                "zs": ",".join(_lab(l, z) for z in family),
-            }
+# The I9 family-state closure has at most 2^n - 1 states, so every carrier
+# of up to 14 elements is decided; larger closures past the cap are skipped.
+_I9_STATE_CAP = 1 << 14
+
+
+def _i9_violation(m, state):
+    """(x, c) violating I9 for a family with this state, or None."""
+    l, h, up = m.l, m.h, m.l.up
+    hypo_c = m.tau_ge[state[l.top]]
+    if hypo_c:
+        for x in range(l.n):
+            fails = up[h[x]] & hypo_c & ~up[h[l.join(h[x], state[x])]]
+            if fails:
+                return x, (fails & -fails).bit_length() - 1
     return None
 
 
-def _fail_i9(l, h, tau, up_mask, tau_ge, bound, samples, seed):
-    n = l.n
-    if bound is None:
-        if n <= 14:
-            mode, depth = "exhaustive", n
-        else:
-            mode, depth = "sampled", 2
-    else:
-        depth = min(bound, n)
-        mode = "exhaustive" if depth >= n else f"families up to size {depth}"
+def _check_i9(m) -> Verdict:
+    """I9 over every nonempty family, testing each distinct family state once.
 
-    witness = None
-
-    def visit(start: int, family: list[int], meet_tau: int, mvec: list[int], left: int):
-        nonlocal witness
-        if witness is not None or left == 0:
-            return
-        for e in range(start, n):
-            fam = family + [e]
-            mt = tau[e] if not family else l.meet(meet_tau, tau[e])
-            mv = [l.meet(mvec[x], tau[l.meet(x, e)]) if family else tau[l.meet(x, e)] for x in range(n)]
-            witness = witness or _i9_check_family(l, h, tau, up_mask, tau_ge, fam, mt, mv)
-            if witness is not None:
-                return
-            visit(e + 1, fam, mt, mv, left - 1)
-
-    visit(0, [], 0, [0] * n, depth)
-    if witness is not None or mode != "sampled":
-        return witness, mode
-
-    rng = random.Random(seed)
-    top_size = min(n, 8)
-    for _ in range(samples):
-        k = rng.randint(3, top_size)
-        fam = sorted(rng.sample(range(n), k))
-        mt = tau[fam[0]]
-        mv = [tau[l.meet(x, fam[0])] for x in range(n)]
-        for e in fam[1:]:
-            mt = l.meet(mt, tau[e])
-            mv = [l.meet(mv[x], tau[l.meet(x, e)]) for x in range(n)]
-        witness = _i9_check_family(l, h, tau, up_mask, tau_ge, fam, mt, mv)
-        if witness is not None:
-            break
-    return witness, f"sampled: sizes <= 2 exhaustive plus {samples} random families (seed {seed})"
+    A family z_1..z_k enters I9 only through its state
+    s[x] = meet_i tau(x ^ z_i), whose entry at top is meet_i tau(z_i). The
+    state is the componentwise meet of the generators g_e[x] = tau(x ^ e)
+    of its members, so the states are the meet-closure of the n generators.
+    The closure is walked level by level in order of family size, so the
+    first failing state comes with a family of minimum size.
+    """
+    l, tau, meet = m.l, m.tau, m.l.meet_table
+    # bytes keep the state sets small but hold indices below 256 only.
+    pack = bytes if l.n <= 256 else tuple
+    gens = [pack([tau[meet[x][e]] for x in range(l.n)]) for e in range(l.n)]
+    seen: set = set()
+    level = [(pack([l.top] * l.n), ())]
+    while level:
+        next_level = []
+        for state, family in level:
+            for e, g in enumerate(gens):
+                new = pack([meet[a][b] for a, b in zip(state, g)])
+                if new in seen:
+                    continue
+                seen.add(new)
+                if len(seen) > _I9_STATE_CAP:
+                    note = f"skipped: {len(seen)} family states exceed cap {_I9_STATE_CAP}"
+                    return Verdict(None, None, note)
+                zs = tuple(sorted(family + (e,)))
+                bad = _i9_violation(m, new)
+                if bad is not None:
+                    x, c = bad
+                    zs_labels = ",".join(_lab(l, z) for z in zs)
+                    return Verdict(False, {"x": _lab(l, x), "c": _lab(l, c), "zs": zs_labels})
+                next_level.append((new, zs))
+        level = next_level
+    return Verdict(True, None, f"exact: {len(seen)} family states")
 
 
-def check_axioms(
-    l: FiniteLattice,
-    h,
-    i9_subset_bound: int | None = None,
-    i9_samples: int = 2000,
-    seed: int = 0,
-) -> AxiomReport:
+def _plain(fail, note: str | None = None):
+    """A registry entry for a check returning a witness, or None when it holds."""
+
+    def check(m) -> Verdict:
+        witness = fail(m)
+        return Verdict(witness is None, witness, note)
+
+    return check
+
+
+_AXIOMS = {
+    "I1": _plain(_fail_i1),
+    "I2": _plain(_fail_i2),
+    "I3": _plain(_fail_i3),
+    "I4": _plain(_fail_i4),
+    "I5": _plain(_fail_i5),
+    "I6": _plain(_fail_i6),
+    "I7": _plain(_fail_i7),
+    "I8": _plain(_fail_i4, "pseudo-one fixed to top; reduces to I4 on a finite carrier"),
+    "I9": _check_i9,
+    "dagger": _plain(_fail_dagger),
+    "ddagger": _plain(_fail_ddagger),
+}
+AXIOM_NAMES = tuple(_AXIOMS)
+_BASIC_AXIOMS = ("I1", "I2", "I3", "I4")
+# An image-induced map satisfies I1 to I4, its image is the join-closed
+# image set itself (I7), and I8 reduces to I4.
+_IMPLIED_BY_IMAGE = frozenset(_BASIC_AXIOMS + ("I7", "I8"))
+
+
+def check_axioms(l: FiniteLattice, h) -> AxiomReport:
     """Evaluate the full battery on an arbitrary unary map."""
-    hv = normalize_map(l, h)
-    tau = tau_of_map(l, hv)
-    up_mask = l.up
-    tau_ge = []
-    for e in range(l.n):
-        m = 0
-        for c in range(l.n):
-            if l.leq(e, tau[c]):
-                m |= 1 << c
-        tau_ge.append(m)
-
-    entries: list[tuple[str, Verdict]] = []
-
-    def add(name: str, witness, note: str | None = None) -> None:
-        entries.append((name, Verdict(witness is None, witness, note)))
-
-    add("I1", _fail_i1(l, hv))
-    add("I2", _fail_i2(l, hv))
-    add("I3", _fail_i3(l, hv))
-    add("I4", _fail_i4(l, hv))
-    add("I5", _fail_i5(l, hv))
-    add("I6", _fail_i6(l, hv))
-    add("I7", _fail_i7(l, hv))
-    add("I8", _fail_i4(l, hv), "pseudo-one fixed to top; reduces to I4 on a finite carrier")
-    w9, mode = _fail_i9(l, hv, tau, up_mask, tau_ge, i9_subset_bound, i9_samples, seed)
-    add("I9", w9, mode)
-    add("dagger", _fail_dagger(l, hv, tau, up_mask, tau_ge))
-    add("ddagger", _fail_ddagger(l, hv, tau))
-    return AxiomReport(tuple(entries))
+    m = _MapData(l, normalize_map(l, h))
+    return AxiomReport(tuple((name, check(m)) for name, check in _AXIOMS.items()))
 
 
 @dataclass(frozen=True)
@@ -343,10 +362,14 @@ class InteriorMap:
         l, hv = self.lattice, self.h
         if len(hv) != l.n or any(not (0 <= v < l.n) for v in hv):
             raise InvariantViolation("map is not a total map on the carrier")
-        for name, chk in (("I1", _fail_i1), ("I2", _fail_i2), ("I3", _fail_i3), ("I4", _fail_i4)):
-            w = chk(l, hv)
-            if w is not None:
-                raise InvariantViolation(f"interior map violates {name} at {w}")
+        for name in _BASIC_AXIOMS:
+            v = _AXIOMS[name](self._data)
+            if not v.passed:
+                raise InvariantViolation(f"interior map violates {name} at {v.witness}")
+
+    @cached_property
+    def _data(self) -> _MapData:
+        return _MapData(self.lattice, self.h)
 
     @property
     def n(self) -> int:
@@ -355,13 +378,13 @@ class InteriorMap:
     def apply(self, x: int) -> int:
         return self.h[x]
 
-    @cached_property
+    @property
     def tau(self) -> tuple[int, ...]:
-        return tau_of_map(self.lattice, self.h)
+        return self._data.tau
 
     @cached_property
     def satisfies_i5(self) -> bool:
-        return _fail_i5(self.lattice, self.h) is None
+        return _AXIOMS["I5"](self._data).passed
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, int], ...]:
@@ -403,22 +426,23 @@ def enumerate_eios(
     l: FiniteLattice,
     axioms: Iterable[str] | None = None,
     max_subsets: int | None = None,
-    i9_subset_bound: int | None = None,
-    seed: int = 0,
 ) -> tuple[InteriorMap, ...]:
     """All interior maps on ``l`` passing the selected axioms (default I1 to I8).
 
     Search space: join-closed image sets containing bottom and top, each
     inducing h(x) = largest image member below x. That parameterization is
-    complete for maps satisfying I1 to I4, which must be in the selection.
-    Raises SearchBudgetExceeded when 2^(n-2) image candidates exceed the cap.
+    complete for maps satisfying I1 to I4, which must be in the selection;
+    only the selected axioms it does not already guarantee are checked.
+    Raises SearchBudgetExceeded when 2^(n-2) image candidates exceed the cap,
+    or when a selected check is skipped on its own cap for some candidate.
     """
     ax = frozenset(axioms) if axioms is not None else DEFAULT_EIO_AXIOMS
     unknown = ax - set(AXIOM_NAMES)
     if unknown:
         raise InvariantViolation(f"unknown axiom names: {sorted(unknown)}")
-    if not {"I1", "I2", "I3", "I4"} <= ax:
+    if not set(_BASIC_AXIOMS) <= ax:
         raise InvariantViolation("image-based enumeration requires axioms I1 through I4")
+    checks = [check for name, check in _AXIOMS.items() if name in ax - _IMPLIED_BY_IMAGE]
     middles = [i for i in range(l.n) if i not in (l.bottom, l.top)]
     count = 1 << len(middles)
     cap = resolve_budget(max_subsets, 1 << 20)
@@ -446,31 +470,15 @@ def enumerate_eios(
         for x in range(l.n):
             below = jmask & l.down[x]
             h.append(l.join_all(iter_bits(below)))
-        hv = tuple(h)
-        ok = True
-        if ok and "I5" in ax:
-            ok = _fail_i5(l, hv) is None
-        if ok and "I6" in ax:
-            ok = _fail_i6(l, hv) is None
-        if ok and ("I9" in ax or "dagger" in ax or "ddagger" in ax):
-            tau = tau_of_map(l, hv)
-            up_mask = l.up
-            tau_ge = []
-            for e in range(l.n):
-                m = 0
-                for c in range(l.n):
-                    if l.leq(e, tau[c]):
-                        m |= 1 << c
-                tau_ge.append(m)
-            if ok and "dagger" in ax:
-                ok = _fail_dagger(l, hv, tau, up_mask, tau_ge) is None
-            if ok and "ddagger" in ax:
-                ok = _fail_ddagger(l, hv, tau) is None
-            if ok and "I9" in ax:
-                w, _ = _fail_i9(l, hv, tau, up_mask, tau_ge, i9_subset_bound, 2000, seed)
-                ok = w is None
-        if ok:
-            found.append(InteriorMap(l, hv))
+        m = _MapData(l, tuple(h))
+        for check in checks:
+            v = check(m)
+            if v.passed is None:
+                raise SearchBudgetExceeded(f"candidate map {m.h}: {v.note}")
+            if not v.passed:
+                break
+        else:
+            found.append(InteriorMap(l, m.h))
     return tuple(found)
 
 
@@ -549,7 +557,7 @@ def check_four_coatom(l: FiniteLattice, im: InteriorMap) -> CheckResult:
 
 
 def check_coatom_dependence(
-    l: FiniteLattice, im: InteriorMap, i9_passed: bool | None = None
+    l: FiniteLattice, im: InteriorMap, i9: Verdict | None = None
 ) -> AxiomReport:
     """The coatom dependence battery: june2, june1, june5, june6.
 
@@ -558,7 +566,8 @@ def check_coatom_dependence(
     h(x) v (meet of all in-scope z for x) = top; june5 the same per fixed a;
     june6 scans for a family with meet of the a's not below x but meet of
     the z's below x. june5/june6 presuppose I9, so they are skipped (verdict
-    None) when I9 is not established.
+    None) when I9 fails or is itself skipped. ``i9`` is the I9 verdict of
+    ``im`` when the caller already has it; otherwise it is computed here.
     """
     if im.lattice != l:
         raise InvariantViolation("interior map belongs to a different lattice")
@@ -606,19 +615,11 @@ def check_coatom_dependence(
             break
     entries.append(("june1", Verdict(witness is None, witness, f"maximal families={checked}")))
 
-    if i9_passed is None:
-        tau_ge = []
-        for e in range(l.n):
-            mk = 0
-            for c in range(l.n):
-                if l.leq(e, tau[c]):
-                    mk |= 1 << c
-            tau_ge.append(mk)
-        w9, _ = _fail_i9(l, h, tau, l.up, tau_ge, None, 2000, 0)
-        i9_passed = w9 is None
-
-    if not i9_passed:
-        skip = Verdict(None, None, "skipped: I9 hypothesis not established")
+    if i9 is None:
+        i9 = _AXIOMS["I9"](im._data)
+    if not i9.passed:
+        reason = "I9 hypothesis not established" if i9.passed is False else f"I9 not decided ({i9.note})"
+        skip = Verdict(None, None, f"skipped: {reason}")
         entries.append(("june5", skip))
         entries.append(("june6", skip))
         return AxiomReport(tuple(entries))

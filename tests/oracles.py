@@ -284,3 +284,48 @@ def oracle_closed_sublattices(l: FiniteLattice, seeds: set[int]) -> list[int]:
         ):
             out.append(mask)
     return out
+
+
+def _fiber_tau(l: FiniteLattice, h) -> list[int]:
+    """tau(x): the join of every z with h(z) = h(x)."""
+    out = []
+    for x in range(l.n):
+        acc = x
+        for z in range(l.n):
+            if h[z] == h[x]:
+                acc = l.join(acc, z)
+        out.append(acc)
+    return out
+
+
+def _meet_of(l: FiniteLattice, items) -> int:
+    items = list(items)
+    acc = items[0]
+    for y in items[1:]:
+        acc = l.meet(acc, y)
+    return acc
+
+
+def _i9_breaks(l: FiniteLattice, h, tau, x: int, c: int, zs) -> bool:
+    if not l.leq(h[x], c) or not l.leq(_meet_of(l, [tau[z] for z in zs]), tau[c]):
+        return False
+    inner = _meet_of(l, [tau[l.meet(x, z)] for z in zs])
+    return not l.leq(h[l.join(h[x], inner)], c)
+
+
+def oracle_i9_violated(l: FiniteLattice, h, x: int, c: int, zs) -> bool:
+    """Whether (x, c) and the family zs break I9, straight from its statement."""
+    return _i9_breaks(l, h, _fiber_tau(l, h), x, c, zs)
+
+
+def oracle_i9(l: FiniteLattice, h, max_size: int | None = None) -> bool:
+    """I9 over every nonempty family of at most max_size elements, every x and every c."""
+    n = l.n
+    tau = _fiber_tau(l, h)
+    for k in range(1, (n if max_size is None else max_size) + 1):
+        for zs in itertools.combinations(range(n), k):
+            for x in range(n):
+                for c in range(n):
+                    if _i9_breaks(l, h, tau, x, c, zs):
+                        return False
+    return True

@@ -4,15 +4,19 @@ import json
 
 import pytest
 
+from eqlat import interior
 from eqlat.checks import (
     SUITES,
+    _axiom_outcome,
     all_passed,
     catalog_for_acceptance,
     run_suite,
 )
 from eqlat.cli import main
+from eqlat.congruence import all_congruences
 from eqlat.corpus import boolean
 from eqlat.errors import ParamOutOfRange
+from eqlat.interior import check_axioms, natural_eta
 
 EXPECTED_SUITES = {
     "consl", "equaint", "prop", "twelve", "bicoatom", "four-coatom",
@@ -58,6 +62,17 @@ def test_june5_suite_skips_only_failed_hypotheses():
         assert "hypothesis" in (o.note or "")
 
 
+def test_axiom_rows_report_a_skipped_axiom_as_a_skip(monkeypatch):
+    monkeypatch.setattr(interior, "_I9_STATE_CAP", 1)
+    s = boolean(2).structure
+    conl = all_congruences(s)
+    report = check_axioms(conl.lattice, natural_eta(s, conl))
+    row = _axiom_outcome("twelve", "boolean(2)", report, ("I9",))
+    assert row.verdict == "skip" and "exceed cap" in row.note
+    row = _axiom_outcome("equaint", "boolean(2)", report, ("I1", "I2", "I3", "I4", "I5", "I6", "I7"))
+    assert row.verdict == "pass"
+
+
 def test_unknown_suite_is_rejected():
     with pytest.raises(ParamOutOfRange):
         run_suite("bogus")
@@ -100,6 +115,13 @@ def test_cli_check_axioms_pass_and_fail(b2_file, tmp_path, capsys):
     assert main(["check-axioms", b2_file, "--map", str(bad)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["I2"]["passed"] is False
+
+
+def test_cli_check_axioms_has_no_i9_knobs(b2_file, tmp_path):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"map": {"0": "0", "p": "p", "q": "q", "1": "1"}}))
+    assert main(["check-axioms", b2_file, "--map", str(good), "--i9-bound", "0"]) == 2
+    assert main(["check-axioms", b2_file, "--map", str(good), "--seed", "0"]) == 2
 
 
 def test_cli_search_eio(b2_file, capsys):

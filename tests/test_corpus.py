@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import oracles
+from eqlat import interior
 from eqlat.corpus import (
     boolean,
     build_named,
@@ -123,6 +124,13 @@ def test_oversized_truncation_evidence_is_skipped_not_crashed():
     results = run_claims(entry)
     assert all(r.passed for r in results)
     assert any("evidence search skipped" in (r.note or "") for r in results)
+
+
+def test_i9_evidence_past_the_state_cap_is_skipped_not_false(monkeypatch):
+    monkeypatch.setattr(interior, "_I9_STATE_CAP", 1)
+    result = {r.name: r for r in run_claims(m2(2))}["eio_i9_all"]
+    assert result.passed
+    assert result.note.startswith("evidence search skipped") and "exceed cap" in result.note
 
 
 def test_truncation_element_counts():

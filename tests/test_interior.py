@@ -3,22 +3,26 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
+from eqlat import interior
 from eqlat.congruence import all_congruences, congruence_generated, eta, tau
-from eqlat.corpus import boolean, chain, omega
+from eqlat.corpus import boolean, chain, enumerate_semilattices, omega
 from eqlat.errors import InvariantViolation, SearchBudgetExceeded
 from eqlat.interior import (
+    DEFAULT_EIO_AXIOMS,
     InteriorMap,
     check_axioms,
     check_bicoatomic,
+    check_coatom_dependence,
     check_four_coatom,
     enumerate_eios,
     natural_eta,
     normalize_map,
     tau_of_map,
 )
-from eqlat.order import lattice_from_covers
+from eqlat.order import iter_bits, lattice_from_covers
 
 
 def m3():
@@ -166,19 +170,77 @@ def test_natural_map_passes_the_full_battery_on_small_carriers():
         assert report.passed, report.failing()
 
 
-def test_i9_family_modes_and_notes():
+def test_i9_is_exact_on_every_carrier():
     s = boolean(2).structure
     conl = all_congruences(s)
-    report = check_axioms(conl.lattice, natural_eta(s, conl), i9_subset_bound=4)
+    report = check_axioms(conl.lattice, natural_eta(s, conl))
     verdict = report.verdict("I9")
     assert verdict.passed
-    assert "families up to size 4" in (verdict.note or "")
+    assert verdict.note == "exact: 12 family states"
 
+    # Sixteen elements: 2^16 - 1 families, decided through 16 states.
     big = boolean(4).structure.lattice
     report = check_axioms(big, tuple(range(big.n)))
     verdict = report.verdict("I9")
     assert verdict.passed
-    assert "sampled" in (verdict.note or "")
+    assert verdict.note == "exact: 16 family states"
+    assert all("sampled" not in (v.note or "") for _, v in report.entries)
+
+
+def _assert_i9_matches_oracle(l, h):
+    verdict = check_axioms(l, h).verdict("I9")
+    assert verdict.passed == oracles.oracle_i9(l, h)
+    if verdict.passed:
+        return
+    idx = l.poset.index
+    w = verdict.witness
+    zs = [idx[z] for z in w["zs"].split(",")]
+    assert oracles.oracle_i9_violated(l, h, idx[w["x"]], idx[w["c"]], zs)
+    assert oracles.oracle_i9(l, h, max_size=len(zs) - 1)
+
+
+def test_i9_matches_the_oracle_on_small_maps(tiny_semilattices):
+    for s in enumerate_semilattices(6):
+        for im in enumerate_eios(s.lattice):
+            _assert_i9_matches_oracle(s.lattice, im.h)
+    for s in tiny_semilattices:
+        conl = all_congruences(s)
+        _assert_i9_matches_oracle(conl.lattice, natural_eta(s, conl).h)
+    s, h = b3_counterexample_map()
+    _assert_i9_matches_oracle(s.lattice, h)
+    assert check_axioms(s.lattice, h).verdict("I9").witness == {"x": "r", "c": "pr", "zs": "p"}
+
+
+_LATTICES_UP_TO_6 = [s.lattice for s in enumerate_semilattices(6)]
+
+
+@given(st.data())
+def test_i9_matches_the_oracle_on_drawn_decreasing_maps(data):
+    l = data.draw(st.sampled_from(_LATTICES_UP_TO_6))
+    h = tuple(data.draw(st.sampled_from(list(iter_bits(l.down[x])))) for x in range(l.n))
+    _assert_i9_matches_oracle(l, h)
+
+
+def test_i9_past_its_state_cap_is_a_skip_everywhere(monkeypatch):
+    monkeypatch.setattr(interior, "_I9_STATE_CAP", 2)
+    l = boolean(3).structure.lattice
+    im = InteriorMap(l, tuple(range(l.n)))
+    verdict = check_axioms(l, im).verdict("I9")
+    assert verdict.passed is None
+    assert verdict.note == "skipped: 3 family states exceed cap 2"
+
+    dep = check_coatom_dependence(l, im)
+    for name in ("june5", "june6"):
+        assert dep.verdict(name).passed is None
+        assert "exceed cap" in dep.verdict(name).note
+    with pytest.raises(SearchBudgetExceeded, match="exceed cap"):
+        enumerate_eios(l, axioms=DEFAULT_EIO_AXIOMS | {"I9"})
+
+    def no_second_run(m):
+        raise AssertionError("I9 ran again")
+
+    monkeypatch.setitem(interior._AXIOMS, "I9", no_second_run)
+    assert check_coatom_dependence(l, im, i9=verdict) == dep
 
 
 def test_bicoatomic_modes_agree(small_semilattices):
