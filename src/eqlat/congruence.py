@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InvariantViolation, SizeGuard, resolve_budget
-from .order import FiniteLattice, FinitePoset, as_lattice, iter_bits, popcount
+from .order import FiniteLattice, iter_bits, lattice_of, popcount
 from .semilattice import IdealSet, OpSemilattice, ideal, operator_monoid
 
 
@@ -97,9 +97,10 @@ def make_congruence(
     s: OpSemilattice, blocks_or_rep: Sequence[int] | Iterable[Iterable[int]], validate: bool = True
 ) -> Congruence:
     """Build a congruence from a rep vector or an iterable of blocks."""
-    if blocks_or_rep and not isinstance(next(iter(blocks_or_rep)), int):
+    items = list(blocks_or_rep)
+    if items and not isinstance(items[0], int):
         rep = [-1] * s.n
-        for block in blocks_or_rep:  # type: ignore[union-attr]
+        for block in items:
             members = sorted(block)
             for m in members:
                 if rep[m] != -1:
@@ -108,7 +109,7 @@ def make_congruence(
         if any(r == -1 for r in rep):
             raise InvariantViolation("blocks do not cover the carrier")
     else:
-        rep = list(blocks_or_rep)  # type: ignore[arg-type]
+        rep = items  # type: ignore[assignment]
         if len(rep) != s.n:
             raise InvariantViolation("rep vector has wrong length")
     theta = Congruence(_canonical_rep(rep))
@@ -234,6 +235,8 @@ def all_congruences(s: OpSemilattice, max_count: int | None = None) -> Congruenc
             if c not in seen:
                 seen.add(c)
                 principals.append(c)
+    if len(seen) > cap:
+        raise SizeGuard(f"congruence count exceeds cap {cap}")
     work = list(principals)
     while work:
         c = work.pop()
@@ -245,15 +248,7 @@ def all_congruences(s: OpSemilattice, max_count: int | None = None) -> Congruenc
                 if len(seen) > cap:
                     raise SizeGuard(f"congruence count exceeds cap {cap}")
     ordered = sorted(seen, key=lambda c: (-c.block_count, c.rep))
-    rows = []
-    for c in ordered:
-        row = 0
-        for k, d in enumerate(ordered):
-            if c.refines(d):
-                row |= 1 << k
-        rows.append(row)
-    labels = tuple(c.block_string(s) for c in ordered)
-    lattice = as_lattice(FinitePoset(labels, tuple(rows)))
+    lattice = lattice_of([c.block_string(s) for c in ordered], ordered, Congruence.refines)
     return CongruenceLattice(s, tuple(ordered), lattice)
 
 

@@ -42,7 +42,16 @@ from .interior import (
     enumerate_eios,
     natural_eta,
 )
-from .order import FiniteLattice, FinitePoset, as_lattice, dual, iter_bits, popcount
+from .order import (
+    FiniteLattice,
+    FinitePoset,
+    as_lattice,
+    closed_sets,
+    containment_lattice,
+    dual,
+    iter_bits,
+    popcount,
+)
 from .semilattice import OpSemilattice, all_endomorphisms, from_join_table
 
 
@@ -234,22 +243,9 @@ def _check_meet_table(labels: Sequence[str], meet) -> None:
 def _sub_dual_lattice(labels: Sequence[str], meet) -> FiniteLattice:
     """The dual of the containment lattice of meet-closed subsets (empty set included)."""
     _check_meet_table(labels, meet)
-    n = len(labels)
-    subs = []
-    for mask in range(1 << n):
-        elems = list(iter_bits(mask))
-        if all((mask >> meet(a, b)) & 1 for a in elems for b in elems):
-            subs.append(mask)
-    subs.sort(key=lambda m: (popcount(m), m))
-    names = ["{" + ",".join(labels[i] for i in iter_bits(m)) + "}" for m in subs]
-    up = []
-    for m in subs:
-        row = 0
-        for j, other in enumerate(subs):
-            if m & ~other == 0:
-                row |= 1 << j
-        up.append(row)
-    return dual(as_lattice(FinitePoset(tuple(names), tuple(up))))
+    table = [[meet(i, j) for j in range(len(labels))] for i in range(len(labels))]
+    subs = sorted(closed_sets(table), key=lambda m: (popcount(m), m))
+    return dual(containment_lattice(labels, subs))
 
 
 _TRUNCATION_EVIDENCE = (
@@ -533,12 +529,9 @@ def _canonical_semilattices(n: int) -> list[OpSemilattice]:
         if i == n:
             emit()
             return
-        for pick in range(1 << i):
-            if not pick & 1:
-                continue
-            if any(down[j] & ~pick for j in iter_bits(pick)):
-                continue
-            down.append(pick | (1 << i))
+        # The new element's strict downset: a downset of 0..i-1 holding 0.
+        for below in sorted(closed_sets(None, 1, rows=tuple(down))):
+            down.append(below | (1 << i))
             if minimal_ub_ok(i):
                 extend(i + 1)
             down.pop()

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .congruence import (
     Congruence,
@@ -33,33 +33,25 @@ from .congruence import (
     make_congruence,
     meet_congruences,
 )
-from .errors import InvariantViolation, SizeGuard, resolve_budget
+from .errors import InvariantViolation, resolve_budget
 from .interior import AxiomReport, CheckResult, InteriorMap, Verdict
-from .order import FiniteLattice, FinitePoset, as_lattice, iter_bits, popcount
+from .order import (
+    FiniteLattice,
+    closed_sets,
+    closure,
+    containment_lattice,
+    iter_bits,
+    lattice_of,
+    popcount,
+    set_label,
+)
 from .semilattice import IdealSet, OpSemilattice, ideals
-
-
-def _set_label(labels: Sequence[str], mask: int) -> str:
-    return "{" + ",".join(labels[i] for i in iter_bits(mask)) + "}"
-
-
-def _containment_lattice(labels: Sequence[str], masks: Sequence[int]) -> FiniteLattice:
-    """Lattice of the given subsets ordered by containment."""
-    names = [_set_label(labels, m) for m in masks]
-    up = []
-    for m in masks:
-        row = 0
-        for j, other in enumerate(masks):
-            if m & ~other == 0:
-                row |= 1 << j
-        up.append(row)
-    return as_lattice(FinitePoset(tuple(names), tuple(up)))
 
 
 def ideal_lattice(s: OpSemilattice) -> FiniteLattice:
     """All ideals of the semilattice reduct, ordered by containment."""
     masks = [i.mask for i in ideals(s)]
-    return _containment_lattice(s.labels, masks)
+    return containment_lattice(s.labels, masks)
 
 
 @dataclass(frozen=True)
@@ -78,14 +70,9 @@ class AlgebraicSubsetFamily:
         l = self.ambient
         for m in self.members:
             if not (m >> l.top) & 1:
-                raise InvariantViolation(f"member {_set_label(l.labels, m)} misses the top")
-            elems = list(iter_bits(m))
-            for a in elems:
-                for b in elems:
-                    if not (m >> l.meet(a, b)) & 1:
-                        raise InvariantViolation(
-                            f"member {_set_label(l.labels, m)} is not meet-closed"
-                        )
+                raise InvariantViolation(f"member {set_label(l.labels, m)} misses the top")
+            if closure(l.meet_table, m) != m:
+                raise InvariantViolation(f"member {set_label(l.labels, m)} is not meet-closed")
         if len(set(self.members)) != len(self.members):
             raise InvariantViolation("duplicate members")
 
@@ -97,7 +84,7 @@ class AlgebraicSubsetFamily:
 
     @cached_property
     def lattice(self) -> FiniteLattice:
-        return _containment_lattice(self.ambient.labels, self.members)
+        return containment_lattice(self.ambient.labels, self.members)
 
     def to_json(self) -> str:
         return json.dumps({"members": [list(self.member_labels(i)) for i in range(len(self))]})
@@ -124,27 +111,14 @@ def algebraic_subsets(
     """Every meet-closed, top-containing subset, optionally relation-closed.
 
     When ``closed_under`` pairs are given, a member S must also satisfy:
-    s in S and s R t imply t in S.
+    s in S and s R t imply t in S. Raises SizeGuard when more than
+    ``max_subsets`` such subsets exist; they are counted before any is kept.
     """
-    cap = resolve_budget(max_subsets, 1 << 22)
-    candidates = 1 << (l.n - 1)
-    if candidates > cap:
-        raise SizeGuard(f"{candidates} candidate subsets exceed cap {cap}")
     rows = _normalize_relation(l, closed_under) if closed_under is not None else None
-    rest = [i for i in range(l.n) if i != l.top]
-    out = []
-    for pick in range(candidates):
-        mask = 1 << l.top
-        for k, e in enumerate(rest):
-            if (pick >> k) & 1:
-                mask |= 1 << e
-        elems = list(iter_bits(mask))
-        ok = all((mask >> l.meet(a, b)) & 1 for a in elems for b in elems)
-        if ok and rows is not None:
-            ok = all(rows[e] & ~mask == 0 for e in elems)
-        if ok:
-            out.append(mask)
-    out.sort(key=lambda m: (popcount(m), m))
+    found = closed_sets(
+        l.meet_table, 1 << l.top, rows=rows, cap=resolve_budget(max_subsets, 1 << 22)
+    )
+    out = sorted(found, key=lambda m: (popcount(m), m))
     return AlgebraicSubsetFamily(l, tuple(out))
 
 
@@ -221,12 +195,10 @@ def verify_consl(s: OpSemilattice) -> CheckResult:
     for fam in sp.members:
         theta = galois_rho(reduct, [ideal_masks[k] for k in iter_bits(fam)])
         if h_as_family_mask(theta) != fam:
-            return CheckResult("consl", False, {"family": _set_label(il.labels, fam)},
+            return CheckResult("consl", False, {"family": set_label(il.labels, fam)},
                                "round trip through congruences does not return")
     for i, a in enumerate(conl.congruences):
         for j, b in enumerate(conl.congruences):
-            if a.refines(b) and images[i] & ~images[j] != 0:
-                pass
             if a.refines(b) and (images[j] & ~images[i]) != 0:
                 return CheckResult("consl", False,
                                    {"theta": a.block_string(reduct), "phi": b.block_string(reduct)},
@@ -358,31 +330,15 @@ def check_distributive_quasiorder(q: QuasiOrder) -> AxiomReport:
 
 def _closed_sub_members(q: QuasiOrder, max_subsets: int | None = None) -> tuple[int, ...]:
     """Masks of relation-closed meet-subsemilattices containing the unit."""
-    s = q.carrier
-    cap = resolve_budget(max_subsets, 1 << 22)
-    candidates = 1 << (s.n - 1)
-    if candidates > cap:
-        raise SizeGuard(f"{candidates} candidate subsets exceed cap {cap}")
-    rest = [i for i in range(s.n) if i != q.unit]
-    out = []
-    for pick in range(candidates):
-        mask = 1 << q.unit
-        for k, e in enumerate(rest):
-            if (pick >> k) & 1:
-                mask |= 1 << e
-        elems = list(iter_bits(mask))
-        ok = all((mask >> q.meet(a, b)) & 1 for a in elems for b in elems)
-        if ok:
-            ok = all(q.rows[e] & ~mask == 0 for e in elems)
-        if ok:
-            out.append(mask)
-    out.sort(key=lambda m: (popcount(m), m))
-    return tuple(out)
+    found = closed_sets(
+        q.carrier.join_t, 1 << q.unit, rows=q.rows, cap=resolve_budget(max_subsets, 1 << 22)
+    )
+    return tuple(sorted(found, key=lambda m: (popcount(m), m)))
 
 
 def sub_closed_lattice(q: QuasiOrder, max_subsets: int | None = None) -> FiniteLattice:
     """The containment lattice of relation-closed meet-subsemilattices with unit."""
-    return _containment_lattice(q.carrier.labels, _closed_sub_members(q, max_subsets))
+    return containment_lattice(q.carrier.labels, _closed_sub_members(q, max_subsets))
 
 
 def all_subalgebras(carrier: OpSemilattice, max_subsets: int | None = None) -> tuple[int, ...]:
@@ -403,11 +359,10 @@ def quasiorder_from_sublattice(carrier: OpSemilattice, family: Iterable[int]) ->
     members = sorted(set(int(m) for m in family))
     if not members:
         raise InvariantViolation("empty family")
-    valid = set(all_subalgebras(s))
     for m in members:
-        if m not in valid:
+        if m & ~full or not (m >> s.zero) & 1 or closure(s.join_t, m) != m:
             raise InvariantViolation(
-                f"{_set_label(s.labels, m)} is not a meet-subsemilattice with unit"
+                f"{set_label(s.labels, m)} is not a meet-subsemilattice with unit"
             )
     if full not in members:
         raise InvariantViolation("family misses the full subalgebra")
@@ -416,16 +371,7 @@ def quasiorder_from_sublattice(carrier: OpSemilattice, family: Iterable[int]) ->
         for b in members:
             if (a & b) not in member_set:
                 raise InvariantViolation("family is not closed under intersection")
-            u = a | b
-            while True:
-                grown = u
-                for x in iter_bits(u):
-                    for y in iter_bits(u):
-                        grown |= 1 << s.join(x, y)
-                if grown == u:
-                    break
-                u = grown
-            if u not in member_set:
+            if closure(s.join_t, a | b) not in member_set:
                 raise InvariantViolation("family is not closed under subalgebra join")
     rows = []
     for c in range(s.n):
@@ -509,15 +455,7 @@ def sublattice_interior(
         key=lambda t: (-t.block_count, t.rep),
     )
     index = {t.rep: i for i, t in enumerate(members)}
-    names = [t.block_string(reduct) for t in members]
-    up = []
-    for a in members:
-        row = 0
-        for j, b in enumerate(members):
-            if a.refines(b):
-                row |= 1 << j
-        up.append(row)
-    lat = as_lattice(FinitePoset(tuple(names), tuple(up)))
+    lat = lattice_of([t.block_string(reduct) for t in members], members, Congruence.refines)
     h = []
     for t in members:
         collapsed = eta(reduct, t.zero_class_mask(reduct))

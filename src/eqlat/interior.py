@@ -36,7 +36,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvariantViolation, SearchBudgetExceeded, resolve_budget
-from .order import FiniteLattice, iter_bits, popcount
+from .order import FiniteLattice, closed_sets, iter_bits, popcount
 
 DEFAULT_EIO_AXIOMS = frozenset({"I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8"})
 
@@ -422,6 +422,21 @@ def natural_eta(s, conl) -> InteriorMap:
     return im
 
 
+def _distributive_elements(l: FiniteLattice) -> int:
+    """Mask of every d with d v (y ^ z) = (d v y) ^ (d v z) for all y, z.
+
+    These are the points an I6 image may use, and they are closed under
+    joins: (d v e) v (y ^ z) = d v ((e v y) ^ (e v z)) = (d v e v y) ^ (d v e v z).
+    """
+    join, meet = l.join_table, l.meet_table
+    mask = 0
+    for d in range(l.n):
+        jd = join[d]
+        if all(jd[meet[y][z]] == meet[jd[y]][jd[z]] for y in range(l.n) for z in range(y)):
+            mask |= 1 << d
+    return mask
+
+
 def enumerate_eios(
     l: FiniteLattice,
     axioms: Iterable[str] | None = None,
@@ -433,8 +448,12 @@ def enumerate_eios(
     inducing h(x) = largest image member below x. That parameterization is
     complete for maps satisfying I1 to I4, which must be in the selection;
     only the selected axioms it does not already guarantee are checked.
-    Raises SearchBudgetExceeded when 2^(n-2) image candidates exceed the cap,
-    or when a selected check is skipped on its own cap for some candidate.
+    With I6 selected the image sets are drawn from the distributive
+    elements only, which is exactly what I6 asks of an image. Maps come in
+    the order of their image masks. Raises SearchBudgetExceeded when more
+    than ``max_subsets`` image sets exist (they are counted before any map
+    is built), or when a selected check is skipped on its own cap for some
+    candidate.
     """
     ax = frozenset(axioms) if axioms is not None else DEFAULT_EIO_AXIOMS
     unknown = ax - set(AXIOM_NAMES)
@@ -442,35 +461,18 @@ def enumerate_eios(
         raise InvariantViolation(f"unknown axiom names: {sorted(unknown)}")
     if not set(_BASIC_AXIOMS) <= ax:
         raise InvariantViolation("image-based enumeration requires axioms I1 through I4")
-    checks = [check for name, check in _AXIOMS.items() if name in ax - _IMPLIED_BY_IMAGE]
-    middles = [i for i in range(l.n) if i not in (l.bottom, l.top)]
-    count = 1 << len(middles)
-    cap = resolve_budget(max_subsets, 1 << 20)
-    if count > cap:
-        raise SearchBudgetExceeded(f"{count} image candidates exceed cap {cap}")
-    base = (1 << l.bottom) | (1 << l.top)
-    found: list[InteriorMap] = []
-    for pick in range(count):
-        jmask = base
-        for k, e in enumerate(middles):
-            if (pick >> k) & 1:
-                jmask |= 1 << e
-        members = list(iter_bits(jmask))
-        closed = True
-        for a in members:
-            for b in members:
-                if not (jmask >> l.join(a, b)) & 1:
-                    closed = False
-                    break
-            if not closed:
-                break
-        if not closed:
-            continue
-        h = []
-        for x in range(l.n):
-            below = jmask & l.down[x]
-            h.append(l.join_all(iter_bits(below)))
-        m = _MapData(l, tuple(h))
+    # With I6 selected, the ground of distributive elements enforces it.
+    checks = [check for name, check in _AXIOMS.items() if name in ax - _IMPLIED_BY_IMAGE - {"I6"}]
+    images = closed_sets(
+        l.join_table,
+        (1 << l.bottom) | (1 << l.top),
+        ground=_distributive_elements(l) if "I6" in ax else None,
+        cap=resolve_budget(max_subsets, 1 << 20),
+        error=SearchBudgetExceeded,
+    )
+    found: list[tuple[int, InteriorMap]] = []
+    for jmask in images:
+        m = _MapData(l, tuple(l.join_all(iter_bits(jmask & l.down[x])) for x in range(l.n)))
         for check in checks:
             v = check(m)
             if v.passed is None:
@@ -478,8 +480,8 @@ def enumerate_eios(
             if not v.passed:
                 break
         else:
-            found.append(InteriorMap(l, m.h))
-    return tuple(found)
+            found.append((jmask, InteriorMap(l, m.h)))
+    return tuple(im for _, im in sorted(found, key=lambda pair: pair[0]))
 
 
 def check_bicoatomic(l: FiniteLattice, properly: str = "strict") -> CheckResult:

@@ -10,17 +10,18 @@ Conventions
 * masks are plain ints; bit k corresponds to element k
 * ``iter_bits(m)`` yields set bit positions in increasing order
 * cover lists are pairs (lower, upper)
+* ``closure`` closes a mask under a binary operation table; ``closed_sets``
+  enumerates every closed mask (Close-by-One) and serves every subset search
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import CycleError, InvariantViolation, NotALattice, UnknownLabel
+from .errors import CycleError, InvariantViolation, NotALattice, SizeGuard, UnknownLabel
 
 
 def iter_bits(mask: int):
@@ -33,6 +34,85 @@ def iter_bits(mask: int):
 
 def popcount(mask: int) -> int:
     return mask.bit_count()
+
+
+def closure(
+    table: Sequence[Sequence[int]] | None,
+    mask: int,
+    rows: Sequence[int] | None = None,
+    todo: int | None = None,
+    bad: int = 0,
+) -> int | None:
+    """Least superset of ``mask`` closed under ``table`` and ``rows``.
+
+    ``table[a][b]`` is a binary operation on element indices (None for
+    none); ``rows[a]`` is the mask a member a forces in. Only the members in
+    ``todo`` (default: all) are combined with the others, so the rest of
+    ``mask`` must already be closed. Returns None as soon as a member of
+    ``bad`` would come in.
+    """
+    todo = mask if todo is None else todo
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        x = low.bit_length() - 1
+        add = rows[x] if rows is not None else 0
+        if table is not None:
+            row = table[x]
+            for y in iter_bits(mask):
+                add |= 1 << row[y]
+        add &= ~mask
+        if add & bad:
+            return None
+        mask |= add
+        todo |= add
+    return mask
+
+
+def closed_sets(
+    table: Sequence[Sequence[int]] | None,
+    base: int = 0,
+    *,
+    rows: Sequence[int] | None = None,
+    ground: int | None = None,
+    cap: int | None = None,
+    error: type[Exception] = SizeGuard,
+):
+    """Every set that contains ``base`` and is closed under ``table`` and ``rows``.
+
+    With ``ground``, only sets inside that mask count. Sets come as masks in
+    walk order, not sorted. The walk is Close-by-One (Kuznetsov): a closed set S
+    spawns closure(S + e) for each e of the ground above the element S was
+    spawned with, kept only if it stays inside the ground and adds nothing
+    below e. Every closed set is visited once and no other set is, so
+    ``cap`` counts closed sets: they are first walked without being stored,
+    and ``error`` is raised once more than ``cap`` are found, before any is
+    returned.
+    """
+    if ground is None:
+        ground = (1 << len(table if table is not None else rows)) - 1
+
+    def walk():
+        start = None if base & ~ground else closure(table, base, rows, bad=~ground)
+        stack = [] if start is None else [(start, 0)]
+        while stack:
+            closed, first = stack.pop()
+            yield closed
+            for e in iter_bits(ground & ~closed & -(1 << first)):
+                bit = 1 << e
+                child = closure(table, closed | bit, rows, bit, ~ground | ((bit - 1) & ~closed))
+                if child is not None:
+                    stack.append((child, e + 1))
+
+    if cap is not None:
+        for count, _ in enumerate(walk(), 1):
+            if count > cap:
+                raise error(f"more than {cap} closed sets exceed cap {cap}")
+    return walk()
+
+
+def set_label(labels: Sequence[str], mask: int) -> str:
+    return "{" + ",".join(labels[i] for i in iter_bits(mask)) + "}"
 
 
 @dataclass(frozen=True)
@@ -233,6 +313,17 @@ def as_lattice(poset: FinitePoset) -> FiniteLattice:
     return FiniteLattice(poset, tuple(meet_rows), tuple(join_rows), bottoms[0], tops[0])
 
 
+def lattice_of(labels: Sequence[str], items: Sequence, leq) -> FiniteLattice:
+    """The lattice of ``items`` under the order ``leq(a, b)``, element i being items[i]."""
+    up = tuple(sum(1 << j for j, b in enumerate(items) if leq(a, b)) for a in items)
+    return as_lattice(FinitePoset(tuple(labels), up))
+
+
+def containment_lattice(labels: Sequence[str], masks: Sequence[int]) -> FiniteLattice:
+    """Lattice of the given subsets of the labeled carrier, ordered by containment."""
+    return lattice_of([set_label(labels, m) for m in masks], masks, lambda a, b: a & ~b == 0)
+
+
 def lattice_from_covers(labels: Sequence[str], covers: Iterable[tuple[str, str]]) -> FiniteLattice:
     return as_lattice(build_poset(labels, covers))
 
@@ -257,18 +348,14 @@ def complete_sublattice_closure(lat: FiniteLattice, seeds: Iterable[int]) -> Fin
     for a finite carrier is the full completeness condition. Labels carry over,
     so closure elements can be located in the ambient lattice by label.
     """
-    members = {lat.bottom, lat.top}
-    members.update(seeds)
-    frontier = True
-    while frontier:
-        frontier = False
-        for a, b in itertools.combinations(sorted(members), 2):
-            for c in (lat.meet_table[a][b], lat.join_table[a][b]):
-                if c not in members:
-                    members.add(c)
-                    frontier = True
-    order = sorted(members)
-    return as_lattice(sub_poset(lat.poset, order))
+    members = (1 << lat.bottom) | (1 << lat.top)
+    for x in seeds:
+        members |= 1 << x
+    while True:
+        grown = closure(lat.join_table, closure(lat.meet_table, members))
+        if grown == members:
+            return as_lattice(sub_poset(lat.poset, list(iter_bits(members))))
+        members = grown
 
 
 def dual(lat: FiniteLattice) -> FiniteLattice:

@@ -43,6 +43,10 @@ class OpSemilattice:
             raise InvariantViolation("labels must be unique")
         if len(self.join_t) != n or any(len(r) != n for r in self.join_t):
             raise InvariantViolation("join table must be n by n")
+        if not 0 <= self.zero < n:
+            raise InvariantViolation(f"zero index {self.zero} is out of range")
+        if any(not 0 <= v < n for row in self.join_t for v in row):
+            raise InvariantViolation("join table has an entry out of range")
         jt = self.join_t
         for i in range(n):
             if jt[i][i] != i:
@@ -291,46 +295,20 @@ def ideal(s: OpSemilattice, members: int | Iterable[int]) -> IdealSet:
     return IdealSet(mask, s.n)
 
 
-def _downsets(s: OpSemilattice) -> list[int]:
-    """All down-closed subsets, by incremental insertion in a linear extension."""
-    order = sorted(range(s.n), key=lambda i: popcount(s.down[i]))
-    sets = [0]
-    for e in order:
-        need = s.down[e] & ~(1 << e)
-        sets += [m | (1 << e) for m in sets if need & ~m == 0]
-    return sets
-
-
 def ideals(s: OpSemilattice, f_closed_only: bool = False) -> tuple[IdealSet, ...]:
     """All ideals, sorted by (size, mask).
 
-    With ``f_closed_only`` keep only ideals closed under every operator. The
-    enumeration walks down-closed sets and filters for join closure; for a
-    finite carrier the result coincides with the principal downsets.
+    On a finite carrier every ideal is the principal downset of its join, so
+    the ideals are the n distinct downsets ``s.down[x]``. With
+    ``f_closed_only`` keep only ideals closed under every operator.
     """
     out = []
-    for mask in _downsets(s):
-        if not (mask >> s.zero) & 1:
+    for mask in sorted(s.down, key=lambda m: (popcount(m), m)):
+        if f_closed_only and any(
+            not (mask >> images[i]) & 1 for _, images in s.operators for i in iter_bits(mask)
+        ):
             continue
-        ok = True
-        mems = list(iter_bits(mask))
-        for a in mems:
-            for b in mems:
-                if not (mask >> s.join_t[a][b]) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        if f_closed_only:
-            for _, images in s.operators:
-                if any(not (mask >> images[i]) & 1 for i in mems):
-                    ok = False
-                    break
-        if ok:
-            out.append(IdealSet(mask, s.n))
-    out.sort(key=lambda ideal_set: (ideal_set.size, ideal_set.mask))
+        out.append(IdealSet(mask, s.n))
     return tuple(out)
 
 

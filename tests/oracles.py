@@ -3,15 +3,23 @@
 Everything here recomputes results from first principles with the dumbest
 correct algorithm available (full partition scans, full relation scans,
 full subset scans), deliberately sharing no code with the package internals
-beyond the public structure accessors.
+beyond the public structure accessors: nothing from the package is imported
+at run time.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import TYPE_CHECKING
 
-from eqlat.order import FiniteLattice, iter_bits
-from eqlat.semilattice import OpSemilattice
+if TYPE_CHECKING:
+    from eqlat.order import FiniteLattice
+    from eqlat.semilattice import OpSemilattice
+
+
+def iter_bits(mask: int):
+    """Positions of the set bits of ``mask``, in increasing order."""
+    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
 
 
 def all_partitions(n: int):
@@ -229,6 +237,60 @@ def oracle_eios(l: FiniteLattice) -> set[tuple[int, ...]]:
         if any(l.join(u, v) not in image for u in image for v in image):
             continue
         out.add(h)
+    return out
+
+
+def oracle_closed_sets(table, base: int = 0, rows=None, ground: int | None = None) -> list[int]:
+    """Every mask with base <= mask <= ground closed under the table (and rows), ascending."""
+    n = len(table)
+    out = []
+    for mask in range(1 << n):
+        if base & ~mask or (ground is not None and mask & ~ground):
+            continue
+        elems = iter_bits(mask)
+        if any(not (mask >> table[a][b]) & 1 for a in elems for b in elems):
+            continue
+        if rows is not None and any(rows[a] & ~mask for a in elems):
+            continue
+        out.append(mask)
+    return out
+
+
+def oracle_eios_by_image_scan(l: FiniteLattice, check_i5_i6: bool = True) -> list[tuple[int, ...]]:
+    """Maps induced by join-closed image sets, by the full 2^(n-2) candidate scan.
+
+    Each set of middle elements joined with bottom and top is a candidate
+    image, in increasing mask order; a join-closed one induces
+    h(x) = join of the image members below x. With ``check_i5_i6`` only maps
+    passing I5 (h(x) = h(y) implies h(x v y) = h(x)) and I6 (every image
+    point v has v v (y ^ z) = (v v y) ^ (v v z)) are kept, which with the
+    construction gives the default selection I1 to I8.
+    """
+    n = l.n
+    bottom = next(x for x in range(n) if all(l.leq(x, y) for y in range(n)))
+    top = next(x for x in range(n) if all(l.leq(y, x) for y in range(n)))
+    middles = [x for x in range(n) if x not in (bottom, top)]
+    out = []
+    for pick in range(1 << len(middles)):
+        image = {bottom, top} | {e for k, e in enumerate(middles) if (pick >> k) & 1}
+        if any(l.join(a, b) not in image for a in image for b in image):
+            continue
+        h = []
+        for x in range(n):
+            acc = bottom
+            for v in image:
+                if l.leq(v, x):
+                    acc = l.join(acc, v)
+            h.append(acc)
+        if check_i5_i6:
+            if any(h[x] == h[y] and h[l.join(x, y)] != h[x] for x in range(n) for y in range(n)):
+                continue
+            if any(
+                l.join(v, l.meet(y, z)) != l.meet(l.join(v, y), l.join(v, z))
+                for v in image for y in range(n) for z in range(n)
+            ):
+                continue
+        out.append(tuple(h))
     return out
 
 

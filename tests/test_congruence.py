@@ -26,7 +26,7 @@ from eqlat.congruence import (
     validate_eon,
 )
 from eqlat.corpus import boolean, chain, omega
-from eqlat.errors import InvariantViolation
+from eqlat.errors import InvariantViolation, SizeGuard
 from eqlat.semilattice import ideals
 
 
@@ -55,6 +55,23 @@ def test_make_congruence_rejects_incompatible_partition():
     b2 = boolean(2).structure
     with pytest.raises(InvariantViolation):
         make_congruence(b2, [[0, b2.index["p"]], [b2.index["q"]], [b2.index["1"]]])
+
+
+def test_make_congruence_accepts_a_generator_of_blocks():
+    b2 = boolean(2).structure
+    idx = b2.index
+    blocks = [[idx["0"], idx["p"]], [idx["q"], idx["1"]]]
+    theta = make_congruence(b2, blocks)
+    assert make_congruence(b2, (b for b in blocks)) == theta
+    assert make_congruence(b2, (r for r in theta.rep)) == theta
+
+
+def test_congruence_cap_holds_while_principals_are_collected():
+    b2 = boolean(2).structure
+    assert len(all_congruences(b2, max_count=7).congruences) == 7
+    for cap in (5, 6):
+        with pytest.raises(SizeGuard, match=f"exceeds cap {cap}"):
+            all_congruences(b2, max_count=cap)
 
 
 def test_congruence_generated_is_least_in_the_oracle(tiny_semilattices):

@@ -120,10 +120,20 @@ def test_truncation_flags_and_evidence_notes():
 
 
 def test_oversized_truncation_evidence_is_skipped_not_crashed():
-    entry = m_infinity(5)
+    entry = p1(3)
     results = run_claims(entry)
     assert all(r.passed for r in results)
     assert any("evidence search skipped" in (r.note or "") for r in results)
+
+
+def test_truncation_evidence_within_the_cap_is_observed():
+    cases = (
+        (m_infinity(4), 1, True), (m_infinity(5), 1, True), (m2(3), 22, False), (p1(2), 29, False),
+    )
+    for entry, count, i9_all in cases:
+        notes = {r.name: r.note for r in run_claims(entry)}
+        assert notes["eio_count"].startswith(f"observed={count};"), entry.name
+        assert notes["eio_i9_all"].startswith(f"observed={i9_all};"), entry.name
 
 
 def test_i9_evidence_past_the_state_cap_is_skipped_not_false(monkeypatch):

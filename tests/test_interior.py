@@ -76,6 +76,32 @@ def test_enumeration_budget_guard():
         enumerate_eios(l, max_subsets=16)
 
 
+def test_enumeration_matches_the_image_scan_oracle_in_order():
+    lattices = [s.lattice for s in enumerate_semilattices(7)] + [boolean(3).structure.lattice]
+    for l in lattices:
+        assert [im.h for im in enumerate_eios(l)] == oracles.oracle_eios_by_image_scan(l)
+        basic = enumerate_eios(l, axioms=("I1", "I2", "I3", "I4"))
+        assert [im.h for im in basic] == oracles.oracle_eios_by_image_scan(l, check_i5_i6=False)
+
+
+def test_enumeration_budget_counts_closed_image_sets():
+    l = boolean(2).structure.lattice
+    assert len(enumerate_eios(l, max_subsets=4)) == 3
+    with pytest.raises(SearchBudgetExceeded, match="more than 3 closed sets exceed cap 3"):
+        enumerate_eios(l, max_subsets=3)
+
+
+def test_enumeration_budget_trips_before_any_map_is_built(monkeypatch):
+    def no_maps(*args):
+        raise AssertionError("a candidate map was built")
+
+    monkeypatch.setattr(interior, "_MapData", no_maps)
+    l = boolean(3).structure.lattice
+    for axioms in (None, ("I1", "I2", "I3", "I4")):
+        with pytest.raises(SearchBudgetExceeded, match="exceed cap 5"):
+            enumerate_eios(l, axioms=axioms, max_subsets=5)
+
+
 def test_interior_map_validates_basic_axioms():
     l = boolean(2).structure.lattice
     with pytest.raises(InvariantViolation):

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eqlat.errors import CycleError, NotALattice, UnknownLabel
+import oracles
+from eqlat.corpus import enumerate_semilattices
+from eqlat.errors import CycleError, NotALattice, SizeGuard, UnknownLabel
 from eqlat.order import (
     as_lattice,
     build_poset,
+    closed_sets,
     complete_sublattice_closure,
     dot_hasse,
     dual,
@@ -121,3 +124,35 @@ def test_lattice_laws_on_small_pool(data):
     assert l.join(x, l.meet(x, y)) == x
     assert l.meet(x, l.join(x, y)) == x
     assert l.leq(x, y) == (l.join(x, y) == y) == (l.meet(x, y) == x)
+
+
+_CLOSED_SET_POOL = [s.lattice for s in enumerate_semilattices(5)]
+
+
+@given(st.data())
+def test_closed_sets_match_the_subset_scan(data):
+    l = data.draw(st.sampled_from(_CLOSED_SET_POOL))
+    table = data.draw(st.sampled_from((l.join_table, l.meet_table)))
+    full = (1 << l.n) - 1
+    base = data.draw(st.integers(0, full))
+    ground = data.draw(st.one_of(st.none(), st.integers(0, full)))
+    relation = st.lists(st.integers(0, full), min_size=l.n, max_size=l.n)
+    rows = data.draw(st.one_of(st.none(), relation))
+    want = oracles.oracle_closed_sets(table, base, rows, ground)
+    got = list(closed_sets(table, base, rows=rows, ground=ground))
+    assert sorted(got) == want
+    assert sorted(closed_sets(table, base, rows=rows, ground=ground, cap=len(want))) == want
+    if want:
+        with pytest.raises(SizeGuard, match=f"more than {len(want) - 1} closed sets"):
+            closed_sets(table, base, rows=rows, ground=ground, cap=len(want) - 1)
+
+
+def test_closed_sets_cap_raises_the_given_error():
+    l = diamond()
+
+    class Tripped(Exception):
+        pass
+
+    assert len(list(closed_sets(l.join_table))) == 14
+    with pytest.raises(Tripped, match="exceed cap 13"):
+        closed_sets(l.join_table, cap=13, error=Tripped)

@@ -29,6 +29,15 @@ def test_from_join_table_rejects_bad_tables():
         b2.with_operators((("g", (0, 2, 1, 1)),))
 
 
+def test_zero_and_join_entries_are_range_checked():
+    table = ((0, 1), (1, 1))
+    for zero in (5, -1):
+        with pytest.raises(InvariantViolation, match="zero index"):
+            from_join_table(("0", "a"), table, zero)
+    with pytest.raises(InvariantViolation, match="entry out of range"):
+        from_join_table(("0", "a", "b"), ((0, 1, 2), (1, 1, 9), (2, 9, 2)), 0)
+
+
 def test_zero_must_be_neutral():
     with pytest.raises(InvariantViolation):
         from_join_table(("0", "a"), ((0, 0), (0, 1)), "0")
