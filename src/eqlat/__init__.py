@@ -21,6 +21,7 @@ from .congruence import (
     eon_generated,
     eon_of_don,
     eta,
+    is_simple,
     join_congruences,
     make_congruence,
     meet_congruences,

@@ -13,12 +13,13 @@ import json
 from dataclasses import dataclass
 from functools import cache
 
-from .congruence import all_congruences
+from .congruence import all_congruences, is_simple
 from .corpus import (
     boolean,
     enumerate_semilattices,
     generate_catalog,
     k_lattice,
+    named_by_size,
     omega,
 )
 from .errors import ParamOutOfRange
@@ -64,43 +65,35 @@ def all_passed(outcomes) -> bool:
     return all(o.passed is not False for o in outcomes)
 
 
-_CATALOGS: dict = {}
-
-
+@cache
 def catalog_for_acceptance(seed: int = 0) -> list[tuple[str, object]]:
     """The deterministic corpus used by the operator-aware suites.
 
     Every isomorphism class up to six elements, decorated with single
     operators (all endomorphisms, or a seeded sample of twelve when there
     are more) and four seeded operator pairs, plus the predecessor chains
-    and the two-atom Boolean semilattice.
+    and the two-atom Boolean semilattice. Built once per seed; pass the seed
+    positionally, since ``f(0)`` and ``f(seed=0)`` are distinct cache keys.
     """
-    if seed not in _CATALOGS:
-        cat = generate_catalog(6, max_operators=2, seed=seed)
-        pairs: list[tuple[str, object]] = list(zip(cat.names, cat.entries))
-        for n in range(1, 7):
-            entry = omega(n)
-            pairs.append((entry.name, entry.structure))
-        b2 = boolean(2)
-        pairs.append((b2.name, b2.structure))
-        _CATALOGS[seed] = pairs
-    return _CATALOGS[seed]
+    cat = generate_catalog(6, max_operators=2, seed=seed)
+    pairs: list[tuple[str, object]] = list(zip(cat.names, cat.entries))
+    for n in range(1, 7):
+        entry = omega(n)
+        pairs.append((entry.name, entry.structure))
+    b2 = boolean(2)
+    pairs.append((b2.name, b2.structure))
+    return pairs
 
 
-_NATURAL: dict = {}
-
-
-def _natural_reports(seed: int = 0):
+@cache
+def _natural_reports(seed: int):
     """check_axioms on the zero-class collapse map of each catalog congruence lattice."""
-    if seed not in _NATURAL:
-        rows = []
-        for name, s in catalog_for_acceptance(seed):
-            conl = all_congruences(s)
-            im = natural_eta(s, conl)
-            report = check_axioms(conl.lattice, im)
-            rows.append((name, conl, im, report))
-        _NATURAL[seed] = rows
-    return _NATURAL[seed]
+    rows = []
+    for name, s in catalog_for_acceptance(seed):
+        conl = all_congruences(s)
+        im = natural_eta(s, conl)
+        rows.append((name, conl, im, check_axioms(conl.lattice, im)))
+    return rows
 
 
 @cache
@@ -111,12 +104,7 @@ def _implication_instances():
     three-atom Boolean lattice; maps: every operator passing the default
     interior axioms.
     """
-    lattices = []
-    per_size: dict[int, int] = {}
-    for s in enumerate_semilattices(7):
-        k = per_size.get(s.n, 0)
-        per_size[s.n] = k + 1
-        lattices.append((f"L{s.n}-{k}", s.lattice))
+    lattices = [(name, s.lattice) for name, s in named_by_size(enumerate_semilattices(7), "L")]
     lattices.append(("boolean(3)", boolean(3).structure.lattice))
     rows = []
     for lname, lat in lattices:
@@ -136,12 +124,9 @@ def _dependence_reports():
 def suite_consl(seed: int = 0) -> list[CheckOutcome]:
     """Congruence/ideal-family duality on every bare semilattice up to six elements."""
     out = []
-    per_size: dict[int, int] = {}
-    for s in enumerate_semilattices(6):
-        k = per_size.get(s.n, 0)
-        per_size[s.n] = k + 1
+    for name, s in named_by_size(enumerate_semilattices(6)):
         res = verify_consl(s)
-        out.append(CheckOutcome("consl", f"S{s.n}-{k}", res.passed, res.witness, res.note))
+        out.append(CheckOutcome("consl", name, res.passed, res.witness, res.note))
     return out
 
 
@@ -273,17 +258,12 @@ def suite_filterable(seed: int = 0) -> list[CheckOutcome]:
 def suite_simple_scan(max_elements: int = 6, seed: int = 0) -> list[CheckOutcome]:
     """Semilattices with one operator and only two congruences have two elements."""
     out = []
-    per_size: dict[int, int] = {}
-    for s in enumerate_semilattices(max_elements):
-        k = per_size.get(s.n, 0)
-        per_size[s.n] = k + 1
-        name = f"S{s.n}-{k}"
+    for name, s in named_by_size(enumerate_semilattices(max_elements)):
         endos = all_endomorphisms(s)
         simple = 0
         witness = None
         for f in endos:
-            decorated = s.with_operators([("f", f)])
-            if len(all_congruences(decorated).congruences) == 2:
+            if is_simple(s.with_operators([("f", f)])):
                 simple += 1
                 if s.n != 2 and witness is None:
                     witness = {"operator": ",".join(s.labels[v] for v in f)}
@@ -297,11 +277,7 @@ def suite_simple_scan(max_elements: int = 6, seed: int = 0) -> list[CheckOutcome
 def suite_coatomistic(max_elements: int = 6, seed: int = 0) -> list[CheckOutcome]:
     """Every element of an operator-free congruence lattice is a meet of coatoms."""
     out = []
-    per_size: dict[int, int] = {}
-    for s in enumerate_semilattices(max_elements):
-        k = per_size.get(s.n, 0)
-        per_size[s.n] = k + 1
-        name = f"S{s.n}-{k}"
+    for name, s in named_by_size(enumerate_semilattices(max_elements)):
         conl = all_congruences(s)
         lat = conl.lattice
         witness = None

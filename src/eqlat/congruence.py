@@ -82,17 +82,6 @@ class Congruence:
         return [[s.labels[i] for i in cls] for cls in self.classes()]
 
 
-def _canonical_rep(parent_of: Sequence[int]) -> tuple[int, ...]:
-    """Normalize so each element points at the least member of its block."""
-    n = len(parent_of)
-    least: dict[int, int] = {}
-    for i in range(n):
-        r = parent_of[i]
-        if r not in least or i < least[r]:
-            least[r] = i
-    return tuple(least[parent_of[i]] for i in range(n))
-
-
 def make_congruence(
     s: OpSemilattice, blocks_or_rep: Sequence[int] | Iterable[Iterable[int]], validate: bool = True
 ) -> Congruence:
@@ -112,7 +101,8 @@ def make_congruence(
         rep = items  # type: ignore[assignment]
         if len(rep) != s.n:
             raise InvariantViolation("rep vector has wrong length")
-    theta = Congruence(_canonical_rep(rep))
+    first: dict[int, int] = {}
+    theta = Congruence(tuple(first.setdefault(r, i) for i, r in enumerate(rep)))
     if validate:
         _validate_congruence(s, theta)
     return theta
@@ -138,10 +128,18 @@ def _validate_congruence(s: OpSemilattice, theta: Congruence) -> None:
                     )
 
 
-def congruence_generated(s: OpSemilattice, pairs: Iterable[tuple[int, int]]) -> Congruence:
-    """Least congruence relating every given pair (union-find plus worklist)."""
-    n = s.n
-    parent = list(range(n))
+def _extend(s: OpSemilattice, rep: Sequence[int], pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The rep vector of the least congruence above ``rep`` relating every pair.
+
+    ``rep`` is a congruence's rep vector (``range(n)`` for the identity), read
+    as a union-find forest of depth one whose roots are least block members.
+    A union hangs the larger root under the smaller, so roots stay least
+    members. The blocks of ``rep`` are already compatible, so only the pairs
+    that merge two blocks are pushed through the join table and the operators.
+    """
+    parent = list(rep)
+    jt = s.join_t
+    ops = [images for _, images in s.operators]
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -153,35 +151,31 @@ def congruence_generated(s: OpSemilattice, pairs: Iterable[tuple[int, int]]) -> 
 
     def union(a: int, b: int) -> None:
         ra, rb = find(a), find(b)
-        if ra == rb:
-            return
-        if rb < ra:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        queue.append((a, b))
+        if ra != rb:
+            if rb < ra:
+                ra, rb = rb, ra
+            parent[rb] = ra
+            queue.append((a, b))
 
     for a, b in pairs:
         union(a, b)
-    jt = s.join_t
     while queue:
         a, b = queue.pop()
-        for z in range(n):
-            union(jt[a][z], jt[b][z])
-        for _, images in s.operators:
+        for x, y in zip(jt[a], jt[b]):
+            if x != y:
+                union(x, y)
+        for images in ops:
             union(images[a], images[b])
-    return Congruence(_canonical_rep([find(x) for x in range(n)]))
+    return tuple(find(x) for x in range(len(parent)))
 
 
-def _chain_pairs(theta: Congruence) -> list[tuple[int, int]]:
-    pairs = []
-    for cls in theta.classes():
-        r = cls[0]
-        pairs.extend((r, m) for m in cls[1:])
-    return pairs
+def congruence_generated(s: OpSemilattice, pairs: Iterable[tuple[int, int]]) -> Congruence:
+    """Least congruence relating every given pair."""
+    return Congruence(_extend(s, range(s.n), pairs))
 
 
 def join_congruences(s: OpSemilattice, a: Congruence, b: Congruence) -> Congruence:
-    return congruence_generated(s, _chain_pairs(a) + _chain_pairs(b))
+    return Congruence(_extend(s, a.rep, [(r, i) for i, r in enumerate(b.rep) if r != i]))
 
 
 def meet_congruences(a: Congruence, b: Congruence) -> Congruence:
@@ -223,33 +217,67 @@ class CongruenceLattice:
         return json.dumps(data, indent=2)
 
 
+def _cover_pairs(s: OpSemilattice) -> list[tuple[int, int]]:
+    """Every pair a < b with nothing strictly between them."""
+    up, down = s.up, s.down
+    return [(a, b) for a in range(s.n) for b in iter_bits(up[a]) if popcount(up[a] & down[b]) == 2]
+
+
 def all_congruences(s: OpSemilattice, max_count: int | None = None) -> CongruenceLattice:
-    """The full congruence lattice via join closure of principal congruences."""
+    """The full congruence lattice via join closure of cover-pair principals.
+
+    A congruence relating a < b relates all of [a, b], since x = x + a ~ x + b
+    = b for a <= x <= b. So Cg(a, b) is the join of the principals of the cover pairs
+    along any maximal chain from a to b, and an incomparable pair reduces to
+    (a, a + b) and (b, a + b). The principals of the cover pairs therefore
+    generate Con under joins; one generator pair is kept per distinct
+    principal. Each congruence found is extended by one generator pair at a
+    time, skipping the pairs it already relates (that principal is below it).
+    Raises SizeGuard exactly when there are more than ``max_count``.
+    """
     cap = resolve_budget(max_count, 100_000)
-    delta = Congruence(tuple(range(s.n)))
-    principals = []
+    delta = tuple(range(s.n))
     seen = {delta}
-    for a in range(s.n):
-        for b in range(a + 1, s.n):
-            c = congruence_generated(s, [(a, b)])
-            if c not in seen:
-                seen.add(c)
-                principals.append(c)
+    generators = []
+    for a, b in _cover_pairs(s):
+        p = congruence_generated(s, [(a, b)]).rep
+        if p not in seen:
+            seen.add(p)
+            generators.append((a, b))
     if len(seen) > cap:
         raise SizeGuard(f"congruence count exceeds cap {cap}")
-    work = list(principals)
+    work = list(seen - {delta})
     while work:
-        c = work.pop()
-        for p in principals:
-            j = join_congruences(s, c, p)
+        rep = work.pop()
+        for a, b in generators:
+            if rep[a] == rep[b]:
+                continue
+            j = _extend(s, rep, [(a, b)])
             if j not in seen:
                 seen.add(j)
                 work.append(j)
                 if len(seen) > cap:
                     raise SizeGuard(f"congruence count exceeds cap {cap}")
-    ordered = sorted(seen, key=lambda c: (-c.block_count, c.rep))
+    ordered = sorted((Congruence(r) for r in seen), key=lambda c: (-c.block_count, c.rep))
     lattice = lattice_of([c.block_string(s) for c in ordered], ordered, Congruence.refines)
     return CongruenceLattice(s, tuple(ordered), lattice)
+
+
+def is_simple(s: OpSemilattice) -> bool:
+    """Whether Con(s) has exactly two elements, decided without building it.
+
+    True iff n >= 2 and every cover pair generates the all-in-one congruence;
+    the scan stops at the first cover pair that does not. Proof: a cover
+    principal other than the all-in-one congruence is a third congruence.
+    Conversely, a congruence theta other than the identity relates some
+    x != y, hence x < x + y or y < x + y; say a < b, both related by theta.
+    Then theta relates all of [a, b], so it relates a cover pair a < c <= b,
+    and theta contains Cg(a, c), which is everything.
+    """
+    everything = (0,) * s.n
+    return s.n >= 2 and all(
+        congruence_generated(s, [p]).rep == everything for p in _cover_pairs(s)
+    )
 
 
 def _as_ideal_mask(s: OpSemilattice, theta) -> int:
@@ -275,35 +303,15 @@ def _require_operator_closed(s: OpSemilattice, mask: int) -> None:
 def eta(s: OpSemilattice, theta) -> Congruence:
     """Least congruence whose 0-class is the 0-class of ``theta``.
 
-    x ~ y iff x + i = y + i for some i in the 0-class. Accepts a congruence,
-    an IdealSet, a mask, or an iterable of indices; the class must be closed
-    under the operators. The result is validated as a congruence and checked
-    to have exactly the requested 0-class.
+    x ~ y iff x + i = y + i for some i in the 0-class, that is, iff
+    x + t = y + t for the top t of the class: the principal congruence
+    Cg(0, t). Accepts a congruence, an IdealSet, a mask, or an iterable of
+    indices; the class must be closed under the operators. The result is
+    checked to have exactly the requested 0-class.
     """
     mask = _as_ideal_mask(s, theta)
     _require_operator_closed(s, mask)
-    n = s.n
-    jt = s.join_t
-    members = list(iter_bits(mask))
-    pairs = []
-    for x in range(n):
-        for y in range(x + 1, n):
-            if any(jt[x][i] == jt[y][i] for i in members):
-                pairs.append((x, y))
-    parent = list(range(n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    result = Congruence(_canonical_rep([find(x) for x in range(n)]))
-    _validate_congruence(s, result)
+    result = congruence_generated(s, [(s.zero, s.join_all(iter_bits(mask)))])
     if result.zero_class_mask(s) != mask:
         raise InvariantViolation("least-congruence construction changed the 0-class")
     if isinstance(theta, Congruence) and not result.refines(theta):
@@ -315,7 +323,8 @@ def tau(s: OpSemilattice, theta) -> Congruence:
     """Greatest congruence whose 0-class is the 0-class of ``theta``.
 
     x ~ y iff x and y land inside the class under exactly the same members of
-    the operator monoid (identity included). Validated like ``eta``.
+    the operator monoid (identity included). The result is validated as a
+    congruence and checked to have exactly the requested 0-class.
     """
     mask = _as_ideal_mask(s, theta)
     _require_operator_closed(s, mask)
@@ -331,7 +340,7 @@ def tau(s: OpSemilattice, theta) -> Congruence:
     rep = []
     for x in range(s.n):
         rep.append(first.setdefault(sig[x], x))
-    result = Congruence(_canonical_rep(rep))
+    result = Congruence(tuple(rep))
     _validate_congruence(s, result)
     if result.zero_class_mask(s) != mask:
         raise InvariantViolation("greatest-congruence construction changed the 0-class")
@@ -428,25 +437,12 @@ def don_of(s: OpSemilattice, theta: Congruence) -> OrderedRelation:
 def con_of_don(s: OpSemilattice, rel: OrderedRelation) -> Congruence:
     """x ~ y iff both x R x+y and y R x+y."""
     validate_don(s, rel)
-    n = s.n
-    parent = list(range(n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for x in range(n):
-        for y in range(x + 1, n):
-            j = s.join_t[x][y]
-            if rel.holds(x, j) and rel.holds(y, j):
-                ra, rb = find(x), find(y)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    theta = Congruence(_canonical_rep([find(x) for x in range(n)]))
-    _validate_congruence(s, theta)
-    return theta
+    jt = s.join_t
+    pairs = [
+        (x, y) for x in range(s.n) for y in range(x + 1, s.n)
+        if rel.holds(x, jt[x][y]) and rel.holds(y, jt[x][y])
+    ]
+    return congruence_generated(s, pairs)
 
 
 def eon_of_don(s: OpSemilattice, rel: OrderedRelation) -> OrderedRelation:
@@ -539,6 +535,8 @@ def _all_relations(
     while work:
         rows = work.pop()
         for p in principals:
+            if all(b & ~a == 0 for a, b in zip(rows, p.rows)):
+                continue  # p already lies below rows
             merged = [a | b for a, b in zip(rows, p.rows)]
             closed = _closure_rows(s, merged, interval)
             if closed not in seen:

@@ -35,8 +35,10 @@ from .errors import (
 )
 from .galois import check_filterable, sublattice_interior
 from .interior import (
+    _AXIOMS,
     CheckResult,
     InteriorMap,
+    _MapData,
     check_axioms,
     check_bicoatomic,
     enumerate_eios,
@@ -84,36 +86,49 @@ def _as_finite_lattice(structure) -> FiniteLattice:
     return structure.lattice
 
 
-def _evaluate_claim(entry: CorpusEntry, op: str):
+def _once(memo: dict, key: str, build):
+    """``build()`` on the first call for ``key``; its result, or its budget error, after."""
+    if key not in memo:
+        try:
+            memo[key] = build()
+        except (SearchBudgetExceeded, BudgetExceeded) as exc:
+            memo[key] = exc
+    if isinstance(memo[key], Exception):
+        raise memo[key]
+    return memo[key]
+
+
+def _evaluate_claim(entry: CorpusEntry, op: str, memo: dict):
+    """Observe one claim; the Con lattice and the eio list are built once per ``memo``."""
     st = entry.structure
     if op == "element_count":
         return st.n
-    if op == "congruence_count":
-        return len(all_congruences(st).congruences)
-    if op == "con_is_chain":
-        lat = all_congruences(st).lattice
-        return all(
-            lat.leq(i, j) or lat.leq(j, i) for i in range(lat.n) for j in range(i + 1, lat.n)
-        )
-    if op == "natural_eta_equals_tau":
-        conl = all_congruences(st)
+    if op in ("congruence_count", "con_is_chain", "natural_eta_equals_tau"):
+        conl = _once(memo, "conl", lambda: all_congruences(st))
+        if op == "congruence_count":
+            return conl.n
+        if op == "con_is_chain":
+            lat = conl.lattice
+            return all(
+                lat.leq(i, j) or lat.leq(j, i) for i in range(lat.n) for j in range(i + 1, lat.n)
+            )
         im = natural_eta(st, conl)
         return im.h == im.tau
     if op == "coatom_labels":
         lat = _as_finite_lattice(st)
         return tuple(sorted(lat.labels[i] for i in lat.coatoms))
-    if op == "eio_count":
-        return len(enumerate_eios(_as_finite_lattice(st), max_subsets=_evidence_cap(entry)))
-    if op == "eio_label_maps":
-        return tuple(im.as_label_map() for im in enumerate_eios(_as_finite_lattice(st)))
-    if op == "eio_i9_all":
+    if op in ("eio_count", "eio_label_maps", "eio_i9_all"):
         lat = _as_finite_lattice(st)
-        eios = enumerate_eios(lat, max_subsets=_evidence_cap(entry))
+        eios = _once(memo, "eios", lambda: enumerate_eios(lat, max_subsets=_evidence_cap(entry)))
+        if op == "eio_count":
+            return len(eios)
+        if op == "eio_label_maps":
+            return tuple(im.as_label_map() for im in eios)
         if not eios:
             return None
         skipped = None
         for im in eios:
-            v = check_axioms(lat, im).verdict("I9")
+            v = _AXIOMS["I9"](_MapData(lat, im.h))
             if v.passed is False:
                 return False
             if v.passed is None:
@@ -142,17 +157,21 @@ def _evidence_cap(entry: CorpusEntry) -> int | None:
 
 
 def run_claims(entry: CorpusEntry) -> tuple[CheckResult, ...]:
-    """Evaluate every claim; non-assertive claims pass and report the observation."""
+    """Evaluate every claim; non-assertive claims pass and report the observation.
+
+    The entry's Con lattice and its interior-map search run at most once per call.
+    """
     results = []
+    memo: dict = {}
     for claim in entry.claims:
         if claim.assertive:
-            observed = _evaluate_claim(entry, claim.op)
+            observed = _evaluate_claim(entry, claim.op, memo)
             ok = observed == claim.expected
             witness = None if ok else {"observed": repr(observed), "expected": repr(claim.expected)}
             results.append(CheckResult(claim.op, ok, witness))
             continue
         try:
-            observed = _evaluate_claim(entry, claim.op)
+            observed = _evaluate_claim(entry, claim.op, memo)
         except (SearchBudgetExceeded, BudgetExceeded) as exc:
             note = f"evidence search skipped: {exc}"
         else:
@@ -552,6 +571,16 @@ def enumerate_semilattices(max_elements: int) -> tuple[OpSemilattice, ...]:
     return tuple(out)
 
 
+def named_by_size(structures: Iterable, prefix: str = "S") -> list[tuple[str, object]]:
+    """Name each structure ``{prefix}{n}-{k}``: the k-th one with n elements, from 0."""
+    per_size: dict[int, int] = {}
+    out = []
+    for s in structures:
+        k = per_size[s.n] = per_size.get(s.n, -1) + 1
+        out.append((f"{prefix}{s.n}-{k}", s))
+    return out
+
+
 @dataclass
 class Catalog:
     parameters: dict
@@ -592,11 +621,7 @@ def generate_catalog(
         bases = list(rng.sample(bases, min(len(bases), random_samples)))
     names: list[str] = []
     entries: list[OpSemilattice] = []
-    per_size: dict[int, int] = {}
-    for s in bases:
-        k = per_size.get(s.n, 0)
-        per_size[s.n] = k + 1
-        base_name = f"S{s.n}-{k}"
+    for base_name, s in named_by_size(bases):
         names.append(base_name)
         entries.append(s)
         if max_operators >= 1:

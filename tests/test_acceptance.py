@@ -37,7 +37,7 @@ def test_criterion_1_galois_duality(capsys):
 def test_criterion_2_relation_transforms(capsys):
     t0 = time.time()
     failures = []
-    entries = list(catalog_for_acceptance(seed=0))
+    entries = list(catalog_for_acceptance(0))
     for name, s in entries:
         cons = all_congruences(s).congruences
         dons = all_don(s)

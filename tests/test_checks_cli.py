@@ -30,10 +30,10 @@ def test_suite_registry_is_complete():
 
 
 def test_acceptance_catalog_is_deterministic_and_sized():
-    cat = catalog_for_acceptance(seed=0)
+    cat = catalog_for_acceptance(0)
     names = [name for name, _ in cat]
     assert len(names) == len(set(names)) == 401
-    again = [name for name, _ in catalog_for_acceptance(seed=0)]
+    again = [name for name, _ in catalog_for_acceptance(0)]
     assert names == again
 
 

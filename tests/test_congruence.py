@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from eqlat import congruence
 from eqlat.congruence import (
+    Congruence,
     all_congruences,
     all_don,
     all_eon,
@@ -17,6 +21,7 @@ from eqlat.congruence import (
     eon_generated,
     eon_of_don,
     eta,
+    is_simple,
     join_congruences,
     make_congruence,
     meet_congruences,
@@ -25,9 +30,46 @@ from eqlat.congruence import (
     validate_don,
     validate_eon,
 )
-from eqlat.corpus import boolean, chain, omega
+from eqlat.corpus import boolean, chain, enumerate_semilattices, omega
 from eqlat.errors import InvariantViolation, SizeGuard
-from eqlat.semilattice import ideals
+from eqlat.semilattice import all_endomorphisms, ideals
+
+SMALL_CARRIERS = enumerate_semilattices(5)
+
+
+def _decorations(max_elements: int, arity: int):
+    """Every structure up to the bound with ``arity`` operators drawn from its endomorphisms."""
+    for s in SMALL_CARRIERS:
+        if s.n <= max_elements:
+            endos = all_endomorphisms(s)
+            for fs in itertools.product(endos, repeat=arity):
+                yield s.with_operators([(f"f{i}", f) for i, f in enumerate(fs)])
+
+
+def _oracle_order(universe):
+    return sorted(universe, key=lambda r: (-len(set(r)), r))
+
+
+def _oracle_join(universe, a, b):
+    above = [r for r in universe if oracles.refines(a, r) and oracles.refines(b, r)]
+    least = [r for r in above if all(oracles.refines(r, o) for o in above)]
+    assert len(least) == 1
+    return least[0]
+
+
+def _assert_engine_matches_oracle(s):
+    universe = oracles.oracle_congruences(s)
+    conl = all_congruences(s)
+    assert [c.rep for c in conl.congruences] == _oracle_order(universe)
+    assert is_simple(s) == (len(universe) == 2)
+
+
+def _cover_pairs(s):
+    return [
+        (a, b) for a in range(s.n) for b in range(s.n)
+        if a != b and s.leq(a, b)
+        and not any(c not in (a, b) and s.leq(a, c) and s.leq(c, b) for c in range(s.n))
+    ]
 
 
 def test_congruences_match_partition_oracle(tiny_semilattices):
@@ -208,3 +250,80 @@ def test_congruence_relation_properties(small_semilattices, data):
         assert theta.relates(x, s.join(x, y))
         for _, images in s.operators:
             assert theta.relates(images[x], images[y])
+
+
+def test_engine_matches_the_oracle_on_every_small_decoration():
+    # Every single operator up to 4 elements (the 1-element carrier included),
+    # and every ordered operator pair up to 4 elements.
+    count = 0
+    for s in itertools.chain(_decorations(4, 1), _decorations(4, 2)):
+        _assert_engine_matches_oracle(s)
+        count += 1
+    assert count == 45 + 697
+
+
+@given(st.data())
+def test_engine_matches_the_oracle_on_operator_pairs(data):
+    s = data.draw(st.sampled_from(SMALL_CARRIERS))
+    endos = all_endomorphisms(s)
+    f = data.draw(st.sampled_from(endos))
+    g = data.draw(st.sampled_from(endos))
+    _assert_engine_matches_oracle(s.with_operators([("f", f), ("g", g)]))
+
+
+def test_is_simple_sees_the_operators():
+    # The 3-chain with the predecessor map and 1 -> 2: each cover pair
+    # generates everything, though the bare chain has four congruences.
+    s = omega(2).structure
+    s = s.with_operators(list(s.operators) + [("g", (0, 2, 2))])
+    assert is_simple(s) and len(oracles.oracle_congruences(s)) == 2
+    assert not is_simple(s.reduct())
+    assert not is_simple(chain(0).structure)
+    assert is_simple(chain(1).structure)
+
+
+def test_join_is_the_oracle_least_upper_bound_on_decorated_structures():
+    for s in itertools.chain(_decorations(4, 1), [omega(3).structure]):
+        universe = sorted(oracles.oracle_congruences(s))
+        for a in universe:
+            for b in universe:
+                got = join_congruences(s, Congruence(a), Congruence(b)).rep
+                assert got == _oracle_join(universe, a, b)
+
+
+def test_cover_principals_reach_the_cap_exactly():
+    s = chain(3).structure
+    covers = {congruence_generated(s, [p]).rep for p in _cover_pairs(s)}
+    pairs = {congruence_generated(s, [(a, b)]).rep for a in range(s.n) for b in range(a + 1, s.n)}
+    assert len(covers) < len(pairs)
+    assert len(all_congruences(s, max_count=8).congruences) == 8
+    with pytest.raises(SizeGuard, match="exceeds cap 7"):
+        all_congruences(s, max_count=7)
+
+
+def _count_extend(monkeypatch) -> list:
+    calls: list = []
+    real = congruence._extend
+
+    def counting(s, rep, pairs):
+        calls.append(rep)
+        return real(s, rep, pairs)
+
+    monkeypatch.setattr(congruence, "_extend", counting)
+    return calls
+
+
+def test_con_enumeration_work_is_bounded(monkeypatch):
+    s = boolean(3).structure
+    covers = _cover_pairs(s)
+    generators = {congruence_generated(s, [p]).rep for p in covers}
+    size = len(oracles.oracle_congruences(s))
+    calls = _count_extend(monkeypatch)
+    assert len(all_congruences(s).congruences) == size
+    assert len(calls) <= len(covers) + size * len(generators)
+
+
+def test_is_simple_stops_at_the_first_proper_cover_principal(monkeypatch):
+    calls = _count_extend(monkeypatch)
+    assert not is_simple(chain(3).structure)
+    assert len(calls) == 1

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 import oracles
-from eqlat import interior
+from eqlat import corpus, interior
 from eqlat.corpus import (
     boolean,
     build_named,
@@ -141,6 +141,38 @@ def test_i9_evidence_past_the_state_cap_is_skipped_not_false(monkeypatch):
     result = {r.name: r for r in run_claims(m2(2))}["eio_i9_all"]
     assert result.passed
     assert result.note.startswith("evidence search skipped") and "exceed cap" in result.note
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    calls: list = []
+    real = getattr(corpus, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(corpus, name, counting)
+    return calls
+
+
+def test_run_claims_builds_each_search_once(monkeypatch):
+    eios = _count_calls(monkeypatch, "enumerate_eios")
+    cons = _count_calls(monkeypatch, "all_congruences")
+    for entry in (m2(2), k_lattice()):
+        eios.clear()
+        assert all(r.passed for r in run_claims(entry))
+        assert len(eios) == 1, entry.name
+    cons.clear()
+    assert all(r.passed for r in run_claims(omega(3)))
+    assert len(cons) == 1
+    # A blown search budget is remembered too: both evidence claims skip
+    # with the same note after one search.
+    monkeypatch.setenv("EQLAT_BUDGET", "1")
+    eios.clear()
+    notes = [r.note for r in run_claims(m2(2)) if r.name != "element_count"]
+    assert len(eios) == 1
+    assert len(notes) == 2 and notes[0] == notes[1]
+    assert notes[0].startswith("evidence search skipped: more than 1 closed sets")
 
 
 def test_truncation_element_counts():
