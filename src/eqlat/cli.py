@@ -41,10 +41,13 @@ def _load_semilattice(path: str) -> OpSemilattice:
     return semilattice_from_json(_read(path))
 
 
+def _is_semilattice_json(data) -> bool:
+    return isinstance(data, dict) and ("zero" in data or "joins" in data or "operators" in data)
+
+
 def _load_lattice(path: str) -> FiniteLattice:
     text = _read(path)
-    data = json.loads(text)
-    if "zero" in data or "joins" in data or "operators" in data:
+    if _is_semilattice_json(json.loads(text)):
         return semilattice_from_json(text).lattice
     return as_lattice(poset_from_json(text))
 
@@ -151,8 +154,7 @@ def _cmd_export(args) -> int:
         title = entry.name
     else:
         text = _read(args.target)
-        data = json.loads(text)
-        if "zero" in data or "joins" in data or "operators" in data:
+        if _is_semilattice_json(json.loads(text)):
             s = semilattice_from_json(text)
             poset = s.lattice.poset
             as_json = s.to_json()

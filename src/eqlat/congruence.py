@@ -20,9 +20,12 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InvariantViolation, SizeGuard, resolve_budget
+from .errors import BudgetExceeded, InvariantViolation
 from .order import FiniteLattice, iter_bits, lattice_of, popcount
 from .semilattice import IdealSet, OpSemilattice, ideal, operator_monoid
+
+# One cap for the congruence family, shared by its three views (Con, Don, Eon).
+_CON_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -83,9 +86,9 @@ class Congruence:
 
 
 def make_congruence(
-    s: OpSemilattice, blocks_or_rep: Sequence[int] | Iterable[Iterable[int]], validate: bool = True
+    s: OpSemilattice, blocks_or_rep: Sequence[int] | Iterable[Iterable[int]]
 ) -> Congruence:
-    """Build a congruence from a rep vector or an iterable of blocks."""
+    """Build and validate a congruence from a rep vector or an iterable of blocks."""
     items = list(blocks_or_rep)
     if items and not isinstance(items[0], int):
         rep = [-1] * s.n
@@ -103,12 +106,6 @@ def make_congruence(
             raise InvariantViolation("rep vector has wrong length")
     first: dict[int, int] = {}
     theta = Congruence(tuple(first.setdefault(r, i) for i, r in enumerate(rep)))
-    if validate:
-        _validate_congruence(s, theta)
-    return theta
-
-
-def _validate_congruence(s: OpSemilattice, theta: Congruence) -> None:
     n = s.n
     jt = s.join_t
     rep = theta.rep
@@ -126,6 +123,7 @@ def _validate_congruence(s: OpSemilattice, theta: Congruence) -> None:
                     raise InvariantViolation(
                         f"not compatible with operator {name!r} at ({s.labels[x]!r}, {s.labels[y]!r})"
                     )
+    return theta
 
 
 def _extend(s: OpSemilattice, rep: Sequence[int], pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
@@ -223,7 +221,7 @@ def _cover_pairs(s: OpSemilattice) -> list[tuple[int, int]]:
     return [(a, b) for a in range(s.n) for b in iter_bits(up[a]) if popcount(up[a] & down[b]) == 2]
 
 
-def all_congruences(s: OpSemilattice, max_count: int | None = None) -> CongruenceLattice:
+def all_congruences(s: OpSemilattice) -> CongruenceLattice:
     """The full congruence lattice via join closure of cover-pair principals.
 
     A congruence relating a < b relates all of [a, b], since x = x + a ~ x + b
@@ -233,9 +231,8 @@ def all_congruences(s: OpSemilattice, max_count: int | None = None) -> Congruenc
     generate Con under joins; one generator pair is kept per distinct
     principal. Each congruence found is extended by one generator pair at a
     time, skipping the pairs it already relates (that principal is below it).
-    Raises SizeGuard exactly when there are more than ``max_count``.
+    Raises BudgetExceeded exactly when there are more than ``_CON_CAP``.
     """
-    cap = resolve_budget(max_count, 100_000)
     delta = tuple(range(s.n))
     seen = {delta}
     generators = []
@@ -244,8 +241,8 @@ def all_congruences(s: OpSemilattice, max_count: int | None = None) -> Congruenc
         if p not in seen:
             seen.add(p)
             generators.append((a, b))
-    if len(seen) > cap:
-        raise SizeGuard(f"congruence count exceeds cap {cap}")
+    if len(seen) > _CON_CAP:
+        raise BudgetExceeded("congruences", _CON_CAP)
     work = list(seen - {delta})
     while work:
         rep = work.pop()
@@ -256,8 +253,8 @@ def all_congruences(s: OpSemilattice, max_count: int | None = None) -> Congruenc
             if j not in seen:
                 seen.add(j)
                 work.append(j)
-                if len(seen) > cap:
-                    raise SizeGuard(f"congruence count exceeds cap {cap}")
+                if len(seen) > _CON_CAP:
+                    raise BudgetExceeded("congruences", _CON_CAP)
     ordered = sorted((Congruence(r) for r in seen), key=lambda c: (-c.block_count, c.rep))
     lattice = lattice_of([c.block_string(s) for c in ordered], ordered, Congruence.refines)
     return CongruenceLattice(s, tuple(ordered), lattice)
@@ -306,25 +303,18 @@ def eta(s: OpSemilattice, theta) -> Congruence:
     x ~ y iff x + i = y + i for some i in the 0-class, that is, iff
     x + t = y + t for the top t of the class: the principal congruence
     Cg(0, t). Accepts a congruence, an IdealSet, a mask, or an iterable of
-    indices; the class must be closed under the operators. The result is
-    checked to have exactly the requested 0-class.
+    indices; the class must be closed under the operators.
     """
     mask = _as_ideal_mask(s, theta)
     _require_operator_closed(s, mask)
-    result = congruence_generated(s, [(s.zero, s.join_all(iter_bits(mask)))])
-    if result.zero_class_mask(s) != mask:
-        raise InvariantViolation("least-congruence construction changed the 0-class")
-    if isinstance(theta, Congruence) and not result.refines(theta):
-        raise InvariantViolation("eta does not refine its argument")
-    return result
+    return congruence_generated(s, [(s.zero, s.join_all(iter_bits(mask)))])
 
 
 def tau(s: OpSemilattice, theta) -> Congruence:
     """Greatest congruence whose 0-class is the 0-class of ``theta``.
 
     x ~ y iff x and y land inside the class under exactly the same members of
-    the operator monoid (identity included). The result is validated as a
-    congruence and checked to have exactly the requested 0-class.
+    the operator monoid (identity included).
     """
     mask = _as_ideal_mask(s, theta)
     _require_operator_closed(s, mask)
@@ -340,13 +330,7 @@ def tau(s: OpSemilattice, theta) -> Congruence:
     rep = []
     for x in range(s.n):
         rep.append(first.setdefault(sig[x], x))
-    result = Congruence(tuple(rep))
-    _validate_congruence(s, result)
-    if result.zero_class_mask(s) != mask:
-        raise InvariantViolation("greatest-congruence construction changed the 0-class")
-    if isinstance(theta, Congruence) and not theta.refines(result):
-        raise InvariantViolation("tau is not refined by its argument")
-    return result
+    return Congruence(tuple(rep))
 
 
 @dataclass(frozen=True)
@@ -429,9 +413,7 @@ def don_of(s: OpSemilattice, theta: Congruence) -> OrderedRelation:
             if theta.rep[w] == theta.rep[x]:
                 acc |= s.down[w]
         rows.append(acc)
-    rel = OrderedRelation(tuple(rows), "don")
-    validate_don(s, rel)
-    return rel
+    return OrderedRelation(tuple(rows), "don")
 
 
 def con_of_don(s: OpSemilattice, rel: OrderedRelation) -> Congruence:
@@ -448,10 +430,7 @@ def con_of_don(s: OpSemilattice, rel: OrderedRelation) -> Congruence:
 def eon_of_don(s: OpSemilattice, rel: OrderedRelation) -> OrderedRelation:
     """Intersect with <=."""
     validate_don(s, rel)
-    rows = tuple(rel.rows[x] & s.up[x] for x in range(s.n))
-    out = OrderedRelation(rows, "eon")
-    validate_eon(s, out)
-    return out
+    return OrderedRelation(tuple(rel.rows[x] & s.up[x] for x in range(s.n)), "eon")
 
 
 def don_of_eon(s: OpSemilattice, rel: OrderedRelation) -> OrderedRelation:
@@ -463,9 +442,7 @@ def don_of_eon(s: OpSemilattice, rel: OrderedRelation) -> OrderedRelation:
         for w in iter_bits(rel.rows[x]):
             acc |= s.down[w]
         rows.append(acc)
-    out = OrderedRelation(tuple(rows), "don")
-    validate_don(s, out)
-    return out
+    return OrderedRelation(tuple(rows), "don")
 
 
 def _closure_rows(
@@ -526,11 +503,10 @@ def _all_relations(
     principals: list[OrderedRelation],
     interval: bool,
     kind: str,
-    cap: int,
 ) -> tuple[OrderedRelation, ...]:
-    seen = {bottom.rows}
-    for p in principals:
-        seen.add(p.rows)
+    seen = {bottom.rows} | {p.rows for p in principals}
+    if len(seen) > _CON_CAP:
+        raise BudgetExceeded(f"{kind} relations", _CON_CAP)
     work = [p.rows for p in principals]
     while work:
         rows = work.pop()
@@ -542,15 +518,14 @@ def _all_relations(
             if closed not in seen:
                 seen.add(closed)
                 work.append(closed)
-                if len(seen) > cap:
-                    raise SizeGuard(f"{kind} count exceeds cap {cap}")
+                if len(seen) > _CON_CAP:
+                    raise BudgetExceeded(f"{kind} relations", _CON_CAP)
     ordered = sorted(seen, key=lambda r: (sum(popcount(v) for v in r), r))
     return tuple(OrderedRelation(r, kind) for r in ordered)
 
 
-def all_don(s: OpSemilattice, max_count: int | None = None) -> tuple[OrderedRelation, ...]:
+def all_don(s: OpSemilattice) -> tuple[OrderedRelation, ...]:
     """Every don relation, enumerated by join closure of principal relations."""
-    cap = resolve_budget(max_count, 100_000)
     bottom = OrderedRelation(tuple(s.down), "don")
     principals = []
     seen = {bottom.rows}
@@ -562,12 +537,11 @@ def all_don(s: OpSemilattice, max_count: int | None = None) -> tuple[OrderedRela
             if p.rows not in seen:
                 seen.add(p.rows)
                 principals.append(p)
-    return _all_relations(s, bottom, principals, False, "don", cap)
+    return _all_relations(s, bottom, principals, False, "don")
 
 
-def all_eon(s: OpSemilattice, max_count: int | None = None) -> tuple[OrderedRelation, ...]:
+def all_eon(s: OpSemilattice) -> tuple[OrderedRelation, ...]:
     """Every eon relation, enumerated by join closure of principal relations."""
-    cap = resolve_budget(max_count, 100_000)
     bottom = OrderedRelation(tuple(1 << x for x in range(s.n)), "eon")
     principals = []
     seen = {bottom.rows}
@@ -579,7 +553,7 @@ def all_eon(s: OpSemilattice, max_count: int | None = None) -> tuple[OrderedRela
             if p.rows not in seen:
                 seen.add(p.rows)
                 principals.append(p)
-    return _all_relations(s, bottom, principals, True, "eon", cap)
+    return _all_relations(s, bottom, principals, True, "eon")
 
 
 def quotient(s: OpSemilattice, theta: Congruence) -> OpSemilattice:

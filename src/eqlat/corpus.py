@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from . import interior
 from .congruence import (
     Congruence,
     all_congruences,
@@ -26,13 +27,7 @@ from .congruence import (
     make_congruence,
     meet_congruences,
 )
-from .errors import (
-    BudgetExceeded,
-    InvariantViolation,
-    ParamOutOfRange,
-    SearchBudgetExceeded,
-    resolve_budget,
-)
+from .errors import BudgetExceeded, InvariantViolation, ParamOutOfRange
 from .galois import check_filterable, sublattice_interior
 from .interior import (
     _AXIOMS,
@@ -91,7 +86,7 @@ def _once(memo: dict, key: str, build):
     if key not in memo:
         try:
             memo[key] = build()
-        except (SearchBudgetExceeded, BudgetExceeded) as exc:
+        except BudgetExceeded as exc:
             memo[key] = exc
     if isinstance(memo[key], Exception):
         raise memo[key]
@@ -119,22 +114,22 @@ def _evaluate_claim(entry: CorpusEntry, op: str, memo: dict):
         return tuple(sorted(lat.labels[i] for i in lat.coatoms))
     if op in ("eio_count", "eio_label_maps", "eio_i9_all"):
         lat = _as_finite_lattice(st)
-        eios = _once(memo, "eios", lambda: enumerate_eios(lat, max_subsets=_evidence_cap(entry)))
+        cap = _EVIDENCE_CAP if entry.truncated else None
+        eios = _once(memo, "eios", lambda: enumerate_eios(lat, max_subsets=cap))
         if op == "eio_count":
             return len(eios)
         if op == "eio_label_maps":
             return tuple(im.as_label_map() for im in eios)
         if not eios:
             return None
-        skipped = None
+        skipped = False
         for im in eios:
             v = _AXIOMS["I9"](_MapData(lat, im.h))
             if v.passed is False:
                 return False
-            if v.passed is None:
-                skipped = v.note
-        if skipped is not None:
-            raise SearchBudgetExceeded(f"I9 {skipped}")
+            skipped = skipped or v.passed is None
+        if skipped:
+            raise BudgetExceeded("I9 family states", interior._I9_STATE_CAP)
         return True
     if op == "dagger_witness":
         lat = _as_finite_lattice(st)
@@ -146,14 +141,10 @@ def _evaluate_claim(entry: CorpusEntry, op: str, memo: dict):
     raise InvariantViolation(f"unknown claim op {op!r}")
 
 
-def _evidence_cap(entry: CorpusEntry) -> int | None:
-    """Search cap for evidence-only claims on truncated structures.
-
-    Truncations can be large; their evidence searches get a modest default
-    budget (still overridable through EQLAT_BUDGET) instead of the global
-    one, and a blown budget is reported as a skipped search, not an error.
-    """
-    return None if not entry.truncated else resolve_budget(None, 1 << 14)
+# Truncations can be large: their interior-map searches get this cap on
+# image sets instead of enumerate_eios' default, and a blown cap is reported
+# as a skipped search, not an error.
+_EVIDENCE_CAP = 1 << 14
 
 
 def run_claims(entry: CorpusEntry) -> tuple[CheckResult, ...]:
@@ -172,7 +163,7 @@ def run_claims(entry: CorpusEntry) -> tuple[CheckResult, ...]:
             continue
         try:
             observed = _evaluate_claim(entry, claim.op, memo)
-        except (SearchBudgetExceeded, BudgetExceeded) as exc:
+        except BudgetExceeded as exc:
             note = f"evidence search skipped: {exc}"
         else:
             note = f"observed={observed!r}; finite-truncation evidence, not asserted"
@@ -564,7 +555,7 @@ def enumerate_semilattices(max_elements: int) -> tuple[OpSemilattice, ...]:
     if max_elements < 1:
         raise ParamOutOfRange("need at least one element")
     if max_elements > 7:
-        raise BudgetExceeded("exhaustive enumeration is limited to 7 elements")
+        raise BudgetExceeded("elements", 7)
     out: list[OpSemilattice] = []
     for n in range(1, max_elements + 1):
         out.extend(_canonical_semilattices(n))
@@ -594,54 +585,42 @@ class Catalog:
         return len(self.entries)
 
 
-def generate_catalog(
-    max_elements: int,
-    max_operators: int = 0,
-    mode: str = "exhaustive",
-    seed: int = 0,
-    singles_cap: int = 12,
-    pair_samples: int = 4,
-    random_samples: int = 8,
-) -> Catalog:
+# A base with more endomorphisms than this gets a seeded sample of them as
+# single operators; with two operators, this many seeded pairs are added.
+_SINGLES_CAP = 12
+_PAIR_SAMPLES = 4
+
+
+def generate_catalog(max_elements: int, max_operators: int = 0, seed: int = 0) -> Catalog:
     """Catalog of small semilattices, optionally decorated with operators.
 
     Every isomorphism class up to the element bound appears bare. With an
     operator budget of one, each base gains its endomorphisms as single
     operators (all of them, or a seeded sample when there are more than
-    ``singles_cap``); with a budget of two, ``pair_samples`` seeded pairs
-    are added as well. Random mode keeps a seeded sample of the bases.
+    ``_SINGLES_CAP``); with a budget of two, ``_PAIR_SAMPLES`` seeded pairs
+    are added as well.
     """
-    if mode not in ("exhaustive", "random"):
-        raise ParamOutOfRange("mode must be exhaustive or random")
     if max_operators < 0:
         raise ParamOutOfRange("operator budget cannot be negative")
-    bases = list(enumerate_semilattices(max_elements))
     rng = random.Random(seed)
-    if mode == "random":
-        bases = list(rng.sample(bases, min(len(bases), random_samples)))
     names: list[str] = []
     entries: list[OpSemilattice] = []
-    for base_name, s in named_by_size(bases):
+    for base_name, s in named_by_size(enumerate_semilattices(max_elements)):
         names.append(base_name)
         entries.append(s)
         if max_operators >= 1:
             endos = all_endomorphisms(s)
-            if len(endos) > singles_cap:
-                chosen = sorted(rng.sample(endos, singles_cap))
+            if len(endos) > _SINGLES_CAP:
+                chosen = sorted(rng.sample(endos, _SINGLES_CAP))
             else:
                 chosen = list(endos)
             for j, f in enumerate(chosen):
                 names.append(f"{base_name}+f{j}")
                 entries.append(s.with_operators([("f", f)]))
             if max_operators >= 2 and len(endos) >= 2:
-                for t in range(pair_samples):
+                for t in range(_PAIR_SAMPLES):
                     f, g = rng.sample(endos, 2)
                     names.append(f"{base_name}+pair{t}")
                     entries.append(s.with_operators([("f", f), ("g", g)]))
-    params = {
-        "max_elements": max_elements,
-        "max_operators": max_operators,
-        "mode": mode,
-        "seed": seed,
-    }
+    params = {"max_elements": max_elements, "max_operators": max_operators, "seed": seed}
     return Catalog(params, tuple(names), tuple(entries))

@@ -3,6 +3,11 @@
 Every failure mode that callers are expected to catch has its own class so that
 tests and the CLI can tell validation problems, search caps, and bad parameters
 apart without string matching.
+
+Every exhaustive search has one fixed cap, a private constant of its module.
+A search counts its items only up to cap + 1 and then raises
+``BudgetExceeded``, the one budget class; ``SizeGuard`` and
+``SearchBudgetExceeded`` are older names bound to the same class.
 """
 
 from __future__ import annotations
@@ -36,32 +41,17 @@ class InvariantViolation(EqlatError):
     """A structural invariant promised by a type does not hold."""
 
 
-class SizeGuard(EqlatError):
-    """An enumeration grew past its configured cap."""
-
-
-class SearchBudgetExceeded(EqlatError):
-    """An operator search space is larger than the allowed budget."""
-
-
 class BudgetExceeded(EqlatError):
-    """A catalog generation request exceeds the enumeration budget."""
+    """A search found more than ``cap`` items of kind ``what`` and stopped there."""
+
+    def __init__(self, what: str, cap: int) -> None:
+        super().__init__(f"more than {cap} {what} exceed cap {cap}")
+        self.what = what
+        self.cap = cap
+
+
+SizeGuard = SearchBudgetExceeded = BudgetExceeded
 
 
 class ParamOutOfRange(EqlatError):
     """A named-family parameter is outside the supported range."""
-
-
-def resolve_budget(explicit: int | None, default: int) -> int:
-    """Pick a search cap: explicit argument, else EQLAT_BUDGET env var, else default."""
-    if explicit is not None:
-        return explicit
-    import os
-
-    raw = os.environ.get("EQLAT_BUDGET")
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ParamOutOfRange(f"EQLAT_BUDGET must be an integer, got {raw!r}") from None
-    return default

@@ -33,7 +33,7 @@ from .congruence import (
     make_congruence,
     meet_congruences,
 )
-from .errors import InvariantViolation, resolve_budget
+from .errors import InvariantViolation
 from .interior import AxiomReport, CheckResult, InteriorMap, Verdict
 from .order import (
     FiniteLattice,
@@ -46,6 +46,9 @@ from .order import (
     set_label,
 )
 from .semilattice import IdealSet, OpSemilattice, ideals
+
+# Cap on the closed sets walked by algebraic_subsets and _closed_sub_members.
+_SUBSET_CAP = 1 << 22
 
 
 def ideal_lattice(s: OpSemilattice) -> FiniteLattice:
@@ -103,21 +106,15 @@ def _normalize_relation(l: FiniteLattice, rel) -> list[int]:
     return rows
 
 
-def algebraic_subsets(
-    l: FiniteLattice,
-    closed_under=None,
-    max_subsets: int | None = None,
-) -> AlgebraicSubsetFamily:
+def algebraic_subsets(l: FiniteLattice, closed_under=None) -> AlgebraicSubsetFamily:
     """Every meet-closed, top-containing subset, optionally relation-closed.
 
     When ``closed_under`` pairs are given, a member S must also satisfy:
-    s in S and s R t imply t in S. Raises SizeGuard when more than
-    ``max_subsets`` such subsets exist; they are counted before any is kept.
+    s in S and s R t imply t in S. Raises BudgetExceeded when more than
+    ``_SUBSET_CAP`` such subsets exist; they are counted before any is kept.
     """
     rows = _normalize_relation(l, closed_under) if closed_under is not None else None
-    found = closed_sets(
-        l.meet_table, 1 << l.top, rows=rows, cap=resolve_budget(max_subsets, 1 << 22)
-    )
+    found = closed_sets(l.meet_table, 1 << l.top, rows=rows, cap=_SUBSET_CAP)
     out = sorted(found, key=lambda m: (popcount(m), m))
     return AlgebraicSubsetFamily(l, tuple(out))
 
@@ -328,23 +325,20 @@ def check_distributive_quasiorder(q: QuasiOrder) -> AxiomReport:
     ))
 
 
-def _closed_sub_members(q: QuasiOrder, max_subsets: int | None = None) -> tuple[int, ...]:
+def _closed_sub_members(q: QuasiOrder) -> tuple[int, ...]:
     """Masks of relation-closed meet-subsemilattices containing the unit."""
-    found = closed_sets(
-        q.carrier.join_t, 1 << q.unit, rows=q.rows, cap=resolve_budget(max_subsets, 1 << 22)
-    )
+    found = closed_sets(q.carrier.join_t, 1 << q.unit, rows=q.rows, cap=_SUBSET_CAP)
     return tuple(sorted(found, key=lambda m: (popcount(m), m)))
 
 
-def sub_closed_lattice(q: QuasiOrder, max_subsets: int | None = None) -> FiniteLattice:
+def sub_closed_lattice(q: QuasiOrder) -> FiniteLattice:
     """The containment lattice of relation-closed meet-subsemilattices with unit."""
-    return containment_lattice(q.carrier.labels, _closed_sub_members(q, max_subsets))
+    return containment_lattice(q.carrier.labels, _closed_sub_members(q))
 
 
-def all_subalgebras(carrier: OpSemilattice, max_subsets: int | None = None) -> tuple[int, ...]:
+def all_subalgebras(carrier: OpSemilattice) -> tuple[int, ...]:
     """Masks of all meet-subsemilattices containing the unit (no relation)."""
-    identity = quasiorder_from_pairs(carrier, [])
-    return _closed_sub_members(identity, max_subsets)
+    return _closed_sub_members(quasiorder_from_pairs(carrier, []))
 
 
 def quasiorder_from_sublattice(carrier: OpSemilattice, family: Iterable[int]) -> QuasiOrder:

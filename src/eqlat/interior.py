@@ -35,10 +35,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InvariantViolation, SearchBudgetExceeded, resolve_budget
+from .errors import BudgetExceeded, InvariantViolation
 from .order import FiniteLattice, closed_sets, iter_bits, popcount
 
 DEFAULT_EIO_AXIOMS = frozenset({"I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8"})
+# Default cap of enumerate_eios on its image sets.
+_EIO_IMAGE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -450,10 +452,10 @@ def enumerate_eios(
     only the selected axioms it does not already guarantee are checked.
     With I6 selected the image sets are drawn from the distributive
     elements only, which is exactly what I6 asks of an image. Maps come in
-    the order of their image masks. Raises SearchBudgetExceeded when more
-    than ``max_subsets`` image sets exist (they are counted before any map
-    is built), or when a selected check is skipped on its own cap for some
-    candidate.
+    the order of their image masks. Raises BudgetExceeded when more than
+    ``max_subsets`` (default ``_EIO_IMAGE_CAP``) image sets exist (they are
+    counted before any map is built), or when I9 is selected and skipped on
+    its state cap for some candidate.
     """
     ax = frozenset(axioms) if axioms is not None else DEFAULT_EIO_AXIOMS
     unknown = ax - set(AXIOM_NAMES)
@@ -467,8 +469,7 @@ def enumerate_eios(
         l.join_table,
         (1 << l.bottom) | (1 << l.top),
         ground=_distributive_elements(l) if "I6" in ax else None,
-        cap=resolve_budget(max_subsets, 1 << 20),
-        error=SearchBudgetExceeded,
+        cap=_EIO_IMAGE_CAP if max_subsets is None else max_subsets,
     )
     found: list[tuple[int, InteriorMap]] = []
     for jmask in images:
@@ -476,7 +477,7 @@ def enumerate_eios(
         for check in checks:
             v = check(m)
             if v.passed is None:
-                raise SearchBudgetExceeded(f"candidate map {m.h}: {v.note}")
+                raise BudgetExceeded("I9 family states", _I9_STATE_CAP)
             if not v.passed:
                 break
         else:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import CycleError, InvariantViolation, NotALattice, SizeGuard, UnknownLabel
+from .errors import BudgetExceeded, CycleError, InvariantViolation, NotALattice, UnknownLabel
 
 
 def iter_bits(mask: int):
@@ -76,7 +76,6 @@ def closed_sets(
     rows: Sequence[int] | None = None,
     ground: int | None = None,
     cap: int | None = None,
-    error: type[Exception] = SizeGuard,
 ):
     """Every set that contains ``base`` and is closed under ``table`` and ``rows``.
 
@@ -86,8 +85,8 @@ def closed_sets(
     spawned with, kept only if it stays inside the ground and adds nothing
     below e. Every closed set is visited once and no other set is, so
     ``cap`` counts closed sets: they are first walked without being stored,
-    and ``error`` is raised once more than ``cap`` are found, before any is
-    returned.
+    and BudgetExceeded is raised once more than ``cap`` are found, before any
+    is returned.
     """
     if ground is None:
         ground = (1 << len(table if table is not None else rows)) - 1
@@ -107,7 +106,7 @@ def closed_sets(
     if cap is not None:
         for count, _ in enumerate(walk(), 1):
             if count > cap:
-                raise error(f"more than {cap} closed sets exceed cap {cap}")
+                raise BudgetExceeded("closed sets", cap)
     return walk()
 
 
@@ -365,12 +364,32 @@ def dual(lat: FiniteLattice) -> FiniteLattice:
     return FiniteLattice(flipped, lat.join_table, lat.meet_table, lat.top, lat.bottom)
 
 
+def _is_label(x) -> bool:
+    return isinstance(x, (str, int, float))
+
+
+def json_list(data: dict, key: str, width: int = 0) -> list:
+    """``data[key]`` (empty when absent): a list of labels, or of ``width``-label lists.
+
+    A label is a JSON string or number; any other shape raises
+    InvariantViolation.
+    """
+    items = data.get(key, [])
+    if not isinstance(items, list) or not all(
+        isinstance(x, list) and len(x) == width and all(map(_is_label, x)) if width else _is_label(x)
+        for x in items
+    ):
+        shape = f"lists of {width} labels" if width else "labels"
+        raise InvariantViolation(f"{key!r} must be a list of {shape}")
+    return items
+
+
 def poset_from_json(text: str) -> FinitePoset:
     data = json.loads(text)
     if not isinstance(data, dict) or "elements" not in data:
         raise InvariantViolation("poset JSON needs an 'elements' key")
-    labels = [str(x) for x in data["elements"]]
-    covers = [(str(lo), str(hi)) for lo, hi in data.get("covers", [])]
+    labels = [str(x) for x in json_list(data, "elements")]
+    covers = [(str(lo), str(hi)) for lo, hi in json_list(data, "covers", 2)]
     return build_poset(labels, covers)
 
 

@@ -16,14 +16,15 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
+    BudgetExceeded,
     InvariantViolation,
     NotJoinHomomorphism,
-    SizeGuard,
     UnknownLabel,
     ZeroNotPreserved,
-    resolve_budget,
 )
-from .order import FiniteLattice, FinitePoset, as_lattice, iter_bits, popcount
+from .order import FiniteLattice, FinitePoset, as_lattice, iter_bits, json_list, popcount
+
+_MONOID_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -185,7 +186,7 @@ def semilattice_from_json(text: str) -> OpSemilattice:
     data = json.loads(text)
     if not isinstance(data, dict) or "elements" not in data:
         raise InvariantViolation("semilattice JSON needs an 'elements' key")
-    labels = tuple(str(x) for x in data["elements"])
+    labels = tuple(str(x) for x in json_list(data, "elements"))
     index = {lab: i for i, lab in enumerate(labels)}
 
     def look(lab) -> int:
@@ -197,7 +198,7 @@ def semilattice_from_json(text: str) -> OpSemilattice:
     if "joins" in data:
         n = len(labels)
         table = [[None] * n for _ in range(n)]
-        for a, b, c in data["joins"]:
+        for a, b, c in json_list(data, "joins", 3):
             ia, ib, ic = look(a), look(b), look(c)
             table[ia][ib] = ic
             table[ib][ia] = ic
@@ -209,7 +210,7 @@ def semilattice_from_json(text: str) -> OpSemilattice:
     elif "covers" in data:
         from .order import build_poset  # local import to keep module load light
 
-        poset = build_poset(labels, [(str(lo), str(hi)) for lo, hi in data["covers"]])
+        poset = build_poset(labels, [(str(lo), str(hi)) for lo, hi in json_list(data, "covers", 2)])
         lat = as_lattice(poset)
         join_table = [list(r) for r in lat.join_table]
     else:
@@ -222,19 +223,19 @@ def semilattice_from_json(text: str) -> OpSemilattice:
             raise InvariantViolation("cannot infer zero; provide a 'zero' key")
         zero = candidates[0]
 
-    operators = []
-    for name, images in (data.get("operators") or {}).items():
-        operators.append((str(name), [look(v) for v in images]))
+    named = data.get("operators") or {}
+    if not isinstance(named, dict):
+        raise InvariantViolation("'operators' must map names to lists of labels")
+    operators = [(str(name), [look(v) for v in json_list(named, name)]) for name in named]
     return from_join_table(labels, join_table, zero, operators)
 
 
-def operator_monoid(s: OpSemilattice, max_size: int | None = None) -> tuple[tuple[int, ...], ...]:
+def operator_monoid(s: OpSemilattice) -> tuple[tuple[int, ...], ...]:
     """Closure of the operator set plus identity under composition.
 
-    Breadth-first from the identity, deterministic order. Raises SizeGuard if
-    the monoid outgrows the cap (default 10000, overridable via EQLAT_BUDGET).
+    Breadth-first from the identity, deterministic order. Raises
+    BudgetExceeded when the monoid has more than ``_MONOID_CAP`` maps.
     """
-    cap = resolve_budget(max_size, 10_000)
     ident = tuple(range(s.n))
     generators = [images for _, images in s.operators]
     seen = {ident}
@@ -249,8 +250,8 @@ def operator_monoid(s: OpSemilattice, max_size: int | None = None) -> tuple[tupl
                     seen.add(h)
                     order.append(h)
                     new.append(h)
-                    if len(order) > cap:
-                        raise SizeGuard(f"operator monoid exceeds cap {cap}")
+                    if len(order) > _MONOID_CAP:
+                        raise BudgetExceeded("monoid maps", _MONOID_CAP)
         frontier = new
     return tuple(order)
 

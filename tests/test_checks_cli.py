@@ -181,6 +181,25 @@ def test_cli_malformed_input_is_a_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,text", [
+    ("con", '{"elements": 5}'),
+    ("con", '{"elements": ["0", "a"], "covers": [["0", "a"]], "operators": ["f"]}'),
+    ("con", '{"elements": ["0", "a"], "covers": 5}'),
+    ("con", '{"elements": ["0", "a"], "covers": [["0"]]}'),
+    ("con", '{"elements": ["0", "a"], "joins": [["0", "a"]]}'),
+    ("con", '{"elements": [["0"]], "covers": []}'),
+    ("con", '{"elements": ["0", "a"], "covers": [["0", "a"]], "operators": {"f": "0a"}}'),
+    ("search-eio", "5"),
+    ("export", '{"elements": 5}'),
+])
+def test_cli_malformed_json_shapes_are_usage_errors(tmp_path, capsys, command, text):
+    path = tmp_path / "shape.json"
+    path.write_text(text)
+    args = [command, str(path)] + (["--format", "json"] if command == "export" else [])
+    assert main(args) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_missing_file_is_a_usage_error(capsys):
     assert main(["con", "/nonexistent/x.json"]) == 2
     assert "error:" in capsys.readouterr().err

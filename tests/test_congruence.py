@@ -31,7 +31,7 @@ from eqlat.congruence import (
     validate_eon,
 )
 from eqlat.corpus import boolean, chain, enumerate_semilattices, omega
-from eqlat.errors import InvariantViolation, SizeGuard
+from eqlat.errors import BudgetExceeded, InvariantViolation
 from eqlat.semilattice import all_endomorphisms, ideals
 
 SMALL_CARRIERS = enumerate_semilattices(5)
@@ -108,12 +108,14 @@ def test_make_congruence_accepts_a_generator_of_blocks():
     assert make_congruence(b2, (r for r in theta.rep)) == theta
 
 
-def test_congruence_cap_holds_while_principals_are_collected():
+def test_congruence_cap_holds_while_principals_are_collected(monkeypatch):
     b2 = boolean(2).structure
-    assert len(all_congruences(b2, max_count=7).congruences) == 7
+    monkeypatch.setattr(congruence, "_CON_CAP", 7)
+    assert len(all_congruences(b2).congruences) == 7
     for cap in (5, 6):
-        with pytest.raises(SizeGuard, match=f"exceeds cap {cap}"):
-            all_congruences(b2, max_count=cap)
+        monkeypatch.setattr(congruence, "_CON_CAP", cap)
+        with pytest.raises(BudgetExceeded, match=f"more than {cap} congruences exceed cap {cap}"):
+            all_congruences(b2)
 
 
 def test_congruence_generated_is_least_in_the_oracle(tiny_semilattices):
@@ -156,6 +158,7 @@ def test_eta_tau_bound_every_congruence(small_semilattices):
         for theta in all_congruences(s).congruences:
             lo = eta(s, theta)
             hi = tau(s, theta)
+            assert oracles.is_congruence(s, hi.rep)
             assert lo.refines(theta) and theta.refines(hi)
             assert lo.zero_class_mask(s) == theta.zero_class_mask(s)
             assert hi.zero_class_mask(s) == theta.zero_class_mask(s)
@@ -291,14 +294,16 @@ def test_join_is_the_oracle_least_upper_bound_on_decorated_structures():
                 assert got == _oracle_join(universe, a, b)
 
 
-def test_cover_principals_reach_the_cap_exactly():
+def test_cover_principals_reach_the_cap_exactly(monkeypatch):
     s = chain(3).structure
     covers = {congruence_generated(s, [p]).rep for p in _cover_pairs(s)}
     pairs = {congruence_generated(s, [(a, b)]).rep for a in range(s.n) for b in range(a + 1, s.n)}
     assert len(covers) < len(pairs)
-    assert len(all_congruences(s, max_count=8).congruences) == 8
-    with pytest.raises(SizeGuard, match="exceeds cap 7"):
-        all_congruences(s, max_count=7)
+    monkeypatch.setattr(congruence, "_CON_CAP", 8)
+    assert len(all_congruences(s).congruences) == 8
+    monkeypatch.setattr(congruence, "_CON_CAP", 7)
+    with pytest.raises(BudgetExceeded, match="exceed cap 7"):
+        all_congruences(s)
 
 
 def _count_extend(monkeypatch) -> list:

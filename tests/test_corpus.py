@@ -79,8 +79,6 @@ def test_catalog_small_decorations_cover_all_endomorphisms():
 
 def test_catalog_rejects_bad_parameters():
     with pytest.raises(ParamOutOfRange):
-        generate_catalog(3, mode="bogus")
-    with pytest.raises(ParamOutOfRange):
         generate_catalog(3, max_operators=-1)
 
 
@@ -167,7 +165,7 @@ def test_run_claims_builds_each_search_once(monkeypatch):
     assert len(cons) == 1
     # A blown search budget is remembered too: both evidence claims skip
     # with the same note after one search.
-    monkeypatch.setenv("EQLAT_BUDGET", "1")
+    monkeypatch.setattr(corpus, "_EVIDENCE_CAP", 1)
     eios.clear()
     notes = [r.note for r in run_claims(m2(2)) if r.name != "element_count"]
     assert len(eios) == 1

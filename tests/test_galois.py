@@ -5,7 +5,7 @@ import pytest
 import oracles
 from eqlat.congruence import all_congruences, make_congruence
 from eqlat.corpus import boolean, chain, omega
-from eqlat.errors import InvariantViolation, SizeGuard
+from eqlat.errors import InvariantViolation
 from eqlat.galois import (
     AlgebraicSubsetFamily,
     algebraic_subsets,
@@ -44,17 +44,6 @@ def test_algebraic_subsets_match_subset_scan(tiny_semilattices):
         l = s.lattice
         fam = algebraic_subsets(l)
         assert set(fam.members) == oracles.oracle_algebraic_subsets(l)
-
-
-def test_subset_caps_count_closed_sets():
-    il_b2 = ideal_lattice(boolean(2).structure)
-    assert len(algebraic_subsets(il_b2, max_subsets=7).members) == 7
-    with pytest.raises(SizeGuard, match="exceed cap 6"):
-        algebraic_subsets(il_b2, max_subsets=6)
-    carrier = boolean(2).structure
-    assert len(all_subalgebras(carrier, max_subsets=7)) == 7
-    with pytest.raises(SizeGuard, match="exceed cap 6"):
-        all_subalgebras(carrier, max_subsets=6)
 
 
 def test_family_validation_rejects_bad_members():

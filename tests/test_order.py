@@ -145,14 +145,3 @@ def test_closed_sets_match_the_subset_scan(data):
     if want:
         with pytest.raises(SizeGuard, match=f"more than {len(want) - 1} closed sets"):
             closed_sets(table, base, rows=rows, ground=ground, cap=len(want) - 1)
-
-
-def test_closed_sets_cap_raises_the_given_error():
-    l = diamond()
-
-    class Tripped(Exception):
-        pass
-
-    assert len(list(closed_sets(l.join_table))) == 14
-    with pytest.raises(Tripped, match="exceed cap 13"):
-        closed_sets(l.join_table, cap=13, error=Tripped)

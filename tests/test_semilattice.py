@@ -122,6 +122,19 @@ def test_json_round_trip_preserves_everything():
     assert t.operators == s.operators
 
 
+@pytest.mark.parametrize("text,message", [
+    ('{"elements": 5}', "'elements' must be a list of labels"),
+    ('{"elements": "0a", "covers": []}', "'elements' must be a list of labels"),
+    ('{"elements": ["0", "a"], "covers": [["0"]]}', "'covers' must be a list of lists of 2 labels"),
+    ('{"elements": ["0", "a"], "joins": 3}', "'joins' must be a list of lists of 3 labels"),
+    ('{"elements": ["0"], "covers": [], "operators": ["f"]}', "'operators' must map names"),
+    ('{"elements": ["0"], "covers": [], "operators": {"f": "0"}}', "'f' must be a list of labels"),
+])
+def test_json_of_the_wrong_shape_is_an_invariant_violation(text, message):
+    with pytest.raises(InvariantViolation, match=message):
+        semilattice_from_json(text)
+
+
 def test_from_lattice_matches_join_table():
     b2 = boolean(2).structure
     again = from_lattice(b2.lattice)
