@@ -28,7 +28,7 @@ from .congruence import all_congruences, eta, make_congruence, tau
 from .corpus import _BUILDERS, build_named, run_claims
 from .errors import EqlatError
 from .interior import check_axioms, enumerate_eios, normalize_map
-from .order import FiniteLattice, as_lattice, dot_hasse, poset_from_json
+from .order import FiniteLattice, as_lattice, dot_hasse, json_label_map, poset_from_json
 from .semilattice import OpSemilattice, semilattice_from_json
 
 
@@ -91,9 +91,7 @@ def _cmd_eta_tau(args) -> int:
 
 def _cmd_check_axioms(args) -> int:
     lat = _load_lattice(args.file)
-    data = json.loads(_read(args.map))
-    mapping = data.get("map", data)
-    h = normalize_map(lat, mapping)
+    h = normalize_map(lat, json_label_map(json.loads(_read(args.map)), "map"))
     report = check_axioms(lat, h)
     _emit(report.to_json(), args.out)
     return 0 if report.passed else 1
@@ -145,12 +143,8 @@ def _cmd_export(args) -> int:
     if args.target in _BUILDERS:
         entry = build_named(args.target, args.n)
         structure = entry.structure
-        if isinstance(structure, OpSemilattice):
-            poset = structure.lattice.poset
-            as_json = structure.to_json()
-        else:
-            poset = structure.poset
-            as_json = structure.to_json()
+        poset = (structure.lattice if isinstance(structure, OpSemilattice) else structure).poset
+        as_json = structure.to_json()
         title = entry.name
     else:
         text = _read(args.target)

@@ -437,27 +437,6 @@ def build_named(name: str, n: int | None = None) -> CorpusEntry:
     return fn()
 
 
-def _join_table_of_poset(down: Sequence[int], n: int) -> list[list[int]] | None:
-    """Join table of a naturally labeled poset, or None when some pair has no join."""
-    table = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(x, n):
-            ub = 0
-            for w in range(n):
-                if (down[w] >> x) & 1 and (down[w] >> y) & 1:
-                    ub |= 1 << w
-            if ub == 0:
-                return None
-            best = None
-            for w in iter_bits(ub):
-                if down[w] & ub & ~(1 << w) == 0:
-                    if best is not None:
-                        return None
-                    best = w
-            table[x][y] = table[y][x] = best
-    return table
-
-
 def _canonical_table(table: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
     """Minimum bottom-fixing relabeling of a join table, over invariant-respecting maps."""
     down = [0] * n
@@ -507,27 +486,29 @@ def _canonical_semilattices(n: int) -> list[OpSemilattice]:
     seen: dict[tuple[int, ...], None] = {}
     out: list[OpSemilattice] = []
     down: list[int] = [1]
+    # join[x][y] is the least upper bound of x and y among the elements
+    # placed so far, or None while they have none. A new element i is maximal
+    # among 0..i, so it is a second minimal upper bound of x, y exactly when
+    # both lie below i and their join so far is defined but not below i.
+    join: list[list[int | None]] = [[None] * n for _ in range(n)]
+    join[0][0] = 0
 
-    def minimal_ub_ok(i: int) -> bool:
-        for x in range(i + 1):
-            for y in range(x + 1, i + 1):
-                ub = 0
-                for w in range(i + 1):
-                    if (down[w] >> x) & 1 and (down[w] >> y) & 1:
-                        ub |= 1 << w
-                minimal = 0
-                for w in iter_bits(ub):
-                    if down[w] & ub & ~(1 << w) == 0:
-                        minimal += 1
-                        if minimal > 1:
-                            return False
-        return True
+    def place(i: int, below: int) -> list[tuple[int, int]] | None:
+        """Put i above ``below``: the pairs i becomes the join of, or None."""
+        members = list(iter_bits(below))
+        pairs = list(itertools.combinations(members, 2))
+        if any(join[x][y] is not None and not below >> join[x][y] & 1 for x, y in pairs):
+            return None
+        new = [(x, y) for x, y in pairs if join[x][y] is None] + [(x, i) for x in members]
+        for x, y in new:
+            join[x][y] = join[y][x] = i
+        join[i][i] = i
+        return new
 
     def emit() -> None:
-        table = _join_table_of_poset(down, n)
-        if table is None:
+        if any(None in row for row in join):
             return
-        key = _canonical_table(table, n)
+        key = _canonical_table(join, n)
         if key in seen:
             return
         seen[key] = None
@@ -541,10 +522,13 @@ def _canonical_semilattices(n: int) -> list[OpSemilattice]:
             return
         # The new element's strict downset: a downset of 0..i-1 holding 0.
         for below in sorted(closed_sets(None, 1, rows=tuple(down))):
-            down.append(below | (1 << i))
-            if minimal_ub_ok(i):
+            new = place(i, below)
+            if new is not None:
+                down.append(below | (1 << i))
                 extend(i + 1)
-            down.pop()
+                down.pop()
+                for x, y in new:
+                    join[x][y] = join[y][x] = None
 
     extend(1)
     return out

@@ -25,7 +25,9 @@ lattice. tau is always derived from h by fiber joins:
 * ddagger  h(h(z) v tau(x ^ z)) <= h(z) v tau(x)
 
 Maps passing I1 to I8 are enumerated through their images: such a map is
-x -> (largest member of a fixed join-closed image set below x).
+x -> (largest member of a fixed join-closed image set below x), built in
+one pass from the lower covers. I2 is decided on cover pairs and I5 inside
+fibers, with the first witness of the full pair scans.
 """
 
 from __future__ import annotations
@@ -173,7 +175,11 @@ def _fail_i1(m):
 
 
 def _fail_i2(m):
-    l, h = m.l, m.h
+    l, h, up = m.l, m.h, m.l.up
+    # Monotone on the cover pairs means monotone; only a failure needs the
+    # full scan, which finds the first witness in index order.
+    if all(up[h[lo]] >> h[hi] & 1 for lo, hi in l.poset.covers):
+        return None
     for x in range(l.n):
         for y in iter_bits(l.down[x]):
             if not l.leq(h[y], h[x]):
@@ -197,10 +203,16 @@ def _fail_i4(m):
 
 
 def _fail_i5(m):
-    l, h = m.l, m.h
-    for x in range(l.n):
-        for y in range(x + 1, l.n):
-            if h[x] == h[y] and h[l.join(x, y)] != h[x]:
+    l, h, join = m.l, m.h, m.l.join_table
+    # Only pairs inside one fiber can fail; walking each x's fiber above x
+    # meets the failing pairs in the same index order as a full pair scan.
+    fibers: dict[int, list[int]] = {}
+    for x, v in enumerate(h):
+        fibers.setdefault(v, []).append(x)
+    for x, v in enumerate(h):
+        fiber = fibers[v]
+        for y in fiber[fiber.index(x) + 1:]:
+            if h[join[x][y]] != v:
                 return {"x": _lab(l, x), "y": _lab(l, y)}
     return None
 
@@ -450,6 +462,8 @@ def enumerate_eios(
     inducing h(x) = largest image member below x. That parameterization is
     complete for maps satisfying I1 to I4, which must be in the selection;
     only the selected axioms it does not already guarantee are checked.
+    Each map is built in one pass over a linear extension: h(x) = x on the
+    image, else the join of h over the lower covers of x.
     With I6 selected the image sets are drawn from the distributive
     elements only, which is exactly what I6 asks of an image. Maps come in
     the order of their image masks. Raises BudgetExceeded when more than
@@ -471,9 +485,25 @@ def enumerate_eios(
         ground=_distributive_elements(l) if "I6" in ax else None,
         cap=_EIO_IMAGE_CAP if max_subsets is None else max_subsets,
     )
+    # Off the image, every image member below x lies below a lower cover of
+    # x. The bottom has no lower cover, but it is always in the image.
+    join, covers = l.join_table, l.poset.covers
+    walk = []
+    for x in sorted(range(l.n), key=lambda x: l.down[x].bit_count()):
+        first, *rest = [lo for lo, hi in covers if hi == x] or [x]
+        walk.append((x, first, rest))
     found: list[tuple[int, InteriorMap]] = []
     for jmask in images:
-        m = _MapData(l, tuple(l.join_all(iter_bits(jmask & l.down[x])) for x in range(l.n)))
+        h = [0] * l.n
+        for x, first, rest in walk:
+            if jmask >> x & 1:
+                h[x] = x
+            else:
+                hx = h[first]
+                for c in rest:
+                    hx = join[hx][h[c]]
+                h[x] = hx
+        m = _MapData(l, tuple(h))
         for check in checks:
             v = check(m)
             if v.passed is None:
@@ -507,17 +537,8 @@ def check_bicoatomic(l: FiniteLattice, properly: str = "strict") -> CheckResult:
                     continue
                 if properly == "nontrivial" and (l.leq(u, p) or l.leq(v, p)):
                     continue
-                refined = False
-                for c in coat:
-                    if not l.leq(u, c):
-                        continue
-                    for d in coat:
-                        if l.leq(v, d) and l.leq(l.meet(c, d), p):
-                            refined = True
-                            break
-                    if refined:
-                        break
-                if not refined:
+                if not any(l.leq(u, c) and l.leq(v, d) and l.leq(l.meet(c, d), p)
+                           for c in coat for d in coat):
                     return CheckResult(
                         "bicoatomic",
                         False,
@@ -578,31 +599,19 @@ def check_coatom_dependence(
         raise InvariantViolation("coatom dependence checks need a map satisfying I5")
     h, tau = im.h, im.tau
     coat = l.coatoms
-    triples = []
-    for x in coat:
-        for z in coat:
-            if z == x:
-                continue
-            for a in coat:
-                if a == x or a == z:
-                    continue
-                if l.leq(l.meet(x, z), a):
-                    triples.append((x, z, a))
+    triples = [(x, z, a) for x in coat for z in coat for a in coat
+               if len({x, z, a}) == 3 and l.leq(l.meet(x, z), a)]
 
     entries: list[tuple[str, Verdict]] = []
 
     witness = None
     for x, z, a in triples:
         m = l.meet(x, z)
-        if not l.leq(h[a], m):
-            witness = {"x": _lab(l, x), "z": _lab(l, z), "a": _lab(l, a), "part": "eta(a) <= x^z"}
-        elif tau[m] != a:
-            witness = {"x": _lab(l, x), "z": _lab(l, z), "a": _lab(l, a), "part": "tau(x^z) = a"}
-        elif l.leq(h[x], a):
-            witness = {"x": _lab(l, x), "z": _lab(l, z), "a": _lab(l, a), "part": "eta(x) not<= a"}
-        elif l.leq(h[x], z):
-            witness = {"x": _lab(l, x), "z": _lab(l, z), "a": _lab(l, a), "part": "eta(x) not<= z"}
-        if witness:
+        holds = (("eta(a) <= x^z", l.leq(h[a], m)), ("tau(x^z) = a", tau[m] == a),
+                 ("eta(x) not<= a", not l.leq(h[x], a)), ("eta(x) not<= z", not l.leq(h[x], z)))
+        part = next((part for part, ok in holds if not ok), None)
+        if part:
+            witness = {"x": _lab(l, x), "z": _lab(l, z), "a": _lab(l, a), "part": part}
             break
     entries.append(("june2", Verdict(witness is None, witness, f"instances={len(triples)}")))
 

@@ -384,6 +384,17 @@ def json_list(data: dict, key: str, width: int = 0) -> list:
     return items
 
 
+def json_label_map(data, key: str) -> dict[str, str]:
+    """``data[key]``, or ``data`` itself without that key: an object from labels to labels.
+
+    Labels come back as strings; any other shape raises InvariantViolation.
+    """
+    items = data.get(key, data) if isinstance(data, dict) else data
+    if not isinstance(items, dict) or not all(map(_is_label, items.values())):
+        raise InvariantViolation(f"{key!r} must be an object from labels to labels")
+    return {k: str(v) for k, v in items.items()}
+
+
 def poset_from_json(text: str) -> FinitePoset:
     data = json.loads(text)
     if not isinstance(data, dict) or "elements" not in data:

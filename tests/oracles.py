@@ -294,6 +294,24 @@ def oracle_eios_by_image_scan(l: FiniteLattice, check_i5_i6: bool = True) -> lis
     return out
 
 
+def oracle_first_i2_failure(l: FiniteLattice, h) -> dict[str, str] | None:
+    """First (x, y) in index order with y <= x but h(y) not <= h(x), labeled; None if none."""
+    for x in range(l.n):
+        for y in range(l.n):
+            if l.leq(y, x) and not l.leq(h[y], h[x]):
+                return {"x": l.labels[x], "y": l.labels[y]}
+    return None
+
+
+def oracle_first_i5_failure(l: FiniteLattice, h) -> dict[str, str] | None:
+    """First (x, y) in index order with x < y, h(x) = h(y) and h(x v y) != h(x); None if none."""
+    for x in range(l.n):
+        for y in range(x + 1, l.n):
+            if h[x] == h[y] and h[l.join(x, y)] != h[x]:
+                return {"x": l.labels[x], "y": l.labels[y]}
+    return None
+
+
 def oracle_semilattice_count(n: int) -> int:
     """Isomorphism classes of n-element join-semilattices with zero, by full scan (n <= 4)."""
     assert n <= 4

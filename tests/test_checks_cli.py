@@ -200,6 +200,28 @@ def test_cli_malformed_json_shapes_are_usage_errors(tmp_path, capsys, command, t
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "[1]",
+    '{"map": {"0": ["0"], "1": "1"}}',
+    '{"map": 5}',
+    '{"map": ["0", "p", "q", "1"]}',
+])
+def test_cli_malformed_map_files_are_usage_errors(b2_file, tmp_path, capsys, text):
+    path = tmp_path / "map.json"
+    path.write_text(text)
+    assert main(["check-axioms", b2_file, "--map", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_map_labels_may_be_numbers(tmp_path, capsys):
+    lattice = tmp_path / "chain.json"
+    lattice.write_text(json.dumps({"elements": [0, 1], "covers": [[0, 1]]}))
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"0": 0, "1": 1}))
+    assert main(["check-axioms", str(lattice), "--map", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["I1"]["passed"]
+
+
 def test_cli_missing_file_is_a_usage_error(capsys):
     assert main(["con", "/nonexistent/x.json"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -50,6 +51,23 @@ def test_enumeration_is_deterministic():
     first = [s.join_t for s in enumerate_semilattices(6)]
     second = [s.join_t for s in enumerate_semilattices(6)]
     assert first == second
+
+
+# sha256 of repr([s.join_t for s in enumerate_semilattices(7)]): the order
+# of the carriers fixes every S{n}-{k} and L{n}-{k} name in the suites.
+ENUMERATION_DIGEST = "449dd8c8c1be313cf941126db5ddc19c3ea9c425d878df23e54546091f6ac311"
+
+
+def test_enumeration_order_and_tables_are_pinned():
+    pool = enumerate_semilattices(7)
+    digest = hashlib.sha256(repr([s.join_t for s in pool]).encode()).hexdigest()
+    assert digest == ENUMERATION_DIGEST
+    for s in pool:
+        for x in range(s.n):
+            for y in range(s.n):
+                upper = [w for w in range(s.n) if s.leq(x, w) and s.leq(y, w)]
+                assert s.join(x, y) in upper
+                assert all(s.leq(s.join(x, y), w) for w in upper)
 
 
 def test_enumeration_bounds():

@@ -13,6 +13,7 @@ from eqlat.errors import InvariantViolation, SearchBudgetExceeded
 from eqlat.interior import (
     DEFAULT_EIO_AXIOMS,
     InteriorMap,
+    Verdict,
     check_axioms,
     check_bicoatomic,
     check_coatom_dependence,
@@ -245,6 +246,34 @@ def test_i9_matches_the_oracle_on_drawn_decreasing_maps(data):
     l = data.draw(st.sampled_from(_LATTICES_UP_TO_6))
     h = tuple(data.draw(st.sampled_from(list(iter_bits(l.down[x])))) for x in range(l.n))
     _assert_i9_matches_oracle(l, h)
+
+
+def _assert_i2_i5_match_the_pair_scans(l, h):
+    report = check_axioms(l, h)
+    for name, oracle in (("I2", oracles.oracle_first_i2_failure),
+                         ("I5", oracles.oracle_first_i5_failure)):
+        witness = oracle(l, h)
+        assert report.verdict(name) == Verdict(witness is None, witness), (name, h)
+
+
+def test_i2_i5_witnesses_match_the_pair_scans_on_image_maps():
+    # Image-induced maps are monotone, so I2 passes and I5 goes both ways.
+    outcomes = set()
+    for l in _LATTICES_UP_TO_6:
+        for im in enumerate_eios(l, ("I1", "I2", "I3", "I4")):
+            _assert_i2_i5_match_the_pair_scans(l, im.h)
+            outcomes.add(oracles.oracle_first_i5_failure(l, im.h) is None)
+    assert outcomes == {True, False}
+
+
+@given(st.data())
+def test_i2_i5_witnesses_match_the_pair_scans_on_drawn_maps(data):
+    for l in _LATTICES_UP_TO_6:
+        if data.draw(st.booleans()):
+            h = tuple(data.draw(st.integers(0, l.n - 1)) for _ in range(l.n))
+        else:
+            h = tuple(data.draw(st.sampled_from(list(iter_bits(l.down[x])))) for x in range(l.n))
+        _assert_i2_i5_match_the_pair_scans(l, h)
 
 
 def test_i9_past_its_state_cap_is_a_skip_everywhere(monkeypatch):
