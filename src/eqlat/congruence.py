@@ -62,6 +62,14 @@ class Congruence:
     def zero_class(self, s: OpSemilattice) -> IdealSet:
         return ideal(s, self.zero_class_mask(s))
 
+    @property
+    def pair_mask(self) -> int:
+        """Bit x * n + y set iff x ~ y; theta refines phi iff theta's mask lies inside phi's."""
+        blocks: dict[int, int] = {}
+        for i, r in enumerate(self.rep):
+            blocks[r] = blocks.get(r, 0) | 1 << i
+        return sum(blocks[r] << self.n * x for x, r in enumerate(self.rep))
+
     def refines(self, other: "Congruence") -> bool:
         """self <= other in the congruence order."""
         return all(other.rep[r] == other.rep[i] for i, r in enumerate(self.rep))
@@ -215,12 +223,6 @@ class CongruenceLattice:
         return json.dumps(data, indent=2)
 
 
-def _cover_pairs(s: OpSemilattice) -> list[tuple[int, int]]:
-    """Every pair a < b with nothing strictly between them."""
-    up, down = s.up, s.down
-    return [(a, b) for a in range(s.n) for b in iter_bits(up[a]) if popcount(up[a] & down[b]) == 2]
-
-
 def all_congruences(s: OpSemilattice) -> CongruenceLattice:
     """The full congruence lattice via join closure of cover-pair principals.
 
@@ -236,7 +238,7 @@ def all_congruences(s: OpSemilattice) -> CongruenceLattice:
     delta = tuple(range(s.n))
     seen = {delta}
     generators = []
-    for a, b in _cover_pairs(s):
+    for a, b in s.poset.covers:
         p = congruence_generated(s, [(a, b)]).rep
         if p not in seen:
             seen.add(p)
@@ -256,7 +258,7 @@ def all_congruences(s: OpSemilattice) -> CongruenceLattice:
                 if len(seen) > _CON_CAP:
                     raise BudgetExceeded("congruences", _CON_CAP)
     ordered = sorted((Congruence(r) for r in seen), key=lambda c: (-c.block_count, c.rep))
-    lattice = lattice_of([c.block_string(s) for c in ordered], ordered, Congruence.refines)
+    lattice = lattice_of([c.block_string(s) for c in ordered], [c.pair_mask for c in ordered])
     return CongruenceLattice(s, tuple(ordered), lattice)
 
 
@@ -273,7 +275,7 @@ def is_simple(s: OpSemilattice) -> bool:
     """
     everything = (0,) * s.n
     return s.n >= 2 and all(
-        congruence_generated(s, [p]).rep == everything for p in _cover_pairs(s)
+        congruence_generated(s, [p]).rep == everything for p in s.poset.covers
     )
 
 

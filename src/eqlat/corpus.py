@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterable, Sequence
 
 from . import interior
@@ -534,8 +535,12 @@ def _canonical_semilattices(n: int) -> list[OpSemilattice]:
     return out
 
 
+@cache
 def enumerate_semilattices(max_elements: int) -> tuple[OpSemilattice, ...]:
-    """One representative per isomorphism class, sizes 1 through the bound (<= 7)."""
+    """One representative per isomorphism class, sizes 1 through the bound (<= 7).
+
+    Built once per bound, so callers share the carriers and their order data.
+    """
     if max_elements < 1:
         raise ParamOutOfRange("need at least one element")
     if max_elements > 7:

@@ -196,7 +196,7 @@ def verify_consl(s: OpSemilattice) -> CheckResult:
                                "round trip through congruences does not return")
     for i, a in enumerate(conl.congruences):
         for j, b in enumerate(conl.congruences):
-            if a.refines(b) and (images[j] & ~images[i]) != 0:
+            if conl.lattice.leq(i, j) and (images[j] & ~images[i]) != 0:
                 return CheckResult("consl", False,
                                    {"theta": a.block_string(reduct), "phi": b.block_string(reduct)},
                                    "containment is not reversed")
@@ -449,7 +449,7 @@ def sublattice_interior(
         key=lambda t: (-t.block_count, t.rep),
     )
     index = {t.rep: i for i, t in enumerate(members)}
-    lat = lattice_of([t.block_string(reduct) for t in members], members, Congruence.refines)
+    lat = lattice_of([t.block_string(reduct) for t in members], [t.pair_mask for t in members])
     h = []
     for t in members:
         collapsed = eta(reduct, t.zero_class_mask(reduct))

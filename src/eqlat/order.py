@@ -16,6 +16,7 @@ Conventions
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -79,35 +80,30 @@ def closed_sets(
 ):
     """Every set that contains ``base`` and is closed under ``table`` and ``rows``.
 
-    With ``ground``, only sets inside that mask count. Sets come as masks in
-    walk order, not sorted. The walk is Close-by-One (Kuznetsov): a closed set S
-    spawns closure(S + e) for each e of the ground above the element S was
-    spawned with, kept only if it stays inside the ground and adds nothing
-    below e. Every closed set is visited once and no other set is, so
-    ``cap`` counts closed sets: they are first walked without being stored,
-    and BudgetExceeded is raised once more than ``cap`` are found, before any
-    is returned.
+    With ``ground``, only sets inside that mask count. Sets come as a list of
+    masks in walk order, not sorted. The walk is Close-by-One (Kuznetsov): a
+    closed set S spawns closure(S + e) for each e of the ground above the
+    element S was spawned with, kept only if it stays inside the ground and
+    adds nothing below e. Every closed set is visited once and no other set
+    is, so ``cap`` counts closed sets: BudgetExceeded is raised as soon as
+    more than ``cap`` are found, with at most ``cap`` + 1 of them stored.
     """
     if ground is None:
         ground = (1 << len(table if table is not None else rows)) - 1
-
-    def walk():
-        start = None if base & ~ground else closure(table, base, rows, bad=~ground)
-        stack = [] if start is None else [(start, 0)]
-        while stack:
-            closed, first = stack.pop()
-            yield closed
-            for e in iter_bits(ground & ~closed & -(1 << first)):
-                bit = 1 << e
-                child = closure(table, closed | bit, rows, bit, ~ground | ((bit - 1) & ~closed))
-                if child is not None:
-                    stack.append((child, e + 1))
-
-    if cap is not None:
-        for count, _ in enumerate(walk(), 1):
-            if count > cap:
-                raise BudgetExceeded("closed sets", cap)
-    return walk()
+    start = None if base & ~ground else closure(table, base, rows, bad=~ground)
+    stack = [] if start is None else [(start, 0)]
+    found = []
+    while stack:
+        closed, first = stack.pop()
+        found.append(closed)
+        if cap is not None and len(found) > cap:
+            raise BudgetExceeded("closed sets", cap)
+        for e in iter_bits(ground & ~closed & -(1 << first)):
+            bit = 1 << e
+            child = closure(table, closed | bit, rows, bit, ~ground | ((bit - 1) & ~closed))
+            if child is not None:
+                stack.append((child, e + 1))
+    return found
 
 
 def set_label(labels: Sequence[str], mask: int) -> str:
@@ -279,48 +275,36 @@ class FiniteLattice:
 
 
 def as_lattice(poset: FinitePoset) -> FiniteLattice:
-    """Interpret a poset as a lattice; NotALattice names the first bad pair."""
-    n = poset.n
-    up, down = poset.up, poset.down
-    meet_rows: list[tuple[int, ...]] = []
-    join_rows: list[tuple[int, ...]] = []
-    for i in range(n):
-        mrow = []
-        jrow = []
-        for j in range(n):
-            lower = down[i] & down[j]
-            glb = [m for m in iter_bits(lower) if not (lower & ~down[m])]
-            if len(glb) != 1:
-                raise NotALattice(
-                    f"no meet for {poset.labels[i]!r}, {poset.labels[j]!r}"
-                )
-            mrow.append(glb[0])
-            upper = up[i] & up[j]
-            lub = [m for m in iter_bits(upper) if not (upper & ~up[m])]
-            if len(lub) != 1:
-                raise NotALattice(
-                    f"no join for {poset.labels[i]!r}, {poset.labels[j]!r}"
-                )
-            jrow.append(lub[0])
-        meet_rows.append(tuple(mrow))
-        join_rows.append(tuple(jrow))
-    full = (1 << n) - 1
-    bottoms = [i for i in range(n) if up[i] == full]
-    tops = [i for i in range(n) if down[i] == full]
-    if len(bottoms) != 1 or len(tops) != 1:
-        raise NotALattice("missing global bottom or top")
-    return FiniteLattice(poset, tuple(meet_rows), tuple(join_rows), bottoms[0], tops[0])
+    """Interpret a poset as a lattice; NotALattice names the first bad pair.
+
+    The common lower bounds of i and j form a downset, and meet(i, j) exists
+    exactly when that downset is principal, ``down[m]`` for the meet m; so a
+    lookup from downset mask to element replaces a search. Joins work the
+    same way over ``up``.
+    """
+    labels, up, down = poset.labels, poset.up, poset.down
+    by_down = {m: i for i, m in enumerate(down)}
+    by_up = {m: i for i, m in enumerate(up)}
+    meet = tuple(tuple(by_down.get(a & b) for b in down) for a in down)
+    join = tuple(tuple(by_up.get(a & b) for b in up) for a in up)
+    if any(None in row for row in meet + join):
+        for i, j in itertools.product(range(poset.n), repeat=2):
+            for kind, table in (("meet", meet), ("join", join)):
+                if table[i][j] is None:
+                    raise NotALattice(f"no {kind} for {labels[i]!r}, {labels[j]!r}")
+    full = (1 << poset.n) - 1
+    return FiniteLattice(poset, meet, join, by_up[full], by_down[full])
 
 
-def lattice_of(labels: Sequence[str], items: Sequence, leq) -> FiniteLattice:
-    """The lattice of ``items`` under the order ``leq(a, b)``, element i being items[i]."""
-    up = tuple(sum(1 << j for j, b in enumerate(items) if leq(a, b)) for a in items)
+def lattice_of(labels: Sequence[str], masks: Sequence[int]) -> FiniteLattice:
+    """The lattice of ``masks`` ordered by containment, element i being masks[i]."""
+    up = tuple(sum(1 << j for j, b in enumerate(masks) if not a & ~b) for a in masks)
     return as_lattice(FinitePoset(tuple(labels), up))
 
 
 def containment_lattice(labels: Sequence[str], masks: Sequence[int]) -> FiniteLattice:
     """Lattice of the given subsets of the labeled carrier, ordered by containment."""
-    return lattice_of([set_label(labels, m) for m in masks], masks, lambda a, b: a & ~b == 0)
+    return lattice_of([set_label(labels, m) for m in masks], masks)
 
 
 def lattice_from_covers(labels: Sequence[str], covers: Iterable[tuple[str, str]]) -> FiniteLattice:

@@ -10,8 +10,9 @@ Ideals are down-closed, join-closed subsets containing zero, stored as masks.
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -37,6 +38,10 @@ class OpSemilattice:
     operators: tuple[tuple[str, tuple[int, ...]], ...] = ()
 
     def __post_init__(self) -> None:
+        self._check_carrier()
+        self._check_operators()
+
+    def _check_carrier(self) -> None:
         n = len(self.labels)
         if n == 0:
             raise InvariantViolation("empty carrier")
@@ -61,9 +66,10 @@ class OpSemilattice:
             for j in range(n):
                 for k in range(n):
                     if jt[jt[i][j]][k] != jt[i][jt[j][k]]:
-                        raise InvariantViolation(
-                            f"join not associative at ({i}, {j}, {k})"
-                        )
+                        raise InvariantViolation(f"join not associative at ({i}, {j}, {k})")
+
+    def _check_operators(self) -> None:
+        n, jt = self.n, self.join_t
         seen = set()
         for name, images in self.operators:
             if name in seen:
@@ -98,31 +104,25 @@ class OpSemilattice:
 
     @cached_property
     def up(self) -> tuple[int, ...]:
-        rows = []
-        for i in range(self.n):
-            row = 0
-            for j in range(self.n):
-                if self.join_t[i][j] == j:
-                    row |= 1 << j
-            rows.append(row)
-        return tuple(rows)
+        return tuple(sum(1 << j for j, v in enumerate(row) if v == j) for row in self.join_t)
 
     @cached_property
     def down(self) -> tuple[int, ...]:
-        rows = [0] * self.n
-        for i in range(self.n):
-            for j in iter_bits(self.up[i]):
-                rows[j] |= 1 << i
-        return tuple(rows)
+        return tuple(sum(1 << i for i, row in enumerate(self.up) if row >> j & 1)
+                     for j in range(self.n))
 
     @cached_property
     def top(self) -> int:
         return self.join_all(range(self.n))
 
     @cached_property
+    def poset(self) -> FinitePoset:
+        return FinitePoset(self.labels, self.up)
+
+    @cached_property
     def lattice(self) -> FiniteLattice:
         """The lattice view; meets exist because the carrier is finite with a top."""
-        return as_lattice(FinitePoset(self.labels, self.up))
+        return as_lattice(self.poset)
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -130,19 +130,21 @@ class OpSemilattice:
 
     def reduct(self) -> "OpSemilattice":
         """The same semilattice with all operators removed."""
-        if not self.operators:
-            return self
-        return replace(self, operators=())
+        return self.with_operators(()) if self.operators else self
 
     def with_operators(self, operators: Sequence[tuple[str, Sequence[int]]]) -> "OpSemilattice":
+        """The same carrier with these operators; only the operators are checked.
+
+        The copy shares the carrier's cached order data (``up``, ``down``, ``poset``, ``lattice``).
+        """
+        out = copy.copy(self)
         ops = tuple((name, tuple(images)) for name, images in operators)
-        return replace(self, operators=ops)
+        object.__setattr__(out, "operators", ops)
+        out._check_operators()
+        return out
 
     def to_json(self) -> str:
-        covers = []
-        poset = FinitePoset(self.labels, self.up)
-        for i, j in poset.covers:
-            covers.append([self.labels[i], self.labels[j]])
+        covers = [[self.labels[i], self.labels[j]] for i, j in self.poset.covers]
         data: dict = {
             "elements": list(self.labels),
             "covers": covers,
@@ -315,48 +317,44 @@ def ideals(s: OpSemilattice, f_closed_only: bool = False) -> tuple[IdealSet, ...
 
 def join_irreducibles(s: OpSemilattice) -> tuple[int, ...]:
     """Elements with exactly one lower cover (zero excluded)."""
-    poset = FinitePoset(s.labels, s.up)
     lower_count = [0] * s.n
-    for _, j in poset.covers:
+    for _, j in s.poset.covers:
         lower_count[j] += 1
     return tuple(i for i in range(s.n) if i != s.zero and lower_count[i] == 1)
 
 
 def all_endomorphisms(s: OpSemilattice) -> tuple[tuple[int, ...], ...]:
-    """Every map with f(0) = 0 and f(x + y) = f(x) + f(y), in deterministic order.
+    """Every map with f(0) = 0 and f(x + y) = f(x) + f(y), sorted.
 
-    Candidates are generated by assigning images to the join-irreducible
-    elements and extending by joins, then verified on all pairs.
+    A backtracking search over a linear extension. Zero maps to zero; a
+    join-irreducible x with lower cover c may go anywhere above f(c); any
+    other x is the join of its lower covers, so f(x) is forced to the join of
+    f over them. Placing x checks f(a) + f(b) = f(x) for every pair a < b
+    with a + b = x, so each pair is checked once, when its join is placed,
+    and a branch reaches the last element exactly when f is an endomorphism.
     """
-    irr = join_irreducibles(s)
-    n = s.n
-    results = []
-    assign = [0] * len(irr)
+    n, jt, up = s.n, s.join_t, s.up
+    steps = []
+    for x in sorted(range(n), key=lambda x: popcount(s.down[x]))[1:]:
+        covers = [c for c, y in s.poset.covers if y == x]
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if jt[a][b] == x]
+        steps.append((x, covers, pairs))
+    f = [s.zero] * n
+    found = []
 
-    def derived_map() -> list[int]:
-        f = [s.zero] * n
-        for x in range(n):
-            acc = s.zero
-            for k, j in enumerate(irr):
-                if s.leq(j, x):
-                    acc = s.join_t[acc][assign[k]]
-            f[x] = acc
-        return f
-
-    def rec(k: int) -> None:
-        if k == len(irr):
-            f = derived_map()
-            for x in range(n):
-                fx = f[x]
-                for y in range(x, n):
-                    if f[s.join_t[x][y]] != s.join_t[fx][f[y]]:
-                        return
-            results.append(tuple(f))
+    def place(k: int) -> None:
+        if k == len(steps):
+            found.append(tuple(f))
             return
-        for v in range(n):
-            assign[k] = v
-            rec(k + 1)
+        x, covers, pairs = steps[k]
+        if len(covers) == 1:
+            values = iter_bits(up[f[covers[0]]])
+        else:
+            values = (s.join_all(f[c] for c in covers),)
+        for v in values:
+            f[x] = v
+            if all(jt[f[a]][f[b]] == v for a, b in pairs):
+                place(k + 1)
 
-    rec(0)
-    uniq = sorted(set(results))
-    return tuple(uniq)
+    place(0)
+    return tuple(sorted(found))

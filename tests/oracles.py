@@ -240,6 +240,16 @@ def oracle_eios(l: FiniteLattice) -> set[tuple[int, ...]]:
     return out
 
 
+def oracle_endomorphisms(s: OpSemilattice) -> list[tuple[int, ...]]:
+    """Every map f with f(0) = 0 and f(x + y) = f(x) + f(y), by a scan of all n^n maps, sorted."""
+    n = s.n
+    return [
+        f for f in itertools.product(range(n), repeat=n)
+        if f[s.zero] == s.zero
+        and all(f[s.join(x, y)] == s.join(f[x], f[y]) for x in range(n) for y in range(n))
+    ]
+
+
 def oracle_closed_sets(table, base: int = 0, rows=None, ground: int | None = None) -> list[int]:
     """Every mask with base <= mask <= ground closed under the table (and rows), ascending."""
     n = len(table)

@@ -49,8 +49,9 @@ def test_enumeration_has_no_isomorphic_pair():
 
 def test_enumeration_is_deterministic():
     first = [s.join_t for s in enumerate_semilattices(6)]
-    second = [s.join_t for s in enumerate_semilattices(6)]
+    second = [s.join_t for s in enumerate_semilattices.__wrapped__(6)]
     assert first == second
+    assert enumerate_semilattices(6) is enumerate_semilattices(6)
 
 
 # sha256 of repr([s.join_t for s in enumerate_semilattices(7)]): the order

@@ -43,12 +43,14 @@ def test_build_poset_rejects_unknown_label_and_cycle():
 
 
 def test_as_lattice_rejects_non_lattice():
-    p = build_poset(
-        ("a", "b", "c", "d"),
-        (("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")),
-    )
-    with pytest.raises(NotALattice):
-        as_lattice(p)
+    cases = [
+        (("a", "b", "c", "d"), (("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")), "no meet for 'a', 'b'"),
+        (("a", "b", "c", "d"), (("a", "b"), ("c", "d")), "no meet for 'a', 'c'"),
+        (("0", "a", "b"), (("0", "a"), ("0", "b")), "no join for 'a', 'b'"),
+    ]
+    for labels, covers, message in cases:
+        with pytest.raises(NotALattice, match=f"^{message}$"):
+            as_lattice(build_poset(labels, covers))
 
 
 def test_diamond_tables():

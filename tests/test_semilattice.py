@@ -1,13 +1,14 @@
 from __future__ import annotations
 
-import itertools
+import hashlib
 
 import pytest
 
 import oracles
 from eqlat.errors import InvariantViolation, NotJoinHomomorphism, ZeroNotPreserved
-from eqlat.corpus import boolean, chain, omega
+from eqlat.corpus import boolean, chain, enumerate_semilattices, omega
 from eqlat.semilattice import (
+    OpSemilattice,
     all_endomorphisms,
     from_join_table,
     from_lattice,
@@ -96,21 +97,18 @@ def test_operator_monoid_of_omega_is_the_power_chain():
     assert set(monoid) == powers
 
 
+def _reversed(s):
+    """The same semilattice with its indices reversed: zero last, no linear extension."""
+    r = [s.n - 1 - i for i in range(s.n)]
+    table = [[r[s.join_t[r[i]][r[j]]] for j in range(s.n)] for i in range(s.n)]
+    return from_join_table(s.labels[::-1], table, r[s.zero])
+
+
 def test_all_endomorphisms_against_direct_filter():
-    s = chain(2).structure
-    endos = set(all_endomorphisms(s))
-    brute = set()
-    for img in itertools.product(range(s.n), repeat=s.n):
-        if img[s.zero] != s.zero:
-            continue
-        if all(
-            img[s.join(x, y)] == s.join(img[x], img[y])
-            for x in range(s.n)
-            for y in range(s.n)
-        ):
-            brute.add(img)
-    assert endos == brute
-    assert len(endos) == 6
+    for s in enumerate_semilattices(5):
+        for t in (s, _reversed(s)):
+            assert all_endomorphisms(t) == tuple(oracles.oracle_endomorphisms(t))
+    assert len(all_endomorphisms(chain(2).structure)) == 6
 
 
 def test_json_round_trip_preserves_everything():
@@ -145,3 +143,38 @@ def test_reduct_drops_operators():
     s = omega(3).structure
     r = s.reduct()
     assert r.operators == () and r.join_t == s.join_t
+
+
+# sha256 of repr([all_endomorphisms(s) for s in enumerate_semilattices(7)]):
+# seeded catalog samples index into this order, so it must not drift.
+ENDOMORPHISM_DIGEST = "0d4a0429e58963f03123956c1a6608b1f8af9915436b854d0227c305254ca09d"
+
+
+def test_endomorphism_order_is_pinned():
+    found = [all_endomorphisms(s) for s in enumerate_semilattices(7)]
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == ENDOMORPHISM_DIGEST
+    assert sum(map(len, found)) == 23_436
+
+
+def test_decorations_equal_a_fully_validated_structure():
+    for s in enumerate_semilattices(4):
+        for f in all_endomorphisms(s):
+            ops = (("f", f),)
+            fresh = OpSemilattice(s.labels, s.join_t, s.zero, ops)
+            got = s.with_operators(ops)
+            assert got == fresh and hash(got) == hash(fresh)
+            assert (got.up, got.down, got.top) == (fresh.up, fresh.down, fresh.top)
+            assert got.reduct() == s and got.reduct().lattice == s.lattice
+
+
+def test_decorations_still_check_their_operators():
+    b2 = boolean(2).structure
+    with pytest.raises(ZeroNotPreserved):
+        b2.with_operators([("f", (1, 1, 1, 1))])
+    with pytest.raises(NotJoinHomomorphism):
+        b2.with_operators([("g", (0, 2, 1, 1))])
+    with pytest.raises(InvariantViolation, match="duplicate operator name 'f'"):
+        b2.with_operators([("f", (0, 1, 2, 3)), ("f", (0, 1, 2, 3))])
+    with pytest.raises(InvariantViolation, match="not a map on the carrier"):
+        b2.with_operators([("f", (0, 1, 2))])
+    assert b2.operators == ()
