@@ -26,7 +26,7 @@ import sys
 from .checks import SUITES, all_passed, run_suite
 from .congruence import all_congruences, eta, make_congruence, tau
 from .corpus import _BUILDERS, build_named, run_claims
-from .errors import EqlatError
+from .errors import EqlatError, UnknownLabel
 from .interior import check_axioms, enumerate_eios, normalize_map
 from .order import FiniteLattice, as_lattice, dot_hasse, json_label_map, poset_from_json
 from .semilattice import OpSemilattice, semilattice_from_json
@@ -77,7 +77,11 @@ def _cmd_con(args) -> int:
 def _cmd_eta_tau(args) -> int:
     s = _load_semilattice(args.file)
     idx = s.index
-    blocks = [[idx[lab] for lab in block] for block in _parse_blocks(args.congruence)]
+    blocks = _parse_blocks(args.congruence)
+    unknown = [lab for block in blocks for lab in block if lab not in idx]
+    if unknown:
+        raise UnknownLabel(f"unknown label {unknown[0]!r} in --congruence")
+    blocks = [[idx[lab] for lab in block] for block in blocks]
     theta = make_congruence(s, blocks)
     lo = eta(s, theta)
     hi = tau(s, theta)
@@ -223,7 +227,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (EqlatError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (EqlatError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

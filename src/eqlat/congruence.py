@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, InvariantViolation
@@ -205,10 +206,14 @@ class CongruenceLattice:
     def n(self) -> int:
         return len(self.congruences)
 
+    @cached_property
+    def _position(self) -> dict[tuple[int, ...], int]:
+        return {theta.rep: i for i, theta in enumerate(self.congruences)}
+
     def index_of(self, theta: Congruence) -> int:
         try:
-            return self.congruences.index(theta)
-        except ValueError:
+            return self._position[theta.rep]
+        except KeyError:
             raise InvariantViolation("congruence not in this lattice") from None
 
     def to_json(self) -> str:

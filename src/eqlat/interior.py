@@ -19,15 +19,17 @@ lattice. tau is always derived from h by fiber joins:
 * I9  for every nonempty family z_1..z_k and all x, c:
       h(x) <= c and meet tau(z_i) <= tau(c)
       imply h(h(x) v meet tau(x ^ z_i)) <= c
-      (decided exactly over the meet-closure of per-family states; a
-      closure past its fixed cap is reported as a skip, never as a pass)
+      (decided exactly over the meet-closure of per-family states, each
+      packed as one int of per-entry downsets so that a meet is one AND;
+      a closure past its fixed cap is reported as a skip, never as a pass)
 * dagger   tau(x) <= tau(c) and h(z) <= c imply h(h(z) v tau(x ^ z)) <= c
 * ddagger  h(h(z) v tau(x ^ z)) <= h(z) v tau(x)
 
 Maps passing I1 to I8 are enumerated through their images: such a map is
 x -> (largest member of a fixed join-closed image set below x), built in
 one pass from the lower covers. I2 is decided on cover pairs and I5 inside
-fibers, with the first witness of the full pair scans.
+fibers, with the first witness of the full pair scans; I6, dagger and
+ddagger scan rows of the meet and join tables.
 """
 
 from __future__ import annotations
@@ -218,17 +220,19 @@ def _fail_i5(m):
 
 
 def _fail_i6(m):
-    l, h = m.l, m.h
+    l, h, join, meet = m.l, m.h, m.l.join_table, m.l.meet_table
     reps: dict[int, int] = {}
     for x in range(l.n):
         reps.setdefault(h[x], x)
     for v, x in sorted(reps.items()):
+        jv = join[v]
         for y in range(l.n):
-            for z in range(l.n):
-                left = l.join(v, l.meet(y, z))
-                right = l.meet(l.join(v, y), l.join(v, z))
-                if left != right:
-                    return {"x": _lab(l, x), "y": _lab(l, y), "z": _lab(l, z)}
+            # Row y of both sides, over every z: v v (y ^ z) and (v v y) ^ (v v z).
+            left = list(map(jv.__getitem__, meet[y]))
+            right = list(map(meet[jv[y]].__getitem__, jv))
+            if left != right:
+                z = next(z for z in range(l.n) if left[z] != right[z])
+                return {"x": _lab(l, x), "y": _lab(l, y), "z": _lab(l, z)}
     return None
 
 
@@ -244,15 +248,17 @@ def _fail_i7(m):
 
 
 def _fail_dagger(m):
-    l, h, tau, tau_ge, up_mask = m.l, m.h, m.tau, m.tau_ge, m.l.up
+    l, h, tau, tau_ge, up = m.l, m.h, m.tau, m.tau_ge, m.l.up
+    join, meet = l.join_table, l.meet_table
     for xv in range(l.n):
         hypo_c = tau_ge[tau[xv]]
         if not hypo_c:
             continue
+        mx = meet[xv]
         best: tuple[int, int] | None = None
         for zv in range(l.n):
-            value = h[l.join(h[zv], tau[l.meet(xv, zv)])]
-            fails = hypo_c & up_mask[h[zv]] & ~up_mask[value]
+            hz = h[zv]
+            fails = hypo_c & up[hz] & ~up[h[join[hz][tau[mx[zv]]]]]
             if fails:
                 c0 = (fails & -fails).bit_length() - 1
                 if best is None or (c0, zv) < best:
@@ -264,12 +270,13 @@ def _fail_dagger(m):
 
 
 def _fail_ddagger(m):
-    l, h, tau = m.l, m.h, m.tau
+    l, h, tau, up = m.l, m.h, m.tau, m.l.up
+    join, meet = l.join_table, l.meet_table
     for xv in range(l.n):
+        mx, tx = meet[xv], tau[xv]
         for zv in range(l.n):
-            left = h[l.join(h[zv], tau[l.meet(xv, zv)])]
-            right = l.join(h[zv], tau[xv])
-            if not l.leq(left, right):
+            jz = join[h[zv]]
+            if not up[h[jz[tau[mx[zv]]]]] >> jz[tx] & 1:
                 return {"x": _lab(l, xv), "z": _lab(l, zv)}
     return None
 
@@ -279,15 +286,23 @@ def _fail_ddagger(m):
 _I9_STATE_CAP = 1 << 14
 
 
-def _i9_violation(m, state):
-    """(x, c) violating I9 for a family with this state, or None."""
-    l, h, up = m.l, m.h, m.l.up
-    hypo_c = m.tau_ge[state[l.top]]
+def _i9_violation(m, state, by_down):
+    """(x, c) violating I9 for a family with this packed state, or None.
+
+    Entry x of the state is the element whose downset is bits n*x to
+    n*x + n - 1; only the entries the test reaches are decoded.
+    """
+    l, h, up, join = m.l, m.h, m.l.up, m.l.join_table
+    n, full = l.n, (1 << l.n) - 1
+    hypo_c = m.tau_ge[by_down[state >> n * l.top & full]]
     if hypo_c:
-        for x in range(l.n):
-            fails = up[h[x]] & hypo_c & ~up[h[l.join(h[x], state[x])]]
-            if fails:
-                return x, (fails & -fails).bit_length() - 1
+        for x in range(n):
+            hx = h[x]
+            below = up[hx] & hypo_c
+            if below:
+                fails = below & ~up[h[join[hx][by_down[state >> n * x & full]]]]
+                if fails:
+                    return x, (fails & -fails).bit_length() - 1
     return None
 
 
@@ -298,20 +313,23 @@ def _check_i9(m) -> Verdict:
     s[x] = meet_i tau(x ^ z_i), whose entry at top is meet_i tau(z_i). The
     state is the componentwise meet of the generators g_e[x] = tau(x ^ e)
     of its members, so the states are the meet-closure of the n generators.
-    The closure is walked level by level in order of family size, so the
-    first failing state comes with a family of minimum size.
+    A state is packed as one int, the downset of s[x] in bits n*x onwards;
+    downsets of meets are intersections, so the componentwise meet is one
+    AND of two ints, and a state takes n^2 / 8 bytes. The closure is walked
+    level by level in order of family size, so the first failing state comes
+    with a family of minimum size.
     """
-    l, tau, meet = m.l, m.tau, m.l.meet_table
-    # bytes keep the state sets small but hold indices below 256 only.
-    pack = bytes if l.n <= 256 else tuple
-    gens = [pack([tau[meet[x][e]] for x in range(l.n)]) for e in range(l.n)]
-    seen: set = set()
-    level = [(pack([l.top] * l.n), ())]
+    l, tau, meet, down = m.l, m.tau, m.l.meet_table, m.l.down
+    n = l.n
+    by_down = {d: i for i, d in enumerate(down)}
+    gens = [sum(down[tau[meet[x][e]]] << n * x for x in range(n)) for e in range(n)]
+    seen: set[int] = set()
+    level = [((1 << n * n) - 1, ())]
     while level:
         next_level = []
         for state, family in level:
             for e, g in enumerate(gens):
-                new = pack([meet[a][b] for a, b in zip(state, g)])
+                new = state & g
                 if new in seen:
                     continue
                 seen.add(new)
@@ -319,7 +337,7 @@ def _check_i9(m) -> Verdict:
                     note = f"skipped: {len(seen)} family states exceed cap {_I9_STATE_CAP}"
                     return Verdict(None, None, note)
                 zs = tuple(sorted(family + (e,)))
-                bad = _i9_violation(m, new)
+                bad = _i9_violation(m, new, by_down)
                 if bad is not None:
                     x, c = bad
                     zs_labels = ",".join(_lab(l, z) for z in zs)
@@ -425,11 +443,17 @@ def natural_eta(s, conl) -> InteriorMap:
 
     if conl.semilattice != s:
         raise InvariantViolation("congruence lattice does not belong to this semilattice")
-    h = tuple(conl.index_of(cong_eta(s, theta)) for theta in conl.congruences)
-    im = InteriorMap(conl.lattice, h)
-    for i, theta in enumerate(conl.congruences):
-        expect = conl.index_of(cong_tau(s, theta))
-        if im.tau[i] != expect:
+    # eta and tau read only the 0-class, so each is computed once per class.
+    classes = [theta.zero_class_mask(s) for theta in conl.congruences]
+    eta_at: dict[int, int] = {}
+    tau_at: dict[int, int] = {}
+    for z, theta in zip(classes, conl.congruences):
+        if z not in eta_at:
+            eta_at[z] = conl.index_of(cong_eta(s, theta))
+            tau_at[z] = conl.index_of(cong_tau(s, theta))
+    im = InteriorMap(conl.lattice, tuple(eta_at[z] for z in classes))
+    for i, z in enumerate(classes):
+        if im.tau[i] != tau_at[z]:
             raise InvariantViolation(
                 f"derived tau disagrees with the greatest-congruence construction at index {i}"
             )

@@ -10,7 +10,6 @@ Ideals are down-closed, join-closed subsets containing zero, stored as masks.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,6 +25,8 @@ from .errors import (
 from .order import FiniteLattice, FinitePoset, as_lattice, iter_bits, json_list, popcount
 
 _MONOID_CAP = 10_000
+# The cached properties of OpSemilattice that read only the carrier.
+_CARRIER_DATA = ("up", "down", "top", "poset", "lattice", "index")
 
 
 @dataclass(frozen=True)
@@ -135,11 +136,14 @@ class OpSemilattice:
     def with_operators(self, operators: Sequence[tuple[str, Sequence[int]]]) -> "OpSemilattice":
         """The same carrier with these operators; only the operators are checked.
 
-        The copy shares the carrier's cached order data (``up``, ``down``, ``poset``, ``lattice``).
+        The copy shares the carrier's cached order data (``_CARRIER_DATA``)
+        and nothing else, so no operator-dependent value carries over.
         """
-        out = copy.copy(self)
+        out = object.__new__(OpSemilattice)
         ops = tuple((name, tuple(images)) for name, images in operators)
-        object.__setattr__(out, "operators", ops)
+        shared = {k: v for k, v in self.__dict__.items() if k in _CARRIER_DATA}
+        out.__dict__.update(shared, labels=self.labels, join_t=self.join_t, zero=self.zero,
+                            operators=ops)
         out._check_operators()
         return out
 

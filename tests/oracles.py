@@ -322,6 +322,32 @@ def oracle_first_i5_failure(l: FiniteLattice, h) -> dict[str, str] | None:
     return None
 
 
+def oracle_first_i6_failure(l: FiniteLattice, h) -> dict[str, str] | None:
+    """First (h(x), y, z) in index order with h(x) v (y ^ z) != (h(x) v y) ^ (h(x) v z).
+
+    Image values are tried in increasing order, each named by the least x
+    mapping to it; None if I6 holds.
+    """
+    for v in sorted(set(h)):
+        x = list(h).index(v)
+        for y in range(l.n):
+            for z in range(l.n):
+                if l.join(v, l.meet(y, z)) != l.meet(l.join(v, y), l.join(v, z)):
+                    return {"x": l.labels[x], "y": l.labels[y], "z": l.labels[z]}
+    return None
+
+
+def oracle_first_ddagger_failure(l: FiniteLattice, h) -> dict[str, str] | None:
+    """First (x, z) in index order with h(h(z) v tau(x ^ z)) not <= h(z) v tau(x); None if none."""
+    tau = _fiber_tau(l, h)
+    for x in range(l.n):
+        for z in range(l.n):
+            left = h[l.join(h[z], tau[l.meet(x, z)])]
+            if not l.leq(left, l.join(h[z], tau[x])):
+                return {"x": l.labels[x], "z": l.labels[z]}
+    return None
+
+
 def oracle_semilattice_count(n: int) -> int:
     """Isomorphism classes of n-element join-semilattices with zero, by full scan (n <= 4)."""
     assert n <= 4

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from eqlat import interior
 from eqlat.checks import (
@@ -101,6 +102,8 @@ def test_cli_eta_tau(b2_file, capsys):
 def test_cli_eta_tau_rejects_garbage_blocks(b2_file, capsys):
     assert main(["eta-tau", b2_file, "--congruence", "nonsense"]) == 2
     assert "error:" in capsys.readouterr().err
+    assert main(["eta-tau", b2_file, "--congruence", "[0][x]"]) == 2
+    assert "error: unknown label 'x' in --congruence" in capsys.readouterr().err
 
 
 def test_cli_check_axioms_pass_and_fail(b2_file, tmp_path, capsys):
@@ -230,3 +233,39 @@ def test_cli_missing_file_is_a_usage_error(capsys):
 def test_cli_usage_error_exit_code():
     assert main([]) == 2
     assert main(["bogus-subcommand"]) == 2
+
+
+_LABELS = ("0", "a", "b", "1", "q")
+_KEYS = ("elements", "covers", "joins", "zero", "operators", "map", "f")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats() | st.sampled_from(_LABELS),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(_KEYS + _LABELS), inner, max_size=5),
+    max_leaves=24,
+)
+_VALID = (
+    {"elements": ["0", "a", "b", "1"], "covers": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]]},
+    {"elements": ["0", "a", "1"], "covers": [["0", "a"], ["a", "1"]], "zero": "0",
+     "operators": {"f": ["0", "0", "a"]}},
+    {"map": {"0": "0", "a": "0", "b": "b", "1": "1"}},
+)
+
+
+@given(st.data())
+def test_cli_exit_codes_on_any_json(tmp_path_factory, data):
+    # Whatever the files hold, the CLI answers with an exit code, never a traceback.
+    folder = tmp_path_factory.mktemp("fuzz")
+    structure, map_file = folder / "structure.json", folder / "map.json"
+    for path in (structure, map_file):
+        path.write_text(json.dumps(data.draw(st.sampled_from(_VALID) | _JSON)))
+    blocks = data.draw(st.text(alphabet="[]0ab1q, ", max_size=10) | st.lists(
+        st.lists(st.sampled_from(_LABELS), max_size=4), max_size=4,
+    ).map(lambda bs: "".join("[" + ",".join(b) + "]" for b in bs)))
+    command = data.draw(st.sampled_from([
+        ["con", str(structure)],
+        ["eta-tau", str(structure), "--congruence", blocks],
+        ["check-axioms", str(structure), "--map", str(map_file)],
+        ["search-eio", str(structure)],
+        ["export", str(structure), "--format", data.draw(st.sampled_from(["dot", "json"]))],
+    ]))
+    assert main(command) in (0, 1, 2)

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from eqlat import interior
+from eqlat import checks, interior
 from eqlat.congruence import all_congruences, congruence_generated, eta, tau
 from eqlat.corpus import boolean, chain, enumerate_semilattices, omega
 from eqlat.errors import InvariantViolation, SearchBudgetExceeded
@@ -248,32 +250,55 @@ def test_i9_matches_the_oracle_on_drawn_decreasing_maps(data):
     _assert_i9_matches_oracle(l, h)
 
 
-def _assert_i2_i5_match_the_pair_scans(l, h):
+def _assert_witnesses_match_the_plain_scans(l, h):
     report = check_axioms(l, h)
     for name, oracle in (("I2", oracles.oracle_first_i2_failure),
-                         ("I5", oracles.oracle_first_i5_failure)):
+                         ("I5", oracles.oracle_first_i5_failure),
+                         ("I6", oracles.oracle_first_i6_failure),
+                         ("ddagger", oracles.oracle_first_ddagger_failure)):
         witness = oracle(l, h)
         assert report.verdict(name) == Verdict(witness is None, witness), (name, h)
+    return report
 
 
-def test_i2_i5_witnesses_match_the_pair_scans_on_image_maps():
-    # Image-induced maps are monotone, so I2 passes and I5 goes both ways.
+def test_witnesses_match_the_plain_scans_on_image_maps():
+    # Image-induced maps are monotone, so I2 passes; I5, I6 and ddagger go both ways.
     outcomes = set()
     for l in _LATTICES_UP_TO_6:
         for im in enumerate_eios(l, ("I1", "I2", "I3", "I4")):
-            _assert_i2_i5_match_the_pair_scans(l, im.h)
-            outcomes.add(oracles.oracle_first_i5_failure(l, im.h) is None)
-    assert outcomes == {True, False}
+            report = _assert_witnesses_match_the_plain_scans(l, im.h)
+            outcomes.update((name, report.verdict(name).passed) for name in ("I5", "I6", "ddagger"))
+    assert outcomes == {(name, ok) for name in ("I5", "I6", "ddagger") for ok in (True, False)}
 
 
 @given(st.data())
-def test_i2_i5_witnesses_match_the_pair_scans_on_drawn_maps(data):
+def test_witnesses_match_the_plain_scans_on_drawn_maps(data):
     for l in _LATTICES_UP_TO_6:
         if data.draw(st.booleans()):
             h = tuple(data.draw(st.integers(0, l.n - 1)) for _ in range(l.n))
         else:
             h = tuple(data.draw(st.sampled_from(list(iter_bits(l.down[x])))) for x in range(l.n))
-        _assert_i2_i5_match_the_pair_scans(l, h)
+        _assert_witnesses_match_the_plain_scans(l, h)
+
+
+# sha256 of the reports below, taken before the battery moved to table rows
+# and packed I9 states; it pins every verdict, witness and note.
+REPORT_DIGEST = "3262cc1cdd102da265a5d66ceafa27b89c691da7053555b05664a4fc48e3265f"
+
+
+def test_battery_reports_are_pinned():
+    reports = [report.to_json() for *_, report in checks._natural_reports(0)]
+    for k, s in enumerate(enumerate_semilattices(7)):
+        l = s.lattice
+        rng = random.Random(k)
+        for j in range(8):
+            if j % 2:
+                h = tuple(rng.randrange(l.n) for _ in range(l.n))
+            else:
+                h = tuple(rng.choice(list(iter_bits(l.down[x]))) for x in range(l.n))
+            reports.append(check_axioms(l, h).to_json())
+    assert len(reports) == 401 + 8 * 78
+    assert hashlib.sha256("\n".join(reports).encode()).hexdigest() == REPORT_DIGEST
 
 
 def test_i9_past_its_state_cap_is_a_skip_everywhere(monkeypatch):

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import pytest
 
 import oracles
+from eqlat.congruence import all_congruences, eta, tau
 from eqlat.errors import InvariantViolation, NotJoinHomomorphism, ZeroNotPreserved
 from eqlat.corpus import boolean, chain, enumerate_semilattices, omega
+from eqlat.interior import natural_eta
 from eqlat.semilattice import (
     OpSemilattice,
     all_endomorphisms,
@@ -178,3 +181,26 @@ def test_decorations_still_check_their_operators():
     with pytest.raises(InvariantViolation, match="not a map on the carrier"):
         b2.with_operators([("f", (0, 1, 2))])
     assert b2.operators == ()
+
+
+def test_decorations_share_only_carrier_data():
+    # Every cached value of the bare carrier exists before decorating, so a
+    # decoration that inherited an operator-dependent one would show here.
+    checked = 0
+    for s in enumerate_semilattices(4):
+        for name, attr in vars(OpSemilattice).items():
+            if isinstance(attr, functools.cached_property):
+                getattr(s, name)
+        for f in all_endomorphisms(s):
+            ops = (("f", f),)
+            got = s.with_operators(ops)
+            fresh = OpSemilattice(s.labels, s.join_t, s.zero, ops)
+            conl = all_congruences(got)
+            assert conl == all_congruences(fresh)
+            assert natural_eta(got, conl) == natural_eta(fresh, all_congruences(fresh))
+            for theta in conl.congruences:
+                lo, hi = eta(got, theta), tau(got, theta)
+                assert (lo, hi) == (eta(fresh, theta), tau(fresh, theta))
+                assert (lo.rep, hi.rep) == oracles.oracle_eta_tau(got, theta.zero_class_mask(got))
+                checked += 1
+    assert checked > 100
