@@ -13,7 +13,8 @@ Subcommands:
 * ``export TARGET``       emit a corpus structure or input file as DOT/JSON
 
 Exit codes: 0 all checks pass, 1 a check failed (JSON report on stdout),
-2 usage or input error (message on stderr).
+2 usage or input error (message on stderr), 3 internal error (traceback on
+stderr).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import argparse
 import json
 import re
 import sys
+import traceback
 
 from .checks import SUITES, all_passed, run_suite
 from .congruence import all_congruences, eta, make_congruence, tau
@@ -230,6 +232,9 @@ def main(argv=None) -> int:
     except (EqlatError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -10,8 +10,11 @@ The module also covers the two relation views of the congruence lattice:
 * ``don``: reflexive transitive compatible relations containing >=
 * ``eon``: compatible partial orders inside <= that are interval-closed
 
-with the four transforms between Con, Don and Eon, plus independent
-enumerations of all three families so bijectivity can be tested for real.
+with the four transforms between Con, Don and Eon. The congruences are
+enumerated once; ``all_don``/``all_eon`` and the generated relations are their
+images under these bijections (a R b iff a ~ a + b), so all three views share
+one engine and one cap. ``tests/oracles.py`` enumerates the relations
+independently.
 """
 
 from __future__ import annotations
@@ -452,115 +455,34 @@ def don_of_eon(s: OpSemilattice, rel: OrderedRelation) -> OrderedRelation:
     return OrderedRelation(tuple(rows), "don")
 
 
-def _closure_rows(
-    s: OpSemilattice, rows: list[int], interval: bool
-) -> tuple[int, ...]:
-    """Close rows under transitivity, compatibility and (optionally) intervals."""
-    n = s.n
-    jt = s.join_t
-    changed = True
-    while changed:
-        changed = False
-        for k in range(n):
-            for i in range(n):
-                if (rows[i] >> k) & 1 and rows[k] & ~rows[i]:
-                    rows[i] |= rows[k]
-                    changed = True
-        for x in range(n):
-            for y in iter_bits(rows[x]):
-                for z in range(n):
-                    t, b = jt[x][z], jt[y][z]
-                    if not (rows[t] >> b) & 1:
-                        rows[t] |= 1 << b
-                        changed = True
-                for _, images in s.operators:
-                    if not (rows[images[x]] >> images[y]) & 1:
-                        rows[images[x]] |= 1 << images[y]
-                        changed = True
-        if interval:
-            for x in range(n):
-                acc = rows[x]
-                for z in iter_bits(rows[x]):
-                    acc |= s.up[x] & s.down[z]
-                if acc != rows[x]:
-                    rows[x] = acc
-                    changed = True
-    return tuple(rows)
-
-
 def don_generated(s: OpSemilattice, pairs: Iterable[tuple[int, int]]) -> OrderedRelation:
-    rows = list(s.down)
-    for a, b in pairs:
-        rows[a] |= 1 << b
-    return OrderedRelation(_closure_rows(s, rows, interval=False), "don")
+    """Least don relation holding every pair; a R b iff a ~ a + b, so it is don_of Cg(a, a + b)."""
+    jt = s.join_t
+    return don_of(s, congruence_generated(s, [(a, jt[a][b]) for a, b in pairs]))
 
 
 def eon_generated(s: OpSemilattice, pairs: Iterable[tuple[int, int]]) -> OrderedRelation:
-    rows = [1 << x for x in range(s.n)]
-    for a, b in pairs:
-        if not s.leq(a, b):
-            raise InvariantViolation("eon generators must satisfy a <= b")
-        rows[a] |= 1 << b
-    return OrderedRelation(_closure_rows(s, rows, interval=True), "eon")
+    """Least eon relation holding every pair a <= b."""
+    pairs = list(pairs)
+    if not all(s.leq(a, b) for a, b in pairs):
+        raise InvariantViolation("eon generators must satisfy a <= b")
+    return eon_of_don(s, don_generated(s, pairs))
 
 
-def _all_relations(
-    s: OpSemilattice,
-    bottom: OrderedRelation,
-    principals: list[OrderedRelation],
-    interval: bool,
-    kind: str,
-) -> tuple[OrderedRelation, ...]:
-    seen = {bottom.rows} | {p.rows for p in principals}
-    if len(seen) > _CON_CAP:
-        raise BudgetExceeded(f"{kind} relations", _CON_CAP)
-    work = [p.rows for p in principals]
-    while work:
-        rows = work.pop()
-        for p in principals:
-            if all(b & ~a == 0 for a, b in zip(rows, p.rows)):
-                continue  # p already lies below rows
-            merged = [a | b for a, b in zip(rows, p.rows)]
-            closed = _closure_rows(s, merged, interval)
-            if closed not in seen:
-                seen.add(closed)
-                work.append(closed)
-                if len(seen) > _CON_CAP:
-                    raise BudgetExceeded(f"{kind} relations", _CON_CAP)
-    ordered = sorted(seen, key=lambda r: (sum(popcount(v) for v in r), r))
-    return tuple(OrderedRelation(r, kind) for r in ordered)
+def _by_size(relations: Iterable[OrderedRelation]) -> tuple[OrderedRelation, ...]:
+    return tuple(sorted(relations, key=lambda r: (r.pair_count(), r.rows)))
 
 
 def all_don(s: OpSemilattice) -> tuple[OrderedRelation, ...]:
-    """Every don relation, enumerated by join closure of principal relations."""
-    bottom = OrderedRelation(tuple(s.down), "don")
-    principals = []
-    seen = {bottom.rows}
-    for a in range(s.n):
-        for b in range(s.n):
-            if (s.down[a] >> b) & 1:
-                continue
-            p = don_generated(s, [(a, b)])
-            if p.rows not in seen:
-                seen.add(p.rows)
-                principals.append(p)
-    return _all_relations(s, bottom, principals, False, "don")
+    """Every don relation: the image of Con under ``don_of``, by pair count then rows."""
+    return _by_size(don_of(s, theta) for theta in all_congruences(s).congruences)
 
 
 def all_eon(s: OpSemilattice) -> tuple[OrderedRelation, ...]:
-    """Every eon relation, enumerated by join closure of principal relations."""
-    bottom = OrderedRelation(tuple(1 << x for x in range(s.n)), "eon")
-    principals = []
-    seen = {bottom.rows}
-    for a in range(s.n):
-        for b in iter_bits(s.up[a]):
-            if a == b:
-                continue
-            p = eon_generated(s, [(a, b)])
-            if p.rows not in seen:
-                seen.add(p.rows)
-                principals.append(p)
-    return _all_relations(s, bottom, principals, True, "eon")
+    """Every eon relation: the image of Con under ``eon_of_don . don_of``, same order."""
+    return _by_size(
+        eon_of_don(s, don_of(s, theta)) for theta in all_congruences(s).congruences
+    )
 
 
 def quotient(s: OpSemilattice, theta: Congruence) -> OpSemilattice:

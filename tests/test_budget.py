@@ -37,11 +37,10 @@ _B2 = boolean(2).structure
 CAPPED_SEARCHES = [
     pytest.param(congruence, "_CON_CAP", lambda: all_congruences(_B2), 7, "congruences",
                  id="all_congruences"),
-    # On a 3-chain every nonzero don/eon relation is principal, so the cap
-    # must hold before any join is taken.
-    pytest.param(congruence, "_CON_CAP", lambda: all_don(chain(2).structure), 4, "don relations",
+    # The relation views are images of Con and inherit its cap.
+    pytest.param(congruence, "_CON_CAP", lambda: all_don(chain(2).structure), 4, "congruences",
                  id="all_don"),
-    pytest.param(congruence, "_CON_CAP", lambda: all_eon(chain(2).structure), 4, "eon relations",
+    pytest.param(congruence, "_CON_CAP", lambda: all_eon(chain(2).structure), 4, "congruences",
                  id="all_eon"),
     pytest.param(semilattice, "_MONOID_CAP", lambda: operator_monoid(omega(3).structure), 4,
                  "monoid maps", id="operator_monoid"),

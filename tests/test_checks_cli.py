@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from eqlat import interior
+from eqlat import cli, interior
 from eqlat.checks import (
     SUITES,
     _axiom_outcome,
@@ -233,6 +233,16 @@ def test_cli_missing_file_is_a_usage_error(capsys):
 def test_cli_usage_error_exit_code():
     assert main([]) == 2
     assert main(["bogus-subcommand"]) == 2
+
+
+def test_cli_internal_error_exit_code(monkeypatch, capsys):
+    def broken(args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "_cmd_con", broken)
+    assert main(["con", "any.json"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "KeyError: 'bug'" in err
 
 
 _LABELS = ("0", "a", "b", "1", "q")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -178,16 +179,33 @@ def test_equa_partition_intervals_are_disjoint_and_cover(small_semilattices):
                 assert lo.refines(theta) and theta.refines(hi)
 
 
-def test_don_enumeration_matches_relation_scan():
-    for s in [chain(2).structure, boolean(2).structure, omega(2).structure]:
-        got = {r.rows for r in all_don(s)}
-        assert got == oracles.oracle_don(s)
+def _relation_scan_pool(tiny_semilattices):
+    """The tiny pool plus every one- and two-operator decoration up to 3 elements."""
+    decorated = list(itertools.chain(_decorations(3, 1), _decorations(3, 2)))
+    assert len(decorated) == 9 + 41
+    return list(tiny_semilattices) + decorated
 
 
-def test_eon_enumeration_matches_relation_scan():
-    for s in [chain(2).structure, boolean(2).structure, omega(2).structure]:
-        got = {r.rows for r in all_eon(s)}
-        assert got == oracles.oracle_eon(s)
+def test_don_enumeration_matches_relation_scan(tiny_semilattices):
+    for s in _relation_scan_pool(tiny_semilattices):
+        got = [r.rows for r in all_don(s)]
+        assert len(got) == len(set(got)) and set(got) == oracles.oracle_don(s)
+
+
+def test_eon_enumeration_matches_relation_scan(tiny_semilattices):
+    for s in _relation_scan_pool(tiny_semilattices):
+        got = [r.rows for r in all_eon(s)]
+        assert len(got) == len(set(got)) and set(got) == oracles.oracle_eon(s)
+
+
+def test_relation_views_are_pinned():
+    # Digest of both views, in order, on every carrier up to 6 elements and
+    # the predecessor chains omega(1..6).
+    pool = list(enumerate_semilattices(6)) + [omega(n).structure for n in range(1, 7)]
+    views = [(tuple(d.rows for d in all_don(s)), tuple(e.rows for e in all_eon(s))) for s in pool]
+    assert hashlib.sha256(repr(views).encode()).hexdigest() == (
+        "600a7b8a76953c8d89058980f64807baacd2b7697de388b1f0753d7f4f9064e8"
+    )
 
 
 def test_con_don_eon_round_trips(small_semilattices):
@@ -205,21 +223,36 @@ def test_con_don_eon_round_trips(small_semilattices):
             assert eon_of_don(s, don_of_eon(s, e)).rows == e.rows
 
 
-def test_generated_relations_are_least(small_semilattices):
-    for s in small_semilattices:
-        dons = all_don(s)
-        eons = all_eon(s)
-        for x in range(s.n):
-            for y in range(s.n):
-                g = don_generated(s, [(x, y)])
-                above = [d for d in dons if d.holds(x, y)]
-                assert all(d.contains(g) for d in above) and g.rows in {
-                    d.rows for d in above
-                }
-                if s.leq(x, y):
-                    ge = eon_generated(s, [(x, y)])
-                    above_e = [e for e in eons if e.holds(x, y)]
-                    assert all(e.contains(ge) for e in above_e)
+def _oracle_least(universe, pairs):
+    above = [r for r in universe if all((r[a] >> b) & 1 for a, b in pairs)]
+    least = [r for r in above if all(all(x & ~y == 0 for x, y in zip(r, o)) for o in above)]
+    assert len(least) == 1
+    return least[0]
+
+
+def test_generated_relations_are_least(tiny_semilattices):
+    # The empty set and every one- and two-pair generator set, against the
+    # relation-scan oracles.
+    sets = 0
+    for s in tiny_semilattices:
+        dons, eons = oracles.oracle_don(s), oracles.oracle_eon(s)
+        don_pairs = list(itertools.product(range(s.n), repeat=2))
+        eon_pairs = [(a, b) for a, b in don_pairs if s.leq(a, b)]
+        for size in (0, 1, 2):
+            for pairs in itertools.combinations(don_pairs, size):
+                assert don_generated(s, pairs).rows == _oracle_least(dons, pairs)
+                sets += 1
+            for pairs in itertools.combinations(eon_pairs, size):
+                assert eon_generated(s, pairs).rows == _oracle_least(eons, pairs)
+                sets += 1
+    assert sets == 2 * len(tiny_semilattices) + 647
+
+
+def test_eon_generators_must_lie_in_the_order():
+    s = chain(2).structure
+    assert eon_generated(s, [(0, 2)]).holds(0, 1)
+    with pytest.raises(InvariantViolation, match="a <= b"):
+        eon_generated(s, [(0, 1), (2, 1)])
 
 
 def test_quotient_by_congruence():
