@@ -46,10 +46,11 @@ class Congruence:
         return self.rep[x] == self.rep[y]
 
     def classes(self) -> tuple[tuple[int, ...], ...]:
+        """Blocks in order of least member, grouped in one pass: a block starts at its rep."""
         by_rep: dict[int, list[int]] = {}
         for i, r in enumerate(self.rep):
             by_rep.setdefault(r, []).append(i)
-        return tuple(tuple(v) for _, v in sorted(by_rep.items()))
+        return tuple(map(tuple, by_rep.values()))
 
     @property
     def block_count(self) -> int:
@@ -88,10 +89,7 @@ class Congruence:
         return Congruence(tuple(rep))
 
     def block_string(self, s: OpSemilattice) -> str:
-        parts = []
-        for cls in self.classes():
-            parts.append("[" + " ".join(s.labels[i] for i in cls) + "]")
-        return "".join(parts)
+        return "".join("[" + " ".join(s.labels[i] for i in cls) + "]" for cls in self.classes())
 
     def block_lists(self, s: OpSemilattice) -> list[list[str]]:
         return [[s.labels[i] for i in cls] for cls in self.classes()]
@@ -138,45 +136,56 @@ def make_congruence(
     return theta
 
 
+def _union(parent: list[int], a: int, b: int) -> bool:
+    """Merge the blocks of a and b in a union-find forest; False if already one block.
+
+    Links point to smaller indices (a rep vector's do; a union hangs the larger
+    root under the smaller), so roots are least members and ``_roots`` is one pass.
+    """
+    while parent[a] != a:
+        parent[a] = a = parent[parent[a]]  # path halving
+    while parent[b] != b:
+        parent[b] = b = parent[parent[b]]
+    if a == b:
+        return False
+    parent[max(a, b)] = min(a, b)
+    return True
+
+
+def _roots(parent: list[int]) -> tuple[int, ...]:
+    for x, p in enumerate(parent):
+        parent[x] = parent[p]
+    return tuple(parent)
+
+
 def _extend(s: OpSemilattice, rep: Sequence[int], pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     """The rep vector of the least congruence above ``rep`` relating every pair.
 
-    ``rep`` is a congruence's rep vector (``range(n)`` for the identity), read
-    as a union-find forest of depth one whose roots are least block members.
-    A union hangs the larger root under the smaller, so roots stay least
-    members. The blocks of ``rep`` are already compatible, so only the pairs
-    that merge two blocks are pushed through the join table and the operators.
+    ``rep`` is a congruence's rep vector (``range(n)`` for the identity). Its
+    blocks are already compatible, so only the pairs that merge two blocks
+    are pushed through the join table and the operators.
     """
     parent = list(rep)
     jt = s.join_t
     ops = [images for _, images in s.operators]
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    queue: list[tuple[int, int]] = []
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            queue.append((a, b))
-
-    for a, b in pairs:
-        union(a, b)
+    queue = [(a, b) for a, b in pairs if _union(parent, a, b)]
     while queue:
         a, b = queue.pop()
         for x, y in zip(jt[a], jt[b]):
-            if x != y:
-                union(x, y)
+            if x != y and _union(parent, x, y):
+                queue.append((x, y))
         for images in ops:
-            union(images[a], images[b])
-    return tuple(find(x) for x in range(len(parent)))
+            if _union(parent, images[a], images[b]):
+                queue.append((images[a], images[b]))
+    return _roots(parent)
+
+
+def _join(rep: Sequence[int], pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The rep vector of the partition join of ``rep`` with the blocks the pairs span."""
+    parent = list(rep)
+    for a, b in pairs:
+        _union(parent, a, b)
+    return _roots(parent)
 
 
 def congruence_generated(s: OpSemilattice, pairs: Iterable[tuple[int, int]]) -> Congruence:
@@ -185,7 +194,12 @@ def congruence_generated(s: OpSemilattice, pairs: Iterable[tuple[int, int]]) -> 
 
 
 def join_congruences(s: OpSemilattice, a: Congruence, b: Congruence) -> Congruence:
-    return Congruence(_extend(s, a.rep, [(r, i) for i, r in enumerate(b.rep) if r != i]))
+    """The join of a and b as partitions: Con is a sublattice of Eq.
+
+    If x = z0, z1, ..., zk = y alternate a- and b-related steps, so do
+    z0 + w, ..., zk + w and f(z0), ..., f(zk); the partition join is compatible.
+    """
+    return Congruence(_join(a.rep, [(r, i) for i, r in enumerate(b.rep) if r != i]))
 
 
 def meet_congruences(a: Congruence, b: Congruence) -> Congruence:
@@ -239,8 +253,11 @@ def all_congruences(s: OpSemilattice) -> CongruenceLattice:
     along any maximal chain from a to b, and an incomparable pair reduces to
     (a, a + b) and (b, a + b). The principals of the cover pairs therefore
     generate Con under joins; one generator pair is kept per distinct
-    principal. Each congruence found is extended by one generator pair at a
-    time, skipping the pairs it already relates (that principal is below it).
+    principal, with the principal's non-root pairs. Each congruence found is
+    joined with one generator at a time as partitions (see
+    ``join_congruences``), skipping the generators it already relates.
+    Every congruence is thus the join of the generators it relates, so
+    theta <= phi iff G(theta) is inside G(phi): those bit masks give the order.
     Raises BudgetExceeded exactly when there are more than ``_CON_CAP``.
     """
     delta = tuple(range(s.n))
@@ -250,23 +267,27 @@ def all_congruences(s: OpSemilattice) -> CongruenceLattice:
         p = congruence_generated(s, [(a, b)]).rep
         if p not in seen:
             seen.add(p)
-            generators.append((a, b))
+            generators.append((a, b, [(r, i) for i, r in enumerate(p) if r != i]))
     if len(seen) > _CON_CAP:
         raise BudgetExceeded("congruences", _CON_CAP)
+    masks = {delta: 0}
     work = list(seen - {delta})
     while work:
         rep = work.pop()
-        for a, b in generators:
+        mask = 0
+        for k, (a, b, pairs) in enumerate(generators):
             if rep[a] == rep[b]:
+                mask |= 1 << k
                 continue
-            j = _extend(s, rep, [(a, b)])
+            j = _join(rep, pairs)
             if j not in seen:
                 seen.add(j)
                 work.append(j)
                 if len(seen) > _CON_CAP:
                     raise BudgetExceeded("congruences", _CON_CAP)
+        masks[rep] = mask
     ordered = sorted((Congruence(r) for r in seen), key=lambda c: (-c.block_count, c.rep))
-    lattice = lattice_of([c.block_string(s) for c in ordered], [c.pair_mask for c in ordered])
+    lattice = lattice_of([c.block_string(s) for c in ordered], [masks[c.rep] for c in ordered])
     return CongruenceLattice(s, tuple(ordered), lattice)
 
 
@@ -328,19 +349,15 @@ def tau(s: OpSemilattice, theta) -> Congruence:
     """
     mask = _as_ideal_mask(s, theta)
     _require_operator_closed(s, mask)
-    monoid = operator_monoid(s)
-    sig: dict[int, int] = {}
-    for x in range(s.n):
-        v = 0
-        for k, h in enumerate(monoid):
-            if (mask >> h[x]) & 1:
-                v |= 1 << k
-        sig[x] = v
-    first: dict[int, int] = {}
-    rep = []
-    for x in range(s.n):
-        rep.append(first.setdefault(sig[x], x))
-    return Congruence(tuple(rep))
+    return _tau(s, mask, operator_monoid(s))
+
+
+def _tau(s: OpSemilattice, mask: int, monoid: Sequence[Sequence[int]]) -> Congruence:
+    """``tau`` of an operator-closed 0-class mask, given ``operator_monoid(s)``."""
+    first: dict[tuple[int, ...], int] = {}
+    return Congruence(tuple(
+        first.setdefault(tuple((mask >> h[x]) & 1 for h in monoid), x) for x in range(s.n)
+    ))
 
 
 @dataclass(frozen=True)
@@ -479,9 +496,13 @@ def all_don(s: OpSemilattice) -> tuple[OrderedRelation, ...]:
 
 
 def all_eon(s: OpSemilattice) -> tuple[OrderedRelation, ...]:
-    """Every eon relation: the image of Con under ``eon_of_don . don_of``, same order."""
+    """Every eon relation: the image of Con under ``eon_of_don . don_of``, same order.
+
+    Each ``don_of`` image is valid by construction, so its rows are met with <= directly.
+    """
     return _by_size(
-        eon_of_don(s, don_of(s, theta)) for theta in all_congruences(s).congruences
+        OrderedRelation(tuple(r & u for r, u in zip(don_of(s, theta).rows, s.up)), "eon")
+        for theta in all_congruences(s).congruences
     )
 
 

@@ -439,18 +439,21 @@ def natural_eta(s, conl) -> InteriorMap:
     Each congruence is sent to the least congruence sharing its 0-class; the
     derived tau is verified to agree with the greatest-congruence companion.
     """
-    from .congruence import eta as cong_eta, tau as cong_tau
+    from .congruence import _tau, eta as cong_eta
+    from .semilattice import operator_monoid
 
     if conl.semilattice != s:
         raise InvariantViolation("congruence lattice does not belong to this semilattice")
-    # eta and tau read only the 0-class, so each is computed once per class.
+    # eta and tau read only the 0-class, so each is computed once per class;
+    # the operator monoid tau reads is built once per structure.
+    monoid = operator_monoid(s)
     classes = [theta.zero_class_mask(s) for theta in conl.congruences]
     eta_at: dict[int, int] = {}
     tau_at: dict[int, int] = {}
     for z, theta in zip(classes, conl.congruences):
         if z not in eta_at:
             eta_at[z] = conl.index_of(cong_eta(s, theta))
-            tau_at[z] = conl.index_of(cong_tau(s, theta))
+            tau_at[z] = conl.index_of(_tau(s, z, monoid))
     im = InteriorMap(conl.lattice, tuple(eta_at[z] for z in classes))
     for i, z in enumerate(classes):
         if im.tau[i] != tau_at[z]:

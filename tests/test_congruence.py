@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from eqlat import congruence
+from eqlat.checks import catalog_for_acceptance
 from eqlat.congruence import (
     Congruence,
     all_congruences,
@@ -86,12 +87,30 @@ def test_known_congruence_counts():
         assert len(all_congruences(chain(n).structure).congruences) == 2**n
 
 
-def test_congruence_lattice_order_is_refinement():
-    conl = all_congruences(boolean(2).structure)
-    lat = conl.lattice
-    for i, a in enumerate(conl.congruences):
-        for j, b in enumerate(conl.congruences):
-            assert lat.leq(i, j) == a.refines(b)
+def test_congruence_lattice_order_is_refinement(tiny_semilattices):
+    # tiny_semilattices includes omega(3).
+    for s in itertools.chain(tiny_semilattices, _decorations(4, 1)):
+        conl = all_congruences(s)
+        lat = conl.lattice
+        for i, a in enumerate(conl.congruences):
+            for j, b in enumerate(conl.congruences):
+                assert lat.leq(i, j) == a.refines(b)
+
+
+def test_con_lattices_are_pinned():
+    # Digest of reps, labels, order and tables on the seed-0 acceptance
+    # catalog and every carrier up to 6 elements, taken before Con joins
+    # became partition joins and its order generator-set containment.
+    pool = [s for _, s in catalog_for_acceptance(0)] + list(enumerate_semilattices(6))
+    data = []
+    for s in pool:
+        conl = all_congruences(s)
+        lat = conl.lattice
+        reps = tuple(theta.rep for theta in conl.congruences)
+        data.append((reps, lat.labels, lat.up, lat.meet_table, lat.join_table))
+    assert hashlib.sha256(repr(data).encode()).hexdigest() == (
+        "f02f9a9f67a6730e6c6bb726fab42798972bbd0d77c8f428fcb7f7745382c0c0"
+    )
 
 
 def test_make_congruence_rejects_incompatible_partition():
@@ -339,29 +358,34 @@ def test_cover_principals_reach_the_cap_exactly(monkeypatch):
         all_congruences(s)
 
 
-def _count_extend(monkeypatch) -> list:
+def _count_calls(monkeypatch, name: str = "_extend") -> list:
     calls: list = []
-    real = congruence._extend
+    real = getattr(congruence, name)
 
-    def counting(s, rep, pairs):
-        calls.append(rep)
-        return real(s, rep, pairs)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(congruence, "_extend", counting)
+    monkeypatch.setattr(congruence, name, counting)
     return calls
 
 
 def test_con_enumeration_work_is_bounded(monkeypatch):
+    # One propagating _extend per cover pair (the principals); every further
+    # congruence comes from a partition join with a generator, at most one
+    # per (congruence, generator).
     s = boolean(3).structure
     covers = _cover_pairs(s)
     generators = {congruence_generated(s, [p]).rep for p in covers}
     size = len(oracles.oracle_congruences(s))
-    calls = _count_extend(monkeypatch)
+    calls = _count_calls(monkeypatch)
+    joins = _count_calls(monkeypatch, "_join")
     assert len(all_congruences(s).congruences) == size
-    assert len(calls) <= len(covers) + size * len(generators)
+    assert len(calls) == len(covers)
+    assert 0 < len(joins) <= size * len(generators)
 
 
 def test_is_simple_stops_at_the_first_proper_cover_principal(monkeypatch):
-    calls = _count_extend(monkeypatch)
+    calls = _count_calls(monkeypatch)
     assert not is_simple(chain(3).structure)
     assert len(calls) == 1

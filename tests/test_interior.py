@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from eqlat import checks, interior
+from eqlat import checks, congruence, interior, semilattice
 from eqlat.congruence import all_congruences, congruence_generated, eta, tau
 from eqlat.corpus import boolean, chain, enumerate_semilattices, omega
 from eqlat.errors import InvariantViolation, SearchBudgetExceeded
@@ -190,6 +190,24 @@ def test_natural_map_tau_matches_congruence_tau(small_semilattices):
             expected = conl.index_of(tau(s, theta))
             assert im.tau[i] == expected
             assert im.apply(i) == conl.index_of(eta(s, theta))
+
+
+def test_natural_map_builds_the_operator_monoid_once(monkeypatch):
+    s = omega(3).structure
+    conl = all_congruences(s)
+    assert len({theta.zero_class_mask(s) for theta in conl.congruences}) >= 2
+    calls = []
+    real = semilattice.operator_monoid
+
+    def counting(t):
+        calls.append(t)
+        return real(t)
+
+    for module in (semilattice, congruence, interior):
+        if getattr(module, "operator_monoid", None) is real:
+            monkeypatch.setattr(module, "operator_monoid", counting)
+    natural_eta(s, conl)
+    assert len(calls) == 1
 
 
 def test_natural_map_passes_the_full_battery_on_small_carriers():
