@@ -116,7 +116,7 @@ def _evaluate_claim(entry: CorpusEntry, op: str, memo: dict):
     if op in ("eio_count", "eio_label_maps", "eio_i9_all"):
         lat = _as_finite_lattice(st)
         cap = _EVIDENCE_CAP if entry.truncated else None
-        eios = _once(memo, "eios", lambda: enumerate_eios(lat, max_subsets=cap))
+        eios = _once(memo, "eios", lambda: enumerate_eios(lat, max_nodes=cap))
         if op == "eio_count":
             return len(eios)
         if op == "eio_label_maps":
@@ -143,8 +143,8 @@ def _evaluate_claim(entry: CorpusEntry, op: str, memo: dict):
 
 
 # Truncations can be large: their interior-map searches get this cap on
-# image sets instead of enumerate_eios' default, and a blown cap is reported
-# as a skipped search, not an error.
+# search nodes instead of enumerate_eios' default, and a blown cap is
+# reported as a skipped search, not an error.
 _EVIDENCE_CAP = 1 << 14
 
 

@@ -25,11 +25,12 @@ lattice. tau is always derived from h by fiber joins:
 * dagger   tau(x) <= tau(c) and h(z) <= c imply h(h(z) v tau(x ^ z)) <= c
 * ddagger  h(h(z) v tau(x ^ z)) <= h(z) v tau(x)
 
-Maps passing I1 to I8 are enumerated through their images: such a map is
-x -> (largest member of a fixed join-closed image set below x), built in
-one pass from the lower covers. I2 is decided on cover pairs and I5 inside
-fibers, with the first witness of the full pair scans; I6, dagger and
-ddagger scan rows of the meet and join tables.
+Maps passing I1 to I8 are enumerated by a depth-first search over a linear
+extension that decides which elements enter the image, pruned on I5 and,
+with I6, letting only distributive elements in; it counts its nodes against
+a cap. In the battery, I2 is decided on cover pairs and I5 inside fibers,
+with the first witness of the full pair scans; I6, dagger and ddagger scan
+rows of the meet and join tables.
 """
 
 from __future__ import annotations
@@ -40,11 +41,11 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceeded, InvariantViolation
-from .order import FiniteLattice, closed_sets, iter_bits, popcount
+from .order import FiniteLattice, iter_bits, popcount
 
 DEFAULT_EIO_AXIOMS = frozenset({"I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8"})
-# Default cap of enumerate_eios on its image sets.
-_EIO_IMAGE_CAP = 1 << 20
+# Default cap of enumerate_eios on its search nodes.
+_EIO_NODE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -372,9 +373,10 @@ _AXIOMS = {
 }
 AXIOM_NAMES = tuple(_AXIOMS)
 _BASIC_AXIOMS = ("I1", "I2", "I3", "I4")
-# An image-induced map satisfies I1 to I4, its image is the join-closed
-# image set itself (I7), and I8 reduces to I4.
-_IMPLIED_BY_IMAGE = frozenset(_BASIC_AXIOMS + ("I7", "I8"))
+# A map of the interior-map search satisfies I1 to I4, its image is
+# join-closed (I7), I8 reduces to I4, and I5 and I6 prune the search when
+# they are selected.
+_DECIDED_BY_SEARCH = frozenset(_BASIC_AXIOMS + ("I5", "I6", "I7", "I8"))
 
 
 def check_axioms(l: FiniteLattice, h) -> AxiomReport:
@@ -466,8 +468,9 @@ def natural_eta(s, conl) -> InteriorMap:
 def _distributive_elements(l: FiniteLattice) -> int:
     """Mask of every d with d v (y ^ z) = (d v y) ^ (d v z) for all y, z.
 
-    These are the points an I6 image may use, and they are closed under
-    joins: (d v e) v (y ^ z) = d v ((e v y) ^ (e v z)) = (d v e v y) ^ (d v e v z).
+    These are the points an I6 image may use. They are closed under joins,
+    (d v e) v (y ^ z) = d v ((e v y) ^ (e v z)) = (d v e v y) ^ (d v e v z),
+    so an element the interior-map search forces into the image is one too.
     """
     join, meet = l.join_table, l.meet_table
     mask = 0
@@ -478,25 +481,80 @@ def _distributive_elements(l: FiniteLattice) -> int:
     return mask
 
 
+def _search_maps(l: FiniteLattice, i5: bool, i6: bool, cap: int) -> list[tuple[int, ...]]:
+    """Every map passing I1 to I4 and I7 (and I5, I6 when asked), by image mask.
+
+    A depth-first search over a linear extension, on an explicit stack. At
+    each x, v is the join of h over the lower covers of x (x itself at the
+    bottom). When v = x, x is forced into the image, which keeps the image
+    join-closed; the top is always in it (I4). Otherwise h(x) is v, or x
+    when x may enter the image: with I6 only a distributive x may. With I5
+    the incomparable pairs y, z with y v z = x are tested as x is placed:
+    h(y) = h(z) must equal h(x), and as h(y) <= y < x that means h(x) = v.
+    A branch reaches the last element exactly when its map passes. The root
+    and every placement are search nodes; more than ``cap`` of them raise
+    BudgetExceeded.
+    """
+    n, join, top = l.n, l.join_table, l.top
+    free = _distributive_elements(l) if i6 else (1 << n) - 1
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    if i5:
+        for y in range(n):
+            comparable = l.up[y] | l.down[y]
+            for z in range(y + 1, n):
+                if not comparable >> z & 1:
+                    pairs[join[y][z]].append((y, z))
+    order = sorted(range(n), key=lambda x: l.down[x].bit_count())
+    steps = []
+    for x in order:
+        first, *rest = [lo for lo, hi in l.poset.covers if hi == x] or [x]
+        steps.append((x, first, rest, pairs[x]))
+    h = list(range(n))
+    found = []
+    nodes = 0
+    # (elements placed, value of the last one); the root places none.
+    stack: list[tuple[int, int]] = [(0, 0)]
+    while stack:
+        k, val = stack.pop()
+        nodes += 1
+        if nodes > cap:
+            raise BudgetExceeded("search nodes", cap)
+        if k:
+            h[order[k - 1]] = val
+        if k == n:
+            found.append((sum(1 << v for v in set(h)), tuple(h)))
+            continue
+        x, first, rest, yz = steps[k]
+        v = h[first]
+        for c in rest:
+            v = join[v][h[c]]
+        tied = {h[y] for y, z in yz if h[y] == h[z]}
+        if v == x or x == top:
+            options = () if tied else (x,)
+        elif tied:
+            options = (v,) if tied == {v} else ()
+        else:
+            options = (v, x) if free >> x & 1 else (v,)
+        stack.extend((k + 1, o) for o in options)
+    return [h for _, h in sorted(found)]
+
+
 def enumerate_eios(
     l: FiniteLattice,
     axioms: Iterable[str] | None = None,
-    max_subsets: int | None = None,
+    max_nodes: int | None = None,
 ) -> tuple[InteriorMap, ...]:
     """All interior maps on ``l`` passing the selected axioms (default I1 to I8).
 
-    Search space: join-closed image sets containing bottom and top, each
-    inducing h(x) = largest image member below x. That parameterization is
-    complete for maps satisfying I1 to I4, which must be in the selection;
-    only the selected axioms it does not already guarantee are checked.
-    Each map is built in one pass over a linear extension: h(x) = x on the
-    image, else the join of h over the lower covers of x.
-    With I6 selected the image sets are drawn from the distributive
-    elements only, which is exactly what I6 asks of an image. Maps come in
-    the order of their image masks. Raises BudgetExceeded when more than
-    ``max_subsets`` (default ``_EIO_IMAGE_CAP``) image sets exist (they are
-    counted before any map is built), or when I9 is selected and skipped on
-    its state cap for some candidate.
+    Maps passing I1 to I4 are exactly x -> (largest image member below x)
+    for the join-closed image sets holding the top, so I1 to I4 must be in
+    the selection. ``_search_maps`` finds them by a depth-first search,
+    pruned on I5 and with only distributive image points under I6; the
+    other selected axioms (I9, dagger, ddagger) are checked on its leaves.
+    Maps come in the order of their image masks. Raises BudgetExceeded
+    when the search visits more than ``max_nodes`` (default
+    ``_EIO_NODE_CAP``) nodes, before any map is built, or when I9 is
+    selected and skipped on its state cap for some candidate.
     """
     ax = frozenset(axioms) if axioms is not None else DEFAULT_EIO_AXIOMS
     unknown = ax - set(AXIOM_NAMES)
@@ -504,33 +562,11 @@ def enumerate_eios(
         raise InvariantViolation(f"unknown axiom names: {sorted(unknown)}")
     if not set(_BASIC_AXIOMS) <= ax:
         raise InvariantViolation("image-based enumeration requires axioms I1 through I4")
-    # With I6 selected, the ground of distributive elements enforces it.
-    checks = [check for name, check in _AXIOMS.items() if name in ax - _IMPLIED_BY_IMAGE - {"I6"}]
-    images = closed_sets(
-        l.join_table,
-        (1 << l.bottom) | (1 << l.top),
-        ground=_distributive_elements(l) if "I6" in ax else None,
-        cap=_EIO_IMAGE_CAP if max_subsets is None else max_subsets,
-    )
-    # Off the image, every image member below x lies below a lower cover of
-    # x. The bottom has no lower cover, but it is always in the image.
-    join, covers = l.join_table, l.poset.covers
-    walk = []
-    for x in sorted(range(l.n), key=lambda x: l.down[x].bit_count()):
-        first, *rest = [lo for lo, hi in covers if hi == x] or [x]
-        walk.append((x, first, rest))
-    found: list[tuple[int, InteriorMap]] = []
-    for jmask in images:
-        h = [0] * l.n
-        for x, first, rest in walk:
-            if jmask >> x & 1:
-                h[x] = x
-            else:
-                hx = h[first]
-                for c in rest:
-                    hx = join[hx][h[c]]
-                h[x] = hx
-        m = _MapData(l, tuple(h))
+    checks = [check for name, check in _AXIOMS.items() if name in ax - _DECIDED_BY_SEARCH]
+    cap = _EIO_NODE_CAP if max_nodes is None else max_nodes
+    maps = []
+    for h in _search_maps(l, "I5" in ax, "I6" in ax, cap):
+        m = _MapData(l, h)
         for check in checks:
             v = check(m)
             if v.passed is None:
@@ -538,8 +574,8 @@ def enumerate_eios(
             if not v.passed:
                 break
         else:
-            found.append((jmask, InteriorMap(l, m.h)))
-    return tuple(im for _, im in sorted(found, key=lambda pair: pair[0]))
+            maps.append(InteriorMap(l, h))
+    return tuple(maps)
 
 
 def check_bicoatomic(l: FiniteLattice, properly: str = "strict") -> CheckResult:

@@ -75,32 +75,28 @@ def closed_sets(
     base: int = 0,
     *,
     rows: Sequence[int] | None = None,
-    ground: int | None = None,
     cap: int | None = None,
 ):
     """Every set that contains ``base`` and is closed under ``table`` and ``rows``.
 
-    With ``ground``, only sets inside that mask count. Sets come as a list of
-    masks in walk order, not sorted. The walk is Close-by-One (Kuznetsov): a
-    closed set S spawns closure(S + e) for each e of the ground above the
-    element S was spawned with, kept only if it stays inside the ground and
-    adds nothing below e. Every closed set is visited once and no other set
-    is, so ``cap`` counts closed sets: BudgetExceeded is raised as soon as
-    more than ``cap`` are found, with at most ``cap`` + 1 of them stored.
+    Sets come as a list of masks in walk order, not sorted. The walk is
+    Close-by-One (Kuznetsov): a closed set S spawns closure(S + e) for each
+    e outside S above the element S was spawned with, kept only if it adds
+    nothing below e. Every closed set is visited once and no other set is,
+    so ``cap`` counts closed sets: BudgetExceeded is raised as soon as more
+    than ``cap`` are found, with at most ``cap`` + 1 of them stored.
     """
-    if ground is None:
-        ground = (1 << len(table if table is not None else rows)) - 1
-    start = None if base & ~ground else closure(table, base, rows, bad=~ground)
-    stack = [] if start is None else [(start, 0)]
+    full = (1 << len(table if table is not None else rows)) - 1
+    stack = [(closure(table, base, rows), 0)]
     found = []
     while stack:
         closed, first = stack.pop()
         found.append(closed)
         if cap is not None and len(found) > cap:
             raise BudgetExceeded("closed sets", cap)
-        for e in iter_bits(ground & ~closed & -(1 << first)):
+        for e in iter_bits(full & ~closed & -(1 << first)):
             bit = 1 << e
-            child = closure(table, closed | bit, rows, bit, ~ground | ((bit - 1) & ~closed))
+            child = closure(table, closed | bit, rows, bit, (bit - 1) & ~closed)
             if child is not None:
                 stack.append((child, e + 1))
     return found

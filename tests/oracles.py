@@ -250,12 +250,12 @@ def oracle_endomorphisms(s: OpSemilattice) -> list[tuple[int, ...]]:
     ]
 
 
-def oracle_closed_sets(table, base: int = 0, rows=None, ground: int | None = None) -> list[int]:
-    """Every mask with base <= mask <= ground closed under the table (and rows), ascending."""
+def oracle_closed_sets(table, base: int = 0, rows=None) -> list[int]:
+    """Every mask containing base closed under the table (and rows), ascending."""
     n = len(table)
     out = []
     for mask in range(1 << n):
-        if base & ~mask or (ground is not None and mask & ~ground):
+        if base & ~mask:
             continue
         elems = iter_bits(mask)
         if any(not (mask >> table[a][b]) & 1 for a in elems for b in elems):

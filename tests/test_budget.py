@@ -48,9 +48,9 @@ CAPPED_SEARCHES = [
                  "closed sets", id="algebraic_subsets"),
     pytest.param(galois, "_SUBSET_CAP", lambda: all_subalgebras(_B2), 7, "closed sets",
                  id="all_subalgebras"),
-    pytest.param(interior, "_EIO_IMAGE_CAP", lambda: enumerate_eios(_B2.lattice), 4,
-                 "closed sets", id="enumerate_eios"),
-    pytest.param(corpus, "_EVIDENCE_CAP", lambda: _evidence(m2(1)), 4, "closed sets",
+    pytest.param(interior, "_EIO_NODE_CAP", lambda: enumerate_eios(_B2.lattice), 11,
+                 "search nodes", id="enumerate_eios"),
+    pytest.param(corpus, "_EVIDENCE_CAP", lambda: _evidence(m2(1)), 15, "search nodes",
                  id="run_claims"),
 ]
 

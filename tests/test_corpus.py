@@ -189,7 +189,7 @@ def test_run_claims_builds_each_search_once(monkeypatch):
     notes = [r.note for r in run_claims(m2(2)) if r.name != "element_count"]
     assert len(eios) == 1
     assert len(notes) == 2 and notes[0] == notes[1]
-    assert notes[0].startswith("evidence search skipped: more than 1 closed sets")
+    assert notes[0].startswith("evidence search skipped: more than 1 search nodes")
 
 
 def test_truncation_element_counts():

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 import oracles
 from eqlat import checks, congruence, interior, semilattice
 from eqlat.congruence import all_congruences, congruence_generated, eta, tau
-from eqlat.corpus import boolean, chain, enumerate_semilattices, omega
+from eqlat.corpus import boolean, chain, enumerate_semilattices, m2, omega, p1
 from eqlat.errors import InvariantViolation, SearchBudgetExceeded
 from eqlat.interior import (
     DEFAULT_EIO_AXIOMS,
@@ -76,22 +76,60 @@ def test_enumeration_requires_the_generating_axioms():
 def test_enumeration_budget_guard():
     l = chain(6).structure.lattice
     with pytest.raises(SearchBudgetExceeded):
-        enumerate_eios(l, max_subsets=16)
+        enumerate_eios(l, max_nodes=16)
+
+
+_BASIC = ("I1", "I2", "I3", "I4")
+
+
+def _filtered_scan(l, axioms, check_i5_i6=False):
+    """The image-scan oracle, keeping the maps that pass the given axioms."""
+    return [
+        h for h in oracles.oracle_eios_by_image_scan(l, check_i5_i6)
+        if check_axioms(l, h).passed_all(axioms)
+    ]
 
 
 def test_enumeration_matches_the_image_scan_oracle_in_order():
     lattices = [s.lattice for s in enumerate_semilattices(7)] + [boolean(3).structure.lattice]
+    closing = DEFAULT_EIO_AXIOMS | {"I9", "dagger", "ddagger"}
     for l in lattices:
         assert [im.h for im in enumerate_eios(l)] == oracles.oracle_eios_by_image_scan(l)
-        basic = enumerate_eios(l, axioms=("I1", "I2", "I3", "I4"))
+        basic = enumerate_eios(l, axioms=_BASIC)
         assert [im.h for im in basic] == oracles.oracle_eios_by_image_scan(l, check_i5_i6=False)
+        for extra in ("I5", "I6"):
+            got = enumerate_eios(l, axioms=_BASIC + (extra,))
+            assert [im.h for im in got] == _filtered_scan(l, (extra,)), (l.labels, extra)
+        got = enumerate_eios(l, axioms=closing)
+        want = _filtered_scan(l, ("I9", "dagger", "ddagger"), check_i5_i6=True)
+        assert [im.h for im in got] == want
 
 
-def test_enumeration_budget_counts_closed_image_sets():
+def test_enumeration_budget_counts_search_nodes():
     l = boolean(2).structure.lattice
-    assert len(enumerate_eios(l, max_subsets=4)) == 3
-    with pytest.raises(SearchBudgetExceeded, match="more than 3 closed sets exceed cap 3"):
-        enumerate_eios(l, max_subsets=3)
+    assert len(enumerate_eios(l, max_nodes=11)) == 3
+    with pytest.raises(SearchBudgetExceeded, match="more than 10 search nodes exceed cap 10"):
+        enumerate_eios(l, max_nodes=10)
+
+
+def test_truncation_map_counts():
+    # p1(3) needs 20,116 search nodes, above the evidence cap of run_claims
+    # but well inside enumerate_eios' default.
+    for entry, count in ((m2(4), 485), (p1(2), 29), (p1(3), 473)):
+        assert len(enumerate_eios(entry.structure)) == count, entry.name
+
+
+def test_implication_instances_are_pinned():
+    # Digest of every (name, map, battery report) row of the implication
+    # corpus, taken before the interior-map search became a backtracking one.
+    rows = [
+        (name, im.h, report.as_dict())
+        for name, _, _, im, report in checks._implication_instances()
+    ]
+    assert len(rows) == 382
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "de52766fb7b9e10e0c3ea6d3fb1f534fe8837f68ef5a84f64decc059ac3e7aeb"
+    )
 
 
 def test_enumeration_budget_trips_before_any_map_is_built(monkeypatch):
@@ -100,9 +138,9 @@ def test_enumeration_budget_trips_before_any_map_is_built(monkeypatch):
 
     monkeypatch.setattr(interior, "_MapData", no_maps)
     l = boolean(3).structure.lattice
-    for axioms in (None, ("I1", "I2", "I3", "I4")):
+    for axioms in (None, _BASIC):
         with pytest.raises(SearchBudgetExceeded, match="exceed cap 5"):
-            enumerate_eios(l, axioms=axioms, max_subsets=5)
+            enumerate_eios(l, axioms=axioms, max_nodes=5)
 
 
 def test_interior_map_validates_basic_axioms():

@@ -137,13 +137,12 @@ def test_closed_sets_match_the_subset_scan(data):
     table = data.draw(st.sampled_from((l.join_table, l.meet_table)))
     full = (1 << l.n) - 1
     base = data.draw(st.integers(0, full))
-    ground = data.draw(st.one_of(st.none(), st.integers(0, full)))
     relation = st.lists(st.integers(0, full), min_size=l.n, max_size=l.n)
     rows = data.draw(st.one_of(st.none(), relation))
-    want = oracles.oracle_closed_sets(table, base, rows, ground)
-    got = list(closed_sets(table, base, rows=rows, ground=ground))
+    want = oracles.oracle_closed_sets(table, base, rows)
+    got = list(closed_sets(table, base, rows=rows))
     assert sorted(got) == want
-    assert sorted(closed_sets(table, base, rows=rows, ground=ground, cap=len(want))) == want
+    assert sorted(closed_sets(table, base, rows=rows, cap=len(want))) == want
     if want:
         with pytest.raises(SizeGuard, match=f"more than {len(want) - 1} closed sets"):
-            closed_sets(table, base, rows=rows, ground=ground, cap=len(want) - 1)
+            closed_sets(table, base, rows=rows, cap=len(want) - 1)
