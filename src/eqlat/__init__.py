@@ -56,7 +56,6 @@ from .errors import (
     NotJoinHomomorphism,
     ParamOutOfRange,
     SearchBudgetExceeded,
-    SizeGuard,
     UnknownLabel,
     ZeroNotPreserved,
 )
@@ -93,10 +92,10 @@ from .order import (
     FinitePoset,
     as_lattice,
     build_poset,
+    canonical_key,
     complete_sublattice_closure,
     dot_hasse,
     dual,
-    find_isomorphism,
     lattice_from_covers,
     poset_from_json,
     sub_poset,

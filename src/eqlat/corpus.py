@@ -21,10 +21,8 @@ from typing import Iterable, Sequence
 
 from . import interior
 from .congruence import (
-    Congruence,
     all_congruences,
     congruence_generated,
-    join_congruences,
     make_congruence,
     meet_congruences,
 )
@@ -44,7 +42,9 @@ from .order import (
     FiniteLattice,
     FinitePoset,
     as_lattice,
+    canonical_key,
     closed_sets,
+    complete_sublattice_closure,
     containment_lattice,
     dual,
     iter_bits,
@@ -341,21 +341,6 @@ def p1(k: int) -> CorpusEntry:
     return CorpusEntry(f"p1({k})", lat, claims, truncated=True)
 
 
-def _sublattice_closure(s: OpSemilattice, seeds: Iterable[Congruence]) -> list[Congruence]:
-    items = {t.rep: t for t in seeds}
-    changed = True
-    while changed:
-        changed = False
-        current = list(items.values())
-        for i, t1 in enumerate(current):
-            for t2 in current[i:]:
-                for new in (meet_congruences(t1, t2), join_congruences(s, t1, t2)):
-                    if new.rep not in items:
-                        items[new.rep] = new
-                        changed = True
-    return list(items.values())
-
-
 def k_lattice() -> CorpusEntry:
     """The nine-element congruence sublattice with a unique interior operator.
 
@@ -374,7 +359,10 @@ def k_lattice() -> CorpusEntry:
     c = congruence_generated(s, [(0, idx["pq"])])
     x = congruence_generated(s, [(0, idx["p"])])
     z = congruence_generated(s, [(0, idx["q"])])
-    members = _sublattice_closure(s, [a, c, x, z])
+    conl = all_congruences(s)
+    closed = complete_sublattice_closure(conl.lattice, map(conl.index_of, (a, c, x, z)))
+    index = conl.lattice.poset.index
+    members = [conl.congruences[index[lab]] for lab in closed.labels]
     lat, im, ordered = sublattice_interior(s, members)
 
     bottom = make_congruence(s, [[i] for i in range(s.n)])
@@ -438,49 +426,6 @@ def build_named(name: str, n: int | None = None) -> CorpusEntry:
     return fn()
 
 
-def _canonical_table(table: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
-    """Minimum bottom-fixing relabeling of a join table, over invariant-respecting maps."""
-    down = [0] * n
-    up = [0] * n
-    for x in range(n):
-        for y in range(n):
-            if table[x][y] == y:
-                up[x] |= 1 << y
-                down[y] |= 1 << x
-    inv0 = [(popcount(up[i]), popcount(down[i])) for i in range(n)]
-    inv1 = [
-        (inv0[i], tuple(sorted(inv0[j] for j in iter_bits(up[i]))),
-         tuple(sorted(inv0[j] for j in iter_bits(down[i]))))
-        for i in range(n)
-    ]
-    bottom = next(i for i in range(n) if popcount(down[i]) == 1)
-    groups: dict = {}
-    for i in range(n):
-        if i != bottom:
-            groups.setdefault(inv1[i], []).append(i)
-    ordered_groups = [[bottom]] + [groups[k] for k in sorted(groups)]
-    starts = []
-    pos = 0
-    for g in ordered_groups:
-        starts.append(pos)
-        pos += len(g)
-    best = None
-    for perms in itertools.product(*[itertools.permutations(g) for g in ordered_groups]):
-        sigma = [0] * n
-        for start, perm in zip(starts, perms):
-            for offset, elem in enumerate(perm):
-                sigma[elem] = start + offset
-        invperm = [0] * n
-        for elem, p in enumerate(sigma):
-            invperm[p] = elem
-        enc = tuple(
-            sigma[table[invperm[r]][invperm[c]]] for r in range(n) for c in range(n)
-        )
-        if best is None or enc < best:
-            best = enc
-    return best
-
-
 def _canonical_semilattices(n: int) -> list[OpSemilattice]:
     if n == 1:
         return [from_join_table(("0",), [[0]], 0)]
@@ -509,7 +454,7 @@ def _canonical_semilattices(n: int) -> list[OpSemilattice]:
     def emit() -> None:
         if any(None in row for row in join):
             return
-        key = _canonical_table(join, n)
+        key = canonical_key(join)
         if key in seen:
             return
         seen[key] = None

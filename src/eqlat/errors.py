@@ -6,8 +6,9 @@ apart without string matching.
 
 Every exhaustive search has one fixed cap, a private constant of its module.
 A search counts its items only up to cap + 1 and then raises
-``BudgetExceeded``, the one budget class; ``SizeGuard`` and
-``SearchBudgetExceeded`` are older names bound to the same class.
+``BudgetExceeded``, the one budget class. ``SearchBudgetExceeded`` is an
+older name bound to the same class; it stays while the benchmark harness
+(``bench/workload.py``) imports it.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class BudgetExceeded(EqlatError):
         self.cap = cap
 
 
-SizeGuard = SearchBudgetExceeded = BudgetExceeded
+SearchBudgetExceeded = BudgetExceeded
 
 
 class ParamOutOfRange(EqlatError):

@@ -33,7 +33,7 @@ from .congruence import (
     make_congruence,
     meet_congruences,
 )
-from .errors import InvariantViolation
+from .errors import InvariantViolation, UnknownLabel
 from .interior import AxiomReport, CheckResult, InteriorMap, Verdict
 from .order import (
     FiniteLattice,
@@ -93,15 +93,30 @@ class AlgebraicSubsetFamily:
         return json.dumps({"members": [list(self.member_labels(i)) for i in range(len(self))]})
 
 
+def _relation_pairs(index: dict[str, int], rel) -> list[tuple[int, int]]:
+    """Index pairs of a relation given as (source, target) labels or indices.
+
+    Raises UnknownLabel for a label outside ``index`` and InvariantViolation
+    for anything else that is not an index in 0..n-1.
+    """
+    n = len(index)
+
+    def end(x, pair) -> int:
+        if isinstance(x, str):
+            if x not in index:
+                raise UnknownLabel(f"unknown label {x!r} in relation pair {pair!r}")
+            return index[x]
+        if not isinstance(x, int) or not 0 <= x < n:
+            raise InvariantViolation(f"relation pair {pair!r} is out of range")
+        return x
+
+    return [(end(a, (a, b)), end(b, (a, b))) for a, b in rel]
+
+
 def _normalize_relation(l: FiniteLattice, rel) -> list[int]:
     """Rows of a binary relation given as (source, target) pairs."""
     rows = [0] * l.n
-    idx = l.poset.index
-    for a, b in rel:
-        ia = idx[a] if isinstance(a, str) else int(a)
-        ib = idx[b] if isinstance(b, str) else int(b)
-        if not (0 <= ia < l.n and 0 <= ib < l.n):
-            raise InvariantViolation(f"relation pair {(a, b)!r} is out of range")
+    for ia, ib in _relation_pairs(l.poset.index, rel):
         rows[ia] |= 1 << ib
     return rows
 
@@ -252,11 +267,8 @@ class QuasiOrder:
 
 def quasiorder_from_pairs(carrier: OpSemilattice, pairs: Iterable) -> QuasiOrder:
     """Build a quasiorder from related pairs; adds reflexivity, checks transitivity."""
-    idx = carrier.index
     rows = [1 << c for c in range(carrier.n)]
-    for a, b in pairs:
-        ia = idx[a] if isinstance(a, str) else int(a)
-        ib = idx[b] if isinstance(b, str) else int(b)
+    for ia, ib in _relation_pairs(carrier.index, pairs):
         rows[ia] |= 1 << ib
     return QuasiOrder(carrier, tuple(rows))
 

@@ -578,15 +578,8 @@ def enumerate_eios(
     return tuple(maps)
 
 
-def check_bicoatomic(l: FiniteLattice, properly: str = "strict") -> CheckResult:
-    """Every u, v meeting properly below a coatom refine to a coatom meet.
-
-    Modes for "properly": "strict" asks u, v below the top with u ^ v < p;
-    "nontrivial" additionally requires u and v not below p. On finite
-    lattices the two modes have identical failure sets.
-    """
-    if properly not in ("strict", "nontrivial"):
-        raise InvariantViolation(f"unknown properly mode {properly!r}")
+def check_bicoatomic(l: FiniteLattice) -> CheckResult:
+    """Every u, v below the top with u ^ v < p for a coatom p refine to a coatom meet."""
     coat = l.coatoms
     for p in coat:
         for u in range(l.n):
@@ -598,17 +591,12 @@ def check_bicoatomic(l: FiniteLattice, properly: str = "strict") -> CheckResult:
                 m = l.meet(u, v)
                 if m == p or not l.leq(m, p):
                     continue
-                if properly == "nontrivial" and (l.leq(u, p) or l.leq(v, p)):
-                    continue
                 if not any(l.leq(u, c) and l.leq(v, d) and l.leq(l.meet(c, d), p)
                            for c in coat for d in coat):
                     return CheckResult(
-                        "bicoatomic",
-                        False,
-                        {"p": _lab(l, p), "u": _lab(l, u), "v": _lab(l, v)},
-                        f"mode={properly}",
+                        "bicoatomic", False, {"p": _lab(l, p), "u": _lab(l, u), "v": _lab(l, v)}
                     )
-    return CheckResult("bicoatomic", True, None, f"mode={properly}")
+    return CheckResult("bicoatomic", True, None)
 
 
 def check_four_coatom(l: FiniteLattice, im: InteriorMap) -> CheckResult:

@@ -12,12 +12,15 @@ Conventions
 * cover lists are pairs (lower, upper)
 * ``closure`` closes a mask under a binary operation table; ``closed_sets``
   enumerates every closed mask (Close-by-One) and serves every subset search
+* ``canonical_key`` is the one isomorphism test: equal keys, isomorphic
+  join-semilattices
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -395,55 +398,61 @@ def dot_hasse(poset: FinitePoset, name: str = "hasse") -> str:
     return "\n".join(lines) + "\n"
 
 
-def find_isomorphism(a: FiniteLattice, b: FiniteLattice, max_n: int = 12) -> tuple[int, ...] | None:
-    """An order isomorphism a -> b as an index map, or None.
+# Bound on the relabellings canonical_key tries: the product of the
+# factorials of its invariant class sizes. Carriers up to 8 elements need at
+# most 720.
+_RELABEL_CAP = 1 << 16
 
-    Brute force with degree-invariant pruning; refuses carriers above
-    ``max_n`` (general isomorphism search is out of scope at larger sizes).
+
+def canonical_key(join_table: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Isomorphism key of a finite join-semilattice with zero, given by its join table.
+
+    The key is the least row-major relabelled join table over the relabellings
+    that fix the bottom at 0 and keep each element within its invariant class
+    (own up/down sizes, then those of its up- and downset), classes laid out
+    in sorted order. Two tables get equal keys exactly when they are
+    isomorphic. Raises BudgetExceeded when more than ``_RELABEL_CAP``
+    relabellings would be tried.
     """
-    if a.n != b.n:
-        return None
-    if a.n > max_n:
-        raise InvariantViolation(f"isomorphism search capped at {max_n} elements")
-
-    def profile(lat: FiniteLattice, i: int) -> tuple[int, int]:
-        return (popcount(lat.up[i]), popcount(lat.down[i]))
-
-    prof_b: dict[tuple[int, int], list[int]] = {}
-    for j in range(b.n):
-        prof_b.setdefault(profile(b, j), []).append(j)
-    candidates = []
-    for i in range(a.n):
-        opts = prof_b.get(profile(a, i))
-        if not opts:
-            return None
-        candidates.append(opts)
-
-    order = sorted(range(a.n), key=lambda i: len(candidates[i]))
-    assignment: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(k: int) -> bool:
-        if k == a.n:
-            return True
-        i = order[k]
-        for j in candidates[i]:
-            if j in used:
-                continue
-            ok = True
-            for i2, j2 in assignment.items():
-                if a.leq(i, i2) != b.leq(j, j2) or a.leq(i2, i) != b.leq(j2, j):
-                    ok = False
-                    break
-            if ok:
-                assignment[i] = j
-                used.add(j)
-                if extend(k + 1):
-                    return True
-                del assignment[i]
-                used.discard(j)
-        return False
-
-    if extend(0):
-        return tuple(assignment[i] for i in range(a.n))
-    return None
+    n = len(join_table)
+    down = [0] * n
+    up = [0] * n
+    for x in range(n):
+        for y in range(n):
+            if join_table[x][y] == y:
+                up[x] |= 1 << y
+                down[y] |= 1 << x
+    inv0 = [(popcount(up[i]), popcount(down[i])) for i in range(n)]
+    inv1 = [
+        (inv0[i], tuple(sorted(inv0[j] for j in iter_bits(up[i]))),
+         tuple(sorted(inv0[j] for j in iter_bits(down[i]))))
+        for i in range(n)
+    ]
+    bottom = next(i for i in range(n) if popcount(down[i]) == 1)
+    groups: dict = {}
+    for i in range(n):
+        if i != bottom:
+            groups.setdefault(inv1[i], []).append(i)
+    ordered_groups = [[bottom]] + [groups[k] for k in sorted(groups)]
+    if math.prod(math.factorial(len(g)) for g in ordered_groups) > _RELABEL_CAP:
+        raise BudgetExceeded("relabellings", _RELABEL_CAP)
+    starts = []
+    pos = 0
+    for g in ordered_groups:
+        starts.append(pos)
+        pos += len(g)
+    best = None
+    for perms in itertools.product(*[itertools.permutations(g) for g in ordered_groups]):
+        sigma = [0] * n
+        for start, perm in zip(starts, perms):
+            for offset, elem in enumerate(perm):
+                sigma[elem] = start + offset
+        invperm = [0] * n
+        for elem, p in enumerate(sigma):
+            invperm[p] = elem
+        enc = tuple(
+            sigma[join_table[invperm[r]][invperm[c]]] for r in range(n) for c in range(n)
+        )
+        if best is None or enc < best:
+            best = enc
+    return best

@@ -387,6 +387,17 @@ def oracle_semilattice_count(n: int) -> int:
     return len(found)
 
 
+def oracle_isomorphic(up_a, up_b) -> bool:
+    """Whether two orders, given as up-set rows, are isomorphic: a scan of every bijection."""
+    n = len(up_a)
+    if len(up_b) != n:
+        return False
+    return any(
+        all(((up_a[x] >> y) & 1) == ((up_b[p[x]] >> p[y]) & 1) for x in range(n) for y in range(n))
+        for p in itertools.permutations(range(n))
+    )
+
+
 def oracle_closed_sublattices(l: FiniteLattice, seeds: set[int]) -> list[int]:
     """All subsets containing the seeds and closed under the lattice operations."""
     out = []

@@ -13,12 +13,13 @@ from pathlib import Path
 import pytest
 
 import eqlat
-from eqlat import congruence, corpus, galois, interior, semilattice
+from eqlat import congruence, corpus, galois, interior, order, semilattice
 from eqlat.congruence import all_congruences, all_don, all_eon
 from eqlat.corpus import boolean, chain, m2, omega, run_claims
-from eqlat.errors import BudgetExceeded, SearchBudgetExceeded, SizeGuard
+from eqlat.errors import BudgetExceeded, SearchBudgetExceeded
 from eqlat.galois import algebraic_subsets, all_subalgebras, ideal_lattice
 from eqlat.interior import enumerate_eios
+from eqlat.order import canonical_key
 from eqlat.semilattice import operator_monoid
 
 
@@ -50,6 +51,9 @@ CAPPED_SEARCHES = [
                  id="all_subalgebras"),
     pytest.param(interior, "_EIO_NODE_CAP", lambda: enumerate_eios(_B2.lattice), 11,
                  "search nodes", id="enumerate_eios"),
+    # boolean(2) has one class of two atoms: 2! relabellings.
+    pytest.param(order, "_RELABEL_CAP", lambda: canonical_key(_B2.join_t), 2, "relabellings",
+                 id="canonical_key"),
     pytest.param(corpus, "_EVIDENCE_CAP", lambda: _evidence(m2(1)), 15, "search nodes",
                  id="run_claims"),
 ]
@@ -66,8 +70,8 @@ def test_each_search_stops_one_past_its_cap(monkeypatch, module, cap, run, count
 
 
 def test_there_is_one_budget_class():
-    assert SizeGuard is SearchBudgetExceeded is BudgetExceeded
-    assert eqlat.SizeGuard is eqlat.SearchBudgetExceeded is eqlat.BudgetExceeded
+    assert SearchBudgetExceeded is BudgetExceeded
+    assert eqlat.SearchBudgetExceeded is eqlat.BudgetExceeded
 
 
 def test_no_module_reads_the_environment():

@@ -5,7 +5,7 @@ import pytest
 import oracles
 from eqlat.congruence import all_congruences, make_congruence
 from eqlat.corpus import boolean, chain, omega
-from eqlat.errors import InvariantViolation
+from eqlat.errors import InvariantViolation, UnknownLabel
 from eqlat.galois import (
     AlgebraicSubsetFamily,
     algebraic_subsets,
@@ -22,14 +22,13 @@ from eqlat.galois import (
     sublattice_interior,
     verify_consl,
 )
-from eqlat.order import find_isomorphism
 from eqlat.semilattice import from_lattice
 
 
 def test_ideal_lattice_of_boolean_two_is_a_diamond():
     il = ideal_lattice(boolean(2).structure)
     assert il.n == 4
-    assert find_isomorphism(il, boolean(2).structure.lattice) is not None
+    assert oracles.oracle_isomorphic(il.up, boolean(2).structure.lattice.up)
 
 
 def test_algebraic_subset_counts_match_congruence_counts():
@@ -126,6 +125,21 @@ def test_quasiorder_validation():
     q = quasiorder_from_pairs(carrier, [("p", "q")])
     assert q.holds(carrier.index["p"], carrier.index["q"])
     assert not q.holds(carrier.index["q"], carrier.index["p"])
+
+
+@pytest.mark.parametrize("pair,error", [
+    ((-1, 0), InvariantViolation),
+    ((0, 9), InvariantViolation),
+    ((1.7, 0), InvariantViolation),
+    ((None, 0), InvariantViolation),
+    (("zz", "0"), UnknownLabel),
+])
+def test_relation_pairs_get_typed_errors(pair, error):
+    carrier = boolean(2).structure
+    with pytest.raises(error):
+        quasiorder_from_pairs(carrier, [pair])
+    with pytest.raises(error):
+        algebraic_subsets(carrier.lattice, [pair])
 
 
 def test_unit_condition_failure_is_reported():

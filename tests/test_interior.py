@@ -17,7 +17,6 @@ from eqlat.interior import (
     InteriorMap,
     Verdict,
     check_axioms,
-    check_bicoatomic,
     check_coatom_dependence,
     check_four_coatom,
     enumerate_eios,
@@ -377,19 +376,6 @@ def test_i9_past_its_state_cap_is_a_skip_everywhere(monkeypatch):
 
     monkeypatch.setitem(interior._AXIOMS, "I9", no_second_run)
     assert check_coatom_dependence(l, im, i9=verdict) == dep
-
-
-def test_bicoatomic_modes_agree(small_semilattices):
-    for s in small_semilattices:
-        l = s.lattice
-        strict = check_bicoatomic(l, properly="strict")
-        loose = check_bicoatomic(l, properly="nontrivial")
-        assert strict.passed == loose.passed
-
-
-def test_bicoatomic_rejects_unknown_mode():
-    with pytest.raises(InvariantViolation):
-        check_bicoatomic(boolean(2).structure.lattice, properly="bogus")
 
 
 def test_four_coatom_requires_matching_carrier():

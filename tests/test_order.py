@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 
 import oracles
 from eqlat.corpus import enumerate_semilattices
-from eqlat.errors import CycleError, NotALattice, SizeGuard, UnknownLabel
+from eqlat.errors import BudgetExceeded, CycleError, NotALattice, UnknownLabel
 from eqlat.order import (
     as_lattice,
     build_poset,
+    canonical_key,
     closed_sets,
     complete_sublattice_closure,
     dot_hasse,
     dual,
-    find_isomorphism,
     lattice_from_covers,
     poset_from_json,
     sub_poset,
@@ -83,18 +83,41 @@ def test_complete_sublattice_closure_of_two_incomparables():
     assert closed.n == 4
 
 
-def test_find_isomorphism_and_refusal():
+def test_canonical_key_tells_isomorphic_lattices_apart():
     l = diamond()
     relabeled = lattice_from_covers(
         ("z", "y", "x", "w"), (("z", "y"), ("z", "x"), ("y", "w"), ("x", "w"))
     )
     chain4 = lattice_from_covers(("0", "1", "2", "3"), (("0", "1"), ("1", "2"), ("2", "3")))
-    iso = find_isomorphism(l, relabeled)
-    assert iso is not None
-    for x in range(4):
-        for y in range(4):
-            assert l.leq(x, y) == relabeled.leq(iso[x], iso[y])
-    assert find_isomorphism(l, chain4) is None
+    assert oracles.oracle_isomorphic(l.up, relabeled.up)
+    assert canonical_key(l.join_table) == canonical_key(relabeled.join_table)
+    assert not oracles.oracle_isomorphic(l.up, chain4.up)
+    assert canonical_key(l.join_table) != canonical_key(chain4.join_table)
+
+
+_KEY_POOL = list(enumerate_semilattices(6))
+
+
+def test_canonical_key_agrees_with_the_oracle_up_to_five_elements():
+    pool = [s for s in _KEY_POOL if s.n <= 5]
+    for i, a in enumerate(pool):
+        for b in pool[i:]:
+            same = canonical_key(a.join_t) == canonical_key(b.join_t)
+            assert same == oracles.oracle_isomorphic(a.lattice.up, b.lattice.up)
+
+
+@given(st.data())
+def test_canonical_key_agrees_with_the_oracle_on_relabellings(data):
+    a = data.draw(st.sampled_from(_KEY_POOL))
+    b = data.draw(st.sampled_from([a] + [s for s in _KEY_POOL if s.n == a.n]))
+    perm = data.draw(st.permutations(range(b.n)))
+    table = [[0] * b.n for _ in range(b.n)]
+    for x in range(b.n):
+        for y in range(b.n):
+            table[perm[x]][perm[y]] = perm[b.join(x, y)]
+    up = [sum(1 << y for y in range(b.n) if table[x][y] == y) for x in range(b.n)]
+    same = canonical_key(a.join_t) == canonical_key(table)
+    assert same == oracles.oracle_isomorphic(a.lattice.up, up)
 
 
 def test_dot_output_is_a_digraph_over_covers():
@@ -144,5 +167,5 @@ def test_closed_sets_match_the_subset_scan(data):
     assert sorted(got) == want
     assert sorted(closed_sets(table, base, rows=rows, cap=len(want))) == want
     if want:
-        with pytest.raises(SizeGuard, match=f"more than {len(want) - 1} closed sets"):
+        with pytest.raises(BudgetExceeded, match=f"more than {len(want) - 1} closed sets"):
             closed_sets(table, base, rows=rows, cap=len(want) - 1)
