@@ -26,7 +26,6 @@ from typing import Iterable
 
 from .congruence import (
     Congruence,
-    CongruenceLattice,
     all_congruences,
     eta,
     join_congruences,

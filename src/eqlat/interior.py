@@ -26,11 +26,12 @@ lattice. tau is always derived from h by fiber joins:
 * ddagger  h(h(z) v tau(x ^ z)) <= h(z) v tau(x)
 
 Maps passing I1 to I8 are enumerated by a depth-first search over a linear
-extension that decides which elements enter the image, pruned on I5 and,
-with I6, letting only distributive elements in; it counts its nodes against
-a cap. In the battery, I2 is decided on cover pairs and I5 inside fibers,
-with the first witness of the full pair scans; I6, dagger and ddagger scan
-rows of the meet and join tables.
+extension that decides which elements enter the image. I5 prunes it where
+an element joins two maximal members of one fiber, read off per-value fiber
+masks; with I6 only distributive elements enter. It counts its nodes
+against a cap. In the battery, I2 is decided on cover pairs and I5 inside
+fibers, with the first witness of the full pair scans; I6, dagger and
+ddagger scan rows of the meet and join tables.
 """
 
 from __future__ import annotations
@@ -489,27 +490,31 @@ def _search_maps(l: FiniteLattice, i5: bool, i6: bool, cap: int) -> list[tuple[i
     bottom). When v = x, x is forced into the image, which keeps the image
     join-closed; the top is always in it (I4). Otherwise h(x) is v, or x
     when x may enter the image: with I6 only a distributive x may. With I5
-    the incomparable pairs y, z with y v z = x are tested as x is placed:
-    h(y) = h(z) must equal h(x), and as h(y) <= y < x that means h(x) = v.
-    A branch reaches the last element exactly when its map passes. The root
-    and every placement are search nodes; more than ``cap`` of them raise
-    BudgetExceeded.
+    x is tested as it is placed: a tie h(y) = h(z) = w on incomparable y, z
+    with y v z = x must have h(x) = w, and as w <= y < x that means w = v.
+    ``fiber[w]`` masks by extension position the elements h sends to w;
+    bits of unplaced elements are stale, and no mask below x holds them. As
+    I5 held at every earlier placement, w's fiber below x is join-closed
+    below x, so it has such a pair iff it is not below its last element. A
+    tie needs w, y and z, so only fibers of three or more below v are
+    tested (an empty one tests 0). A branch reaches the last element
+    exactly when its map passes. The root and every placement are search
+    nodes; more than ``cap`` of them raise BudgetExceeded.
     """
-    n, join, top = l.n, l.join_table, l.top
+    n, join, down, top = l.n, l.join_table, l.down, l.top
     free = _distributive_elements(l) if i6 else (1 << n) - 1
-    pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    if i5:
-        for y in range(n):
-            comparable = l.up[y] | l.down[y]
-            for z in range(y + 1, n):
-                if not comparable >> z & 1:
-                    pairs[join[y][z]].append((y, z))
-    order = sorted(range(n), key=lambda x: l.down[x].bit_count())
+    order = sorted(range(n), key=lambda x: down[x].bit_count())
+    pos = {x: k for k, x in enumerate(order)}
+    pdown = [sum(1 << pos[y] for y in iter_bits(down[x])) for x in order]
     steps = []
-    for x in order:
-        first, *rest = [lo for lo, hi in l.poset.covers if hi == x] or [x]
-        steps.append((x, first, rest, pairs[x]))
+    for k, x in enumerate(order):
+        covers = [lo for lo, hi in l.poset.covers if hi == x] or [x]
+        # Positions below x; 0 where no I5 tie can arise at x.
+        below = pdown[k] ^ 1 << k if i5 and len(covers) > 1 else 0
+        steps.append((x, covers[0], covers[1:], below))
     h = list(range(n))
+    fiber = [1 << pos[w] for w in range(n)]
+    crowded = 0  # values whose fiber holds three or more elements
     found = []
     nodes = 0
     # (elements placed, value of the last one); the root places none.
@@ -520,15 +525,26 @@ def _search_maps(l: FiniteLattice, i5: bool, i6: bool, cap: int) -> list[tuple[i
         if nodes > cap:
             raise BudgetExceeded("search nodes", cap)
         if k:
-            h[order[k - 1]] = val
+            u = order[k - 1]
+            if i5:
+                fiber[h[u]] &= ~(1 << k - 1)
+                fiber[val] |= 1 << k - 1
+                if fiber[h[u]].bit_count() < 3:
+                    crowded &= ~(1 << h[u])
+                if fiber[val].bit_count() > 2:
+                    crowded |= 1 << val
+            h[u] = val
         if k == n:
             found.append((sum(1 << v for v in set(h)), tuple(h)))
             continue
-        x, first, rest, yz = steps[k]
+        x, first, rest, below = steps[k]
         v = h[first]
         for c in rest:
             v = join[v][h[c]]
-        tied = {h[y] for y, z in yz if h[y] == h[z]}
+        tied = below and {
+            w for w in iter_bits(crowded & down[v])
+            if (s := fiber[w] & below) & ~pdown[s.bit_length() - 1]
+        }
         if v == x or x == top:
             options = () if tied else (x,)
         elif tied:

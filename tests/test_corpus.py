@@ -10,7 +10,6 @@ from eqlat import corpus, interior
 from eqlat.corpus import (
     boolean,
     build_named,
-    chain,
     enumerate_semilattices,
     generate_catalog,
     k_lattice,

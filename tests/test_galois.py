@@ -22,7 +22,6 @@ from eqlat.galois import (
     sublattice_interior,
     verify_consl,
 )
-from eqlat.semilattice import from_lattice
 
 
 def test_ideal_lattice_of_boolean_two_is_a_diamond():

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 import oracles
 from eqlat import checks, congruence, interior, semilattice
 from eqlat.congruence import all_congruences, congruence_generated, eta, tau
-from eqlat.corpus import boolean, chain, enumerate_semilattices, m2, omega, p1
+from eqlat.corpus import boolean, chain, enumerate_semilattices, m2, m_infinity, omega, p1
 from eqlat.errors import InvariantViolation, SearchBudgetExceeded
 from eqlat.interior import (
     DEFAULT_EIO_AXIOMS,
@@ -109,6 +109,56 @@ def test_enumeration_budget_counts_search_nodes():
     assert len(enumerate_eios(l, max_nodes=11)) == 3
     with pytest.raises(SearchBudgetExceeded, match="more than 10 search nodes exceed cap 10"):
         enumerate_eios(l, max_nodes=10)
+
+
+@pytest.mark.parametrize(
+    "entry, nodes",
+    [(lambda: boolean(2), 11), (lambda: m2(1), 15), (lambda: p1(2), 827),
+     (lambda: m2(4), 6155), (lambda: p1(3), 20116)],
+    ids=["boolean(2)", "m2(1)", "p1(2)", "m2(4)", "p1(3)"],
+)
+def test_search_node_counts_are_pinned(entry, nodes):
+    # Any change to the pruning shows here first: the search visits exactly
+    # this many nodes with the default axioms.
+    l = entry().structure
+    l = getattr(l, "lattice", l)
+    enumerate_eios(l, max_nodes=nodes)
+    with pytest.raises(SearchBudgetExceeded):
+        enumerate_eios(l, max_nodes=nodes - 1)
+
+
+def _glued_chains(k):
+    """k chains 0 < m_i < c_i < x sharing their ends."""
+    labels = ("0",) + tuple(f"{p}{i}" for i in range(1, k + 1) for p in "mc") + ("x",)
+    covers = []
+    for i in range(1, k + 1):
+        covers += [("0", f"m{i}"), (f"m{i}", f"c{i}"), (f"c{i}", "x")]
+    return lattice_from_covers(labels, covers)
+
+
+def test_an_i5_tie_below_the_lower_covers_prunes():
+    # Image {0, c1, x}: h(m1) = h(c2) = 0 and m1 v c2 = x, so I5 fails at x
+    # though h(c1) = c1 and h(c2) = 0 differ on the lower covers of x.
+    l = _glued_chains(2)
+    image = {l.labels.index(e) for e in ("0", "c1", "x")}
+    h = tuple(max((w for w in image if l.leq(w, y)), key=lambda w: l.down[w].bit_count())
+              for y in range(l.n))
+    assert h in {im.h for im in enumerate_eios(l, axioms=_BASIC)}
+    assert not check_axioms(l, h).verdict("I5").passed
+    assert h not in {im.h for im in enumerate_eios(l, axioms=_BASIC + ("I5",))}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _glued_chains(2), lambda: _glued_chains(3), lambda: m_infinity(3).structure,
+     lambda: m2(2).structure, lambda: p1(1).structure],
+    ids=["two-chains", "three-chains", "m_infinity(3)", "m2(2)", "p1(1)"],
+)
+def test_i5_pruning_matches_the_image_scan_oracle(make):
+    l = make()
+    got = enumerate_eios(l, axioms=_BASIC + ("I5",))
+    assert [im.h for im in got] == _filtered_scan(l, ("I5",))
+    assert [im.h for im in enumerate_eios(l)] == oracles.oracle_eios_by_image_scan(l)
 
 
 def test_truncation_map_counts():
