@@ -30,8 +30,10 @@ extension that decides which elements enter the image. I5 prunes it where
 an element joins two maximal members of one fiber, read off per-value fiber
 masks; with I6 only distributive elements enter. It counts its nodes
 against a cap. In the battery, I2 is decided on cover pairs and I5 inside
-fibers, with the first witness of the full pair scans; I6, dagger and
-ddagger scan rows of the meet and join tables.
+fibers, with the first witness of the full pair scans; I6 per image value
+by the congruence lemma of ``_is_distributive``, scanning rows of the meet
+and join tables only for the witness of the first value that fails.
+dagger and ddagger scan those rows.
 """
 
 from __future__ import annotations
@@ -171,9 +173,9 @@ class _MapData:
 
 
 def _fail_i1(m):
-    l, h = m.l, m.h
-    for x in range(l.n):
-        if not l.leq(h[x], x):
+    l, h, up = m.l, m.h, m.l.up
+    for x in range(len(h)):
+        if not up[h[x]] >> x & 1:
             return {"x": _lab(l, x)}
     return None
 
@@ -223,11 +225,10 @@ def _fail_i5(m):
 
 def _fail_i6(m):
     l, h, join, meet = m.l, m.h, m.l.join_table, m.l.meet_table
-    reps: dict[int, int] = {}
-    for x in range(l.n):
-        reps.setdefault(h[x], x)
-    for v, x in sorted(reps.items()):
-        jv = join[v]
+    for v in sorted(set(h)):
+        if _is_distributive(l, v):
+            continue
+        x, jv = h.index(v), join[v]
         for y in range(l.n):
             # Row y of both sides, over every z: v v (y ^ z) and (v v y) ^ (v v z).
             left = list(map(jv.__getitem__, meet[y]))
@@ -394,8 +395,8 @@ class InteriorMap:
     h: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        l, hv = self.lattice, self.h
-        if len(hv) != l.n or any(not (0 <= v < l.n) for v in hv):
+        n, hv = self.lattice.n, self.h
+        if len(hv) != n or any(not (0 <= v < n) for v in hv):
             raise InvariantViolation("map is not a total map on the carrier")
         for name in _BASIC_AXIOMS:
             v = _AXIOMS[name](self._data)
@@ -439,24 +440,27 @@ class InteriorMap:
 def natural_eta(s, conl) -> InteriorMap:
     """The least-congruence-with-same-0-class map on a congruence lattice.
 
-    Each congruence is sent to the least congruence sharing its 0-class; the
+    The congruences sharing a 0-class are closed under meets, so folding
+    the meet table of Con over them lands on their least member, eta. The
     derived tau is verified to agree with the greatest-congruence companion.
     """
-    from .congruence import _tau, eta as cong_eta
+    from .congruence import _tau
     from .semilattice import operator_monoid
 
     if conl.semilattice != s:
         raise InvariantViolation("congruence lattice does not belong to this semilattice")
-    # eta and tau read only the 0-class, so each is computed once per class;
-    # the operator monoid tau reads is built once per structure.
-    monoid = operator_monoid(s)
+    # tau reads only the 0-class, so it is computed once per class; the
+    # operator monoid it reads is built once per structure.
+    monoid, meet = operator_monoid(s), conl.lattice.meet_table
     classes = [theta.zero_class_mask(s) for theta in conl.congruences]
     eta_at: dict[int, int] = {}
     tau_at: dict[int, int] = {}
-    for z, theta in zip(classes, conl.congruences):
-        if z not in eta_at:
-            eta_at[z] = conl.index_of(cong_eta(s, theta))
+    for i, z in enumerate(classes):
+        if z not in tau_at:
             tau_at[z] = conl.index_of(_tau(s, z, monoid))
+        eta_at[z] = meet[eta_at.get(z, i)][i]
+    if any(classes[e] != z for z, e in eta_at.items()):
+        raise InvariantViolation("a meet of congruences left their common 0-class")
     im = InteriorMap(conl.lattice, tuple(eta_at[z] for z in classes))
     for i, z in enumerate(classes):
         if im.tau[i] != tau_at[z]:
@@ -466,20 +470,32 @@ def natural_eta(s, conl) -> InteriorMap:
     return im
 
 
-def _distributive_elements(l: FiniteLattice) -> int:
-    """Mask of every d with d v (y ^ z) = (d v y) ^ (d v z) for all y, z.
+def _is_distributive(l: FiniteLattice, d: int) -> bool:
+    """Whether d v (y ^ z) = (d v y) ^ (d v z) for all y, z, in O(n + covers).
 
-    These are the points an I6 image may use. They are closed under joins,
+    That is, whether x ~ y iff d v x = d v y is a congruence. By Graetzer's
+    lemma an equivalence on a finite lattice is one iff its classes are
+    intervals and the least and the largest member of x's class are isotone
+    in x. The largest is d v x; so d is distributive iff each fiber of
+    x -> d v x holds its meet g(a), and g is isotone on the covers above d.
+    """
+    jd, meet, up = l.join_table[d], l.meet_table, l.up
+    g = [l.top] * len(jd)
+    for x, a in enumerate(jd):
+        g[a] = meet[g[a]][x]
+    return all(jd[g[a]] == a for a in jd) and all(
+        up[g[lo]] >> g[hi] & 1 for lo, hi in l.poset.covers if jd[lo] == lo
+    )
+
+
+def _distributive_elements(l: FiniteLattice) -> int:
+    """Mask of the distributive elements, the points an I6 image may use.
+
+    They are closed under joins,
     (d v e) v (y ^ z) = d v ((e v y) ^ (e v z)) = (d v e v y) ^ (d v e v z),
     so an element the interior-map search forces into the image is one too.
     """
-    join, meet = l.join_table, l.meet_table
-    mask = 0
-    for d in range(l.n):
-        jd = join[d]
-        if all(jd[meet[y][z]] == meet[jd[y]][jd[z]] for y in range(l.n) for z in range(y)):
-            mask |= 1 << d
-    return mask
+    return sum(1 << d for d in range(l.n) if _is_distributive(l, d))
 
 
 def _search_maps(l: FiniteLattice, i5: bool, i6: bool, cap: int) -> list[tuple[int, ...]]:

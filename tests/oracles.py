@@ -337,6 +337,16 @@ def oracle_first_i6_failure(l: FiniteLattice, h) -> dict[str, str] | None:
     return None
 
 
+def oracle_distributive_elements(l: FiniteLattice) -> int:
+    """Mask of every d with d v (y ^ z) = (d v y) ^ (d v z) for all y, z."""
+    mask = 0
+    for d in range(l.n):
+        if all(l.join(d, l.meet(y, z)) == l.meet(l.join(d, y), l.join(d, z))
+               for y in range(l.n) for z in range(l.n)):
+            mask |= 1 << d
+    return mask
+
+
 def oracle_first_ddagger_failure(l: FiniteLattice, h) -> dict[str, str] | None:
     """First (x, z) in index order with h(h(z) v tau(x ^ z)) not <= h(z) v tau(x); None if none."""
     tau = _fiber_tau(l, h)

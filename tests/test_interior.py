@@ -10,8 +10,10 @@ from hypothesis import given, strategies as st
 import oracles
 from eqlat import checks, congruence, interior, semilattice
 from eqlat.congruence import all_congruences, congruence_generated, eta, tau
-from eqlat.corpus import boolean, chain, enumerate_semilattices, m2, m_infinity, omega, p1
-from eqlat.errors import InvariantViolation, SearchBudgetExceeded
+from eqlat.corpus import (
+    boolean, chain, enumerate_semilattices, k_lattice, m2, m_infinity, omega, p1,
+)
+from eqlat.errors import BudgetExceeded, InvariantViolation, SearchBudgetExceeded
 from eqlat.interior import (
     DEFAULT_EIO_AXIOMS,
     InteriorMap,
@@ -24,7 +26,7 @@ from eqlat.interior import (
     normalize_map,
     tau_of_map,
 )
-from eqlat.order import iter_bits, lattice_from_covers
+from eqlat.order import FinitePoset, as_lattice, iter_bits, lattice_from_covers
 
 
 def m3():
@@ -76,6 +78,18 @@ def test_enumeration_budget_guard():
     l = chain(6).structure.lattice
     with pytest.raises(SearchBudgetExceeded):
         enumerate_eios(l, max_nodes=16)
+
+
+def test_the_distributive_filter_does_not_stall_a_large_search():
+    # The I6 filter runs before the first search node; on a 500-element
+    # chain an O(n^3) filter kept the node cap from tripping for seconds.
+    n = 500
+    full = (1 << n) - 1
+    up = tuple(full ^ ((1 << i) - 1) for i in range(n))
+    l = as_lattice(FinitePoset(tuple(map(str, range(n))), up))
+    with pytest.raises(BudgetExceeded) as exc:
+        enumerate_eios(l, max_nodes=3000)
+    assert str(exc.value) == "more than 3000 search nodes exceed cap 3000"
 
 
 _BASIC = ("I1", "I2", "I3", "I4")
@@ -277,6 +291,23 @@ def test_natural_map_tau_matches_congruence_tau(small_semilattices):
             expected = conl.index_of(tau(s, theta))
             assert im.tau[i] == expected
             assert im.apply(i) == conl.index_of(eta(s, theta))
+
+
+def test_natural_map_is_eta_on_the_acceptance_catalog():
+    for _, conl, im, _ in checks._natural_reports(0):
+        s = conl.semilattice
+        for i, theta in enumerate(conl.congruences):
+            assert im.apply(i) == conl.index_of(eta(s, theta))
+
+
+def test_distributive_elements_match_the_pair_scan():
+    lattices = [s.lattice for s in enumerate_semilattices(7)] + [boolean(3).structure.lattice]
+    lattices += [conl.lattice for _, conl, _, _ in checks._natural_reports(0)]
+    truncations = [m_infinity(k) for k in range(2, 6)] + [m2(k) for k in range(1, 5)]
+    truncations += [p1(k) for k in range(1, 4)] + [k_lattice()]
+    lattices += [getattr(e.structure, "lattice", e.structure) for e in truncations]
+    for l in lattices:
+        assert interior._distributive_elements(l) == oracles.oracle_distributive_elements(l)
 
 
 def test_natural_map_builds_the_operator_monoid_once(monkeypatch):
