@@ -34,6 +34,8 @@ from .interior import (
 )
 from .semilattice import all_endomorphisms
 
+_SCAN_MAX_ELEMENTS = 6
+
 
 @dataclass(frozen=True)
 class CheckOutcome:
@@ -255,10 +257,10 @@ def suite_filterable(seed: int = 0) -> list[CheckOutcome]:
     return out
 
 
-def suite_simple_scan(max_elements: int = 6, seed: int = 0) -> list[CheckOutcome]:
+def suite_simple_scan(seed: int = 0) -> list[CheckOutcome]:
     """Semilattices with one operator and only two congruences have two elements."""
     out = []
-    for name, s in named_by_size(enumerate_semilattices(max_elements)):
+    for name, s in named_by_size(enumerate_semilattices(_SCAN_MAX_ELEMENTS)):
         endos = all_endomorphisms(s)
         simple = 0
         witness = None
@@ -274,10 +276,10 @@ def suite_simple_scan(max_elements: int = 6, seed: int = 0) -> list[CheckOutcome
     return out
 
 
-def suite_coatomistic(max_elements: int = 6, seed: int = 0) -> list[CheckOutcome]:
+def suite_coatomistic(seed: int = 0) -> list[CheckOutcome]:
     """Every element of an operator-free congruence lattice is a meet of coatoms."""
     out = []
-    for name, s in named_by_size(enumerate_semilattices(max_elements)):
+    for name, s in named_by_size(enumerate_semilattices(_SCAN_MAX_ELEMENTS)):
         conl = all_congruences(s)
         lat = conl.lattice
         witness = None

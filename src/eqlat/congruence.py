@@ -15,6 +15,12 @@ enumerated once; ``all_don``/``all_eon`` and the generated relations are their
 images under these bijections (a R b iff a ~ a + b), so all three views share
 one engine and one cap. ``tests/oracles.py`` enumerates the relations
 independently.
+
+Validity is decided by the same engine: an input is valid iff it equals what
+its own pairs generate. A partition is a congruence iff generating from its
+pairs returns it; a don or eon relation is valid iff it is the view of the
+congruence generated by its pairs (a, a + b). A failure names the first pair,
+in index order, where the input and its regeneration differ.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from .errors import BudgetExceeded, InvariantViolation
 from .order import FiniteLattice, iter_bits, lattice_of, popcount
@@ -56,6 +62,14 @@ class Congruence:
     def block_count(self) -> int:
         return len(set(self.rep))
 
+    @property
+    def _block_masks(self) -> tuple[int, ...]:
+        """``_block_masks[x]`` is the mask of the block of x."""
+        blocks: dict[int, int] = {}
+        for i, r in enumerate(self.rep):
+            blocks[r] = blocks.get(r, 0) | 1 << i
+        return tuple(blocks[r] for r in self.rep)
+
     def zero_class_mask(self, s: OpSemilattice) -> int:
         r = self.rep[s.zero]
         mask = 0
@@ -64,16 +78,10 @@ class Congruence:
                 mask |= 1 << i
         return mask
 
-    def zero_class(self, s: OpSemilattice) -> IdealSet:
-        return ideal(s, self.zero_class_mask(s))
-
     @property
     def pair_mask(self) -> int:
         """Bit x * n + y set iff x ~ y; theta refines phi iff theta's mask lies inside phi's."""
-        blocks: dict[int, int] = {}
-        for i, r in enumerate(self.rep):
-            blocks[r] = blocks.get(r, 0) | 1 << i
-        return sum(blocks[r] << self.n * x for x, r in enumerate(self.rep))
+        return sum(b << self.n * x for x, b in enumerate(self._block_masks))
 
     def refines(self, other: "Congruence") -> bool:
         """self <= other in the congruence order."""
@@ -98,42 +106,42 @@ class Congruence:
 def make_congruence(
     s: OpSemilattice, blocks_or_rep: Sequence[int] | Iterable[Iterable[int]]
 ) -> Congruence:
-    """Build and validate a congruence from a rep vector or an iterable of blocks."""
+    """Build and validate a congruence from a rep vector or an iterable of blocks.
+
+    A partition is a congruence iff it is the congruence its own pairs generate.
+    """
+    n = s.n
     items = list(blocks_or_rep)
     if items and not isinstance(items[0], int):
-        rep = [-1] * s.n
+        rep = [-1] * n
         for block in items:
             members = sorted(block)
             for m in members:
+                if m not in range(n):
+                    raise InvariantViolation(f"block member {m!r} is not an element index")
                 if rep[m] != -1:
                     raise InvariantViolation("blocks overlap")
                 rep[m] = members[0]
-        if any(r == -1 for r in rep):
+        if -1 in rep:
             raise InvariantViolation("blocks do not cover the carrier")
     else:
         rep = items  # type: ignore[assignment]
-        if len(rep) != s.n:
+        if len(rep) != n:
             raise InvariantViolation("rep vector has wrong length")
     first: dict[int, int] = {}
     theta = Congruence(tuple(first.setdefault(r, i) for i, r in enumerate(rep)))
-    n = s.n
-    jt = s.join_t
-    rep = theta.rep
-    for x in range(n):
-        for y in range(x + 1, n):
-            if rep[x] != rep[y]:
-                continue
-            for z in range(n):
-                if rep[jt[x][z]] != rep[jt[y][z]]:
-                    raise InvariantViolation(
-                        f"not join-compatible at ({s.labels[x]!r}, {s.labels[y]!r}) + {s.labels[z]!r}"
-                    )
-            for name, images in s.operators:
-                if rep[images[x]] != rep[images[y]]:
-                    raise InvariantViolation(
-                        f"not compatible with operator {name!r} at ({s.labels[x]!r}, {s.labels[y]!r})"
-                    )
+    generated = _extend(s, range(n), [(r, i) for i, r in enumerate(theta.rep) if r != i])
+    if generated != theta.rep:
+        _reject(s, "a congruence", theta._block_masks, Congruence(generated)._block_masks)
     return theta
+
+
+def _reject(s: OpSemilattice, what: str, given: Sequence[int], regenerated: Sequence[int]) -> NoReturn:
+    """Name the first pair, in index order, where two relations given as row masks differ."""
+    x, diff = next((x, a ^ b) for x, (a, b) in enumerate(zip(given, regenerated)) if a != b)
+    y = (diff & -diff).bit_length() - 1
+    held = "forced" if regenerated[x] >> y & 1 else "not generated"
+    raise InvariantViolation(f"not {what}: ({s.labels[x]!r}, {s.labels[y]!r}) is {held}")
 
 
 def _union(parent: list[int], a: int, b: int) -> bool:
@@ -163,7 +171,8 @@ def _extend(s: OpSemilattice, rep: Sequence[int], pairs: Iterable[tuple[int, int
 
     ``rep`` is a congruence's rep vector (``range(n)`` for the identity). Its
     blocks are already compatible, so only the pairs that merge two blocks
-    are pushed through the join table and the operators.
+    are pushed through the join table and the operators. Two elements with
+    one parent share a root, so ``_union`` is called only on other pairs.
     """
     parent = list(rep)
     jt = s.join_t
@@ -172,11 +181,12 @@ def _extend(s: OpSemilattice, rep: Sequence[int], pairs: Iterable[tuple[int, int
     while queue:
         a, b = queue.pop()
         for x, y in zip(jt[a], jt[b]):
-            if x != y and _union(parent, x, y):
+            if parent[x] != parent[y] and _union(parent, x, y):
                 queue.append((x, y))
         for images in ops:
-            if _union(parent, images[a], images[b]):
-                queue.append((images[a], images[b]))
+            x, y = images[a], images[b]
+            if parent[x] != parent[y] and _union(parent, x, y):
+                queue.append((x, y))
     return _roots(parent)
 
 
@@ -308,24 +318,25 @@ def is_simple(s: OpSemilattice) -> bool:
     )
 
 
-def _as_ideal_mask(s: OpSemilattice, theta) -> int:
-    """Normalize a Congruence / IdealSet / mask / iterable to an ideal mask."""
+def _closed_ideal_top(s: OpSemilattice, theta) -> int:
+    """The top of the ideal given as a Congruence (its 0-class) / IdealSet / mask / iterable.
+
+    The ideal is the downset of its top t. It must be closed under the
+    operators; they are monotone, so it is closed iff it holds each f(t).
+    """
     if isinstance(theta, Congruence):
-        return theta.zero_class_mask(s)
-    if isinstance(theta, IdealSet):
-        return theta.mask
-    if isinstance(theta, int):
-        return ideal(s, theta).mask
-    return ideal(s, list(theta)).mask
-
-
-def _require_operator_closed(s: OpSemilattice, mask: int) -> None:
+        mask = theta.zero_class_mask(s)
+    elif isinstance(theta, IdealSet):
+        mask = theta.mask
+    else:
+        mask = ideal(s, theta).mask
+    top = s.join_all(iter_bits(mask))
     for name, images in s.operators:
-        for i in iter_bits(mask):
-            if not (mask >> images[i]) & 1:
-                raise InvariantViolation(
-                    f"ideal is not closed under operator {name!r} at {s.labels[i]!r}"
-                )
+        if not mask >> images[top] & 1:
+            raise InvariantViolation(
+                f"ideal is not closed under operator {name!r} at {s.labels[top]!r}"
+            )
+    return top
 
 
 def eta(s: OpSemilattice, theta) -> Congruence:
@@ -336,9 +347,7 @@ def eta(s: OpSemilattice, theta) -> Congruence:
     Cg(0, t). Accepts a congruence, an IdealSet, a mask, or an iterable of
     indices; the class must be closed under the operators.
     """
-    mask = _as_ideal_mask(s, theta)
-    _require_operator_closed(s, mask)
-    return congruence_generated(s, [(s.zero, s.join_all(iter_bits(mask)))])
+    return congruence_generated(s, [(s.zero, _closed_ideal_top(s, theta))])
 
 
 def tau(s: OpSemilattice, theta) -> Congruence:
@@ -347,9 +356,7 @@ def tau(s: OpSemilattice, theta) -> Congruence:
     x ~ y iff x and y land inside the class under exactly the same members of
     the operator monoid (identity included).
     """
-    mask = _as_ideal_mask(s, theta)
-    _require_operator_closed(s, mask)
-    return _tau(s, mask, operator_monoid(s))
+    return _tau(s, s.down[_closed_ideal_top(s, theta)], operator_monoid(s))
 
 
 def _tau(s: OpSemilattice, mask: int, monoid: Sequence[Sequence[int]]) -> Congruence:
@@ -381,95 +388,61 @@ class OrderedRelation:
         return all(o & ~r == 0 for r, o in zip(self.rows, other.rows))
 
 
+def _con_of_relation(s: OpSemilattice, rel: OrderedRelation, kind: str) -> Congruence:
+    """The congruence whose ``kind`` view ('don' or 'eon') is ``rel``.
+
+    The don view of ~ holds a R b iff a ~ a + b, and the eon view is its part
+    inside <=. So a valid relation is the view of the congruence generated by
+    its pairs (a, a + b). Every view is valid, so ``rel`` is valid iff it
+    equals the view of that congruence.
+    """
+    n, rows = s.n, tuple(rel.rows)
+    if len(rows) != n or any(not 0 <= r < 1 << n for r in rows):
+        raise InvariantViolation(f"relation rows do not fit a carrier of {n} elements")
+    jt = s.join_t
+    theta = congruence_generated(s, [(a, jt[a][b]) for a in range(n) for b in iter_bits(rows[a])])
+    view = (don_of if kind == "don" else _eon_of)(s, theta).rows
+    if view != rows:
+        _reject(s, f"a valid {kind} relation", rows, view)
+    return theta
+
+
 def validate_don(s: OpSemilattice, rel: OrderedRelation) -> None:
     """Reflexive, transitive, compatible, and containing >=."""
-    n = s.n
-    rows = rel.rows
-    for x in range(n):
-        if s.down[x] & ~rows[x]:
-            raise InvariantViolation(f"relation misses >= at {s.labels[x]!r}")
-        for y in iter_bits(rows[x]):
-            if rows[y] & ~rows[x]:
-                raise InvariantViolation(f"not transitive at ({s.labels[x]!r}, {s.labels[y]!r})")
-    _check_compatible(s, rows)
+    _con_of_relation(s, rel, "don")
 
 
 def validate_eon(s: OpSemilattice, rel: OrderedRelation) -> None:
     """Reflexive, transitive, compatible, inside <=, and interval-closed."""
-    n = s.n
-    rows = rel.rows
-    for x in range(n):
-        if not (rows[x] >> x) & 1:
-            raise InvariantViolation(f"not reflexive at {s.labels[x]!r}")
-        if rows[x] & ~s.up[x]:
-            raise InvariantViolation(f"relation leaves <= at {s.labels[x]!r}")
-        for y in iter_bits(rows[x]):
-            if rows[y] & ~rows[x]:
-                raise InvariantViolation(f"not transitive at ({s.labels[x]!r}, {s.labels[y]!r})")
-            between = s.up[x] & s.down[y]
-            if between & ~rows[x]:
-                raise InvariantViolation(
-                    f"not interval-closed at ({s.labels[x]!r}, {s.labels[y]!r})"
-                )
-    _check_compatible(s, rows)
-
-
-def _check_compatible(s: OpSemilattice, rows: Sequence[int]) -> None:
-    n = s.n
-    jt = s.join_t
-    for x in range(n):
-        for y in iter_bits(rows[x]):
-            for z in range(n):
-                if not (rows[jt[x][z]] >> jt[y][z]) & 1:
-                    raise InvariantViolation(
-                        f"not join-compatible at ({s.labels[x]!r}, {s.labels[y]!r}) + {s.labels[z]!r}"
-                    )
-            for name, images in s.operators:
-                if not (rows[images[x]] >> images[y]) & 1:
-                    raise InvariantViolation(
-                        f"not compatible with operator {name!r} at ({s.labels[x]!r}, {s.labels[y]!r})"
-                    )
+    _con_of_relation(s, rel, "eon")
 
 
 def don_of(s: OpSemilattice, theta: Congruence) -> OrderedRelation:
     """Compose the congruence with >= : x R y iff x is congruent to some w >= y."""
-    rows = []
-    for x in range(s.n):
-        acc = 0
-        for w in range(s.n):
-            if theta.rep[w] == theta.rep[x]:
-                acc |= s.down[w]
-        rows.append(acc)
-    return OrderedRelation(tuple(rows), "don")
+    below: dict[int, int] = {}
+    for w, r in enumerate(theta.rep):
+        below[r] = below.get(r, 0) | s.down[w]
+    return OrderedRelation(tuple(below[r] for r in theta.rep), "don")
+
+
+def _eon_of(s: OpSemilattice, theta: Congruence) -> OrderedRelation:
+    """Meet the congruence with <= : x R y iff x <= y and x ~ y."""
+    return OrderedRelation(tuple(b & u for b, u in zip(theta._block_masks, s.up)), "eon")
 
 
 def con_of_don(s: OpSemilattice, rel: OrderedRelation) -> Congruence:
-    """x ~ y iff both x R x+y and y R x+y."""
-    validate_don(s, rel)
-    jt = s.join_t
-    pairs = [
-        (x, y) for x in range(s.n) for y in range(x + 1, s.n)
-        if rel.holds(x, jt[x][y]) and rel.holds(y, jt[x][y])
-    ]
-    return congruence_generated(s, pairs)
+    """The congruence relating x and y iff x R x + y and y R x + y."""
+    return _con_of_relation(s, rel, "don")
 
 
 def eon_of_don(s: OpSemilattice, rel: OrderedRelation) -> OrderedRelation:
     """Intersect with <=."""
-    validate_don(s, rel)
-    return OrderedRelation(tuple(rel.rows[x] & s.up[x] for x in range(s.n)), "eon")
+    return _eon_of(s, _con_of_relation(s, rel, "don"))
 
 
 def don_of_eon(s: OpSemilattice, rel: OrderedRelation) -> OrderedRelation:
     """Compose with >= : x R y iff x S w for some w >= y."""
-    validate_eon(s, rel)
-    rows = []
-    for x in range(s.n):
-        acc = 0
-        for w in iter_bits(rel.rows[x]):
-            acc |= s.down[w]
-        rows.append(acc)
-    return OrderedRelation(tuple(rows), "don")
+    return don_of(s, _con_of_relation(s, rel, "eon"))
 
 
 def don_generated(s: OpSemilattice, pairs: Iterable[tuple[int, int]]) -> OrderedRelation:
@@ -479,11 +452,11 @@ def don_generated(s: OpSemilattice, pairs: Iterable[tuple[int, int]]) -> Ordered
 
 
 def eon_generated(s: OpSemilattice, pairs: Iterable[tuple[int, int]]) -> OrderedRelation:
-    """Least eon relation holding every pair a <= b."""
+    """Least eon relation holding every pair a <= b: the eon view of Cg(pairs)."""
     pairs = list(pairs)
     if not all(s.leq(a, b) for a, b in pairs):
         raise InvariantViolation("eon generators must satisfy a <= b")
-    return eon_of_don(s, don_generated(s, pairs))
+    return _eon_of(s, congruence_generated(s, pairs))
 
 
 def _by_size(relations: Iterable[OrderedRelation]) -> tuple[OrderedRelation, ...]:
@@ -496,14 +469,8 @@ def all_don(s: OpSemilattice) -> tuple[OrderedRelation, ...]:
 
 
 def all_eon(s: OpSemilattice) -> tuple[OrderedRelation, ...]:
-    """Every eon relation: the image of Con under ``eon_of_don . don_of``, same order.
-
-    Each ``don_of`` image is valid by construction, so its rows are met with <= directly.
-    """
-    return _by_size(
-        OrderedRelation(tuple(r & u for r, u in zip(don_of(s, theta).rows, s.up)), "eon")
-        for theta in all_congruences(s).congruences
-    )
+    """Every eon relation: the image of Con under the eon view, same order."""
+    return _by_size(_eon_of(s, theta) for theta in all_congruences(s).congruences)
 
 
 def quotient(s: OpSemilattice, theta: Congruence) -> OpSemilattice:

@@ -284,22 +284,26 @@ class IdealSet:
 
 
 def ideal(s: OpSemilattice, members: int | Iterable[int]) -> IdealSet:
-    """Validate and wrap an ideal given as a mask or an iterable of indices."""
-    mask = members if isinstance(members, int) else 0
-    if not isinstance(members, int):
-        for i in members:
-            mask |= 1 << i
-    if not (mask >> s.zero) & 1:
-        raise InvariantViolation("ideal must contain zero")
-    for i in iter_bits(mask):
-        if s.down[i] & ~mask:
-            raise InvariantViolation(f"ideal not down-closed at {s.labels[i]!r}")
-        for j in iter_bits(mask):
-            if not (mask >> s.join_t[i][j]) & 1:
-                raise InvariantViolation(
-                    f"ideal not join-closed at ({s.labels[i]!r}, {s.labels[j]!r})"
-                )
-    return IdealSet(mask, s.n)
+    """Validate and wrap an ideal given as a mask or an iterable of indices.
+
+    Every member lies below the join of the members, and an ideal holds that
+    join and all below it, so a set is an ideal iff it is the downset of its join.
+    """
+    n = s.n
+    if isinstance(members, int):
+        if members < 0:
+            raise InvariantViolation("ideal mask is negative")
+        members = iter_bits(members)
+    mask = 0
+    for i in members:
+        if i not in range(n):
+            raise InvariantViolation(f"ideal member {i!r} is not an element index")
+        mask |= 1 << i
+    forced = s.down[s.join_all(iter_bits(mask))] & ~mask
+    if forced:
+        label = s.labels[(forced & -forced).bit_length() - 1]
+        raise InvariantViolation(f"not an ideal: {label!r} is forced")
+    return IdealSet(mask, n)
 
 
 def ideals(s: OpSemilattice, f_closed_only: bool = False) -> tuple[IdealSet, ...]:
@@ -307,16 +311,13 @@ def ideals(s: OpSemilattice, f_closed_only: bool = False) -> tuple[IdealSet, ...
 
     On a finite carrier every ideal is the principal downset of its join, so
     the ideals are the n distinct downsets ``s.down[x]``. With
-    ``f_closed_only`` keep only ideals closed under every operator.
+    ``f_closed_only`` keep only ideals closed under every operator; operators
+    are monotone, so ``s.down[x]`` is closed iff it holds each f(x).
     """
-    out = []
-    for mask in sorted(s.down, key=lambda m: (popcount(m), m)):
-        if f_closed_only and any(
-            not (mask >> images[i]) & 1 for _, images in s.operators for i in iter_bits(mask)
-        ):
-            continue
-        out.append(IdealSet(mask, s.n))
-    return tuple(out)
+    tops = [x for x in range(s.n)
+            if not f_closed_only or all(s.down[x] >> f[x] & 1 for _, f in s.operators)]
+    masks = sorted((s.down[x] for x in tops), key=lambda m: (popcount(m), m))
+    return tuple(IdealSet(m, s.n) for m in masks)
 
 
 def join_irreducibles(s: OpSemilattice) -> tuple[int, ...]:

@@ -106,6 +106,11 @@ def test_cli_eta_tau_rejects_garbage_blocks(b2_file, capsys):
     assert "error: unknown label 'x' in --congruence" in capsys.readouterr().err
 
 
+def test_cli_eta_tau_rejects_a_partition_that_is_no_congruence(b2_file, capsys):
+    assert main(["eta-tau", b2_file, "--congruence", "[0,p][q][1]"]) == 2
+    assert "not a congruence: ('q', '1') is forced" in capsys.readouterr().err
+
+
 def test_cli_check_axioms_pass_and_fail(b2_file, tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"map": {"0": "0", "p": "p", "q": "q", "1": "1"}}))

@@ -12,6 +12,7 @@ from eqlat import congruence
 from eqlat.checks import catalog_for_acceptance
 from eqlat.congruence import (
     Congruence,
+    OrderedRelation,
     all_congruences,
     all_don,
     all_eon,
@@ -34,7 +35,7 @@ from eqlat.congruence import (
 )
 from eqlat.corpus import boolean, chain, enumerate_semilattices, omega
 from eqlat.errors import BudgetExceeded, InvariantViolation
-from eqlat.semilattice import all_endomorphisms, ideals
+from eqlat.semilattice import all_endomorphisms, ideal, ideals
 
 SMALL_CARRIERS = enumerate_semilattices(5)
 
@@ -115,8 +116,87 @@ def test_con_lattices_are_pinned():
 
 def test_make_congruence_rejects_incompatible_partition():
     b2 = boolean(2).structure
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match=r"not a congruence: \('q', '1'\) is forced"):
         make_congruence(b2, [[0, b2.index["p"]], [b2.index["q"]], [b2.index["1"]]])
+
+
+def _accepts(validate, *args) -> bool:
+    try:
+        validate(*args)
+    except InvariantViolation:
+        return False
+    return True
+
+
+def test_make_congruence_accepts_exactly_the_partition_scan():
+    # Every partition of every carrier up to 5 elements, bare and with each
+    # single operator.
+    checks = 0
+    for s in itertools.chain(SMALL_CARRIERS, _decorations(5, 1)):
+        for rep in oracles.all_partitions(s.n):
+            assert _accepts(make_congruence, s, rep) == oracles.is_congruence(s, rep)
+            checks += 1
+    assert checks == 14_549
+
+
+def test_validators_accept_exactly_the_relation_scans():
+    # Every relation on every carrier up to 3 elements, bare and with each
+    # single operator.
+    checks = 0
+    for s in itertools.chain(enumerate_semilattices(3), _decorations(3, 1)):
+        dons, eons = oracles.oracle_don(s), oracles.oracle_eon(s)
+        for bits in range(1 << s.n * s.n):
+            rows = tuple(bits >> s.n * x & (1 << s.n) - 1 for x in range(s.n))
+            assert _accepts(validate_don, s, OrderedRelation(rows, "don")) == (rows in dons)
+            assert _accepts(validate_eon, s, OrderedRelation(rows, "eon")) == (rows in eons)
+            checks += 2
+    assert checks == 7_272
+
+
+def test_ideal_accepts_exactly_the_subset_scan():
+    for s in enumerate_semilattices(6):
+        found = {mask for mask in range(1 << s.n) if _accepts(ideal, s, mask)}
+        assert found == oracles.oracle_ideals(s)
+
+
+def test_eta_and_tau_accept_exactly_the_closed_ideals():
+    for s in itertools.chain(SMALL_CARRIERS, _decorations(5, 1)):
+        closed = oracles.oracle_ideals(s, f_closed_only=True)
+        for mask in range(1 << s.n):
+            assert _accepts(eta, s, mask) == _accepts(tau, s, mask) == (mask in closed)
+
+
+def test_rejections_name_the_first_differing_pair():
+    s = chain(2).structure
+    reverse = OrderedRelation((0b001, 0b011, 0b100), "eon")
+    with pytest.raises(InvariantViolation, match=r"not a valid eon relation: \('1', '0'\) is not generated"):
+        validate_eon(s, reverse)
+    with pytest.raises(InvariantViolation, match=r"not a valid don relation: \('2', '2'\) is forced"):
+        validate_don(s, OrderedRelation((0b001, 0b011, 0b011), "don"))
+    with pytest.raises(InvariantViolation, match="not an ideal: '1' is forced"):
+        ideal(s, [0, 2])
+    up = s.with_operators([("f", (0, 2, 2))])
+    with pytest.raises(InvariantViolation, match="not closed under operator 'f' at '1'"):
+        eta(up, [0, 1])
+
+
+@pytest.mark.parametrize("rows", [(0b0001,) * 3, (0b0001,) * 5, (0b0001, 0b0011, 0b0101, 0b11111)])
+@pytest.mark.parametrize("validate", [validate_don, validate_eon])
+def test_relations_of_the_wrong_shape_are_rejected(validate, rows):
+    with pytest.raises(InvariantViolation, match="rows do not fit a carrier of 4 elements"):
+        validate(boolean(2).structure, OrderedRelation(rows, "don"))
+
+
+@pytest.mark.parametrize("blocks", [[[0, 1], [2, 3, 9]], [[0, 1], [2], [3, -1]]])
+def test_block_members_outside_the_carrier_are_rejected(blocks):
+    with pytest.raises(InvariantViolation, match="is not an element index"):
+        make_congruence(boolean(2).structure, blocks)
+
+
+@pytest.mark.parametrize("members", [[0, 9], [-1], 1 << 9, -1])
+def test_ideal_members_outside_the_carrier_are_rejected(members):
+    with pytest.raises(InvariantViolation, match="not an element index|mask is negative"):
+        ideal(boolean(2).structure, members)
 
 
 def test_make_congruence_accepts_a_generator_of_blocks():
