@@ -11,10 +11,11 @@ The module also covers the two relation views of the congruence lattice:
 * ``eon``: compatible partial orders inside <= that are interval-closed
 
 with the four transforms between Con, Don and Eon. The congruences are
-enumerated once; ``all_don``/``all_eon`` and the generated relations are their
-images under these bijections (a R b iff a ~ a + b), so all three views share
-one engine and one cap. ``tests/oracles.py`` enumerates the relations
-independently.
+enumerated once, as the closed sets of the largest block members (see
+``all_congruences``); ``all_don``/``all_eon`` and the generated relations are
+their images under these bijections (a R b iff a ~ a + b), so all three views
+share one enumeration and one cap. ``tests/oracles.py`` enumerates the
+relations independently.
 
 Validity is decided by the same engine: an input is valid iff it equals what
 its own pairs generate. A partition is a congruence iff generating from its
@@ -31,7 +32,7 @@ from functools import cached_property
 from typing import Iterable, NoReturn, Sequence
 
 from .errors import BudgetExceeded, InvariantViolation
-from .order import FiniteLattice, iter_bits, lattice_of, popcount
+from .order import FiniteLattice, closed_sets, iter_bits, lattice_of, popcount
 from .semilattice import IdealSet, OpSemilattice, ideal, operator_monoid
 
 # One cap for the congruence family, shared by its three views (Con, Don, Eon).
@@ -108,24 +109,32 @@ def make_congruence(
 ) -> Congruence:
     """Build and validate a congruence from a rep vector or an iterable of blocks.
 
-    A partition is a congruence iff it is the congruence its own pairs generate.
+    The input is blocks if any item is iterable. The first item or member that
+    is not an element index is named in an InvariantViolation. A partition is
+    a congruence iff it is the congruence its own pairs generate.
     """
     n = s.n
     items = list(blocks_or_rep)
-    if items and not isinstance(items[0], int):
+
+    def index(m, what: str) -> int:
+        if not isinstance(m, int) or m not in range(n):
+            raise InvariantViolation(f"{what} {m!r} is not an element index")
+        return m
+
+    if any(isinstance(x, Iterable) for x in items):
         rep = [-1] * n
         for block in items:
-            members = sorted(block)
+            if not isinstance(block, Iterable):
+                raise InvariantViolation(f"block {block!r} is not an iterable of element indices")
+            members = sorted(index(m, "block member") for m in block)
             for m in members:
-                if m not in range(n):
-                    raise InvariantViolation(f"block member {m!r} is not an element index")
                 if rep[m] != -1:
                     raise InvariantViolation("blocks overlap")
                 rep[m] = members[0]
         if -1 in rep:
             raise InvariantViolation("blocks do not cover the carrier")
     else:
-        rep = items  # type: ignore[assignment]
+        rep = [index(r, "rep value") for r in items]
         if len(rep) != n:
             raise InvariantViolation("rep vector has wrong length")
     first: dict[int, int] = {}
@@ -190,14 +199,6 @@ def _extend(s: OpSemilattice, rep: Sequence[int], pairs: Iterable[tuple[int, int
     return _roots(parent)
 
 
-def _join(rep: Sequence[int], pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """The rep vector of the partition join of ``rep`` with the blocks the pairs span."""
-    parent = list(rep)
-    for a, b in pairs:
-        _union(parent, a, b)
-    return _roots(parent)
-
-
 def congruence_generated(s: OpSemilattice, pairs: Iterable[tuple[int, int]]) -> Congruence:
     """Least congruence relating every given pair."""
     return Congruence(_extend(s, range(s.n), pairs))
@@ -209,7 +210,10 @@ def join_congruences(s: OpSemilattice, a: Congruence, b: Congruence) -> Congruen
     If x = z0, z1, ..., zk = y alternate a- and b-related steps, so do
     z0 + w, ..., zk + w and f(z0), ..., f(zk); the partition join is compatible.
     """
-    return Congruence(_join(a.rep, [(r, i) for i, r in enumerate(b.rep) if r != i]))
+    parent = list(a.rep)
+    for i, r in enumerate(b.rep):
+        _union(parent, r, i)
+    return Congruence(_roots(parent))
 
 
 def meet_congruences(a: Congruence, b: Congruence) -> Congruence:
@@ -256,49 +260,41 @@ class CongruenceLattice:
 
 
 def all_congruences(s: OpSemilattice) -> CongruenceLattice:
-    """The full congruence lattice via join closure of cover-pair principals.
+    """The full congruence lattice, enumerated as a closure system on the carrier.
 
-    A congruence relating a < b relates all of [a, b], since x = x + a ~ x + b
-    = b for a <= x <= b. So Cg(a, b) is the join of the principals of the cover pairs
-    along any maximal chain from a to b, and an incomparable pair reduces to
-    (a, a + b) and (b, a + b). The principals of the cover pairs therefore
-    generate Con under joins; one generator pair is kept per distinct
-    principal, with the principal's non-root pairs. Each congruence found is
-    joined with one generator at a time as partitions (see
-    ``join_congruences``), skipping the generators it already relates.
-    Every congruence is thus the join of the generators it relates, so
-    theta <= phi iff G(theta) is inside G(phi): those bit masks give the order.
-    Raises BudgetExceeded exactly when there are more than ``_CON_CAP``.
+    A block of a congruence theta is join-closed, so it has a largest member;
+    let T be the set of these. Then x ~ y iff up(x) meets T where up(y) does,
+    so T fixes theta, and theta <= phi iff T_phi lies inside T_theta. The sets
+    that arise are exactly those that hold the top and are closed under meets
+    and under each residual f*(t) = join{x : f(x) <= t} (Papert; Freese and
+    Nation), so one ``closed_sets`` walk finds them all. As a cross-check by
+    the union-find engine, every cover principal must be among them. Raises
+    BudgetExceeded exactly when there are more than ``_CON_CAP``.
     """
-    delta = tuple(range(s.n))
-    seen = {delta}
-    generators = []
+    n, up, down = s.n, s.up, s.down
+    at = {d: x for x, d in enumerate(down)}
+    meet = [[at[a & b] for b in down] for a in down]
+    residuals = [0] * n
+    for _, images in s.operators:
+        for t in range(n):
+            residuals[t] |= 1 << s.join_all(x for x in range(n) if down[t] >> images[x] & 1)
+    try:
+        found = closed_sets(meet, 1 << s.top, rows=residuals, cap=_CON_CAP)
+    except BudgetExceeded:
+        raise BudgetExceeded("congruences", _CON_CAP) from None
+    keyed = []
+    for t in found:
+        first: dict[int, int] = {}
+        keyed.append((-popcount(t), tuple(first.setdefault(u & t, x) for x, u in enumerate(up)), t))
+    keyed.sort()
+    ordered = tuple(Congruence(rep) for _, rep, _ in keyed)
+    reps = {c.rep for c in ordered}
     for a, b in s.poset.covers:
-        p = congruence_generated(s, [(a, b)]).rep
-        if p not in seen:
-            seen.add(p)
-            generators.append((a, b, [(r, i) for i, r in enumerate(p) if r != i]))
-    if len(seen) > _CON_CAP:
-        raise BudgetExceeded("congruences", _CON_CAP)
-    masks = {delta: 0}
-    work = list(seen - {delta})
-    while work:
-        rep = work.pop()
-        mask = 0
-        for k, (a, b, pairs) in enumerate(generators):
-            if rep[a] == rep[b]:
-                mask |= 1 << k
-                continue
-            j = _join(rep, pairs)
-            if j not in seen:
-                seen.add(j)
-                work.append(j)
-                if len(seen) > _CON_CAP:
-                    raise BudgetExceeded("congruences", _CON_CAP)
-        masks[rep] = mask
-    ordered = sorted((Congruence(r) for r in seen), key=lambda c: (-c.block_count, c.rep))
-    lattice = lattice_of([c.block_string(s) for c in ordered], [masks[c.rep] for c in ordered])
-    return CongruenceLattice(s, tuple(ordered), lattice)
+        if congruence_generated(s, [(a, b)]).rep not in reps:
+            raise InvariantViolation(f"Cg({s.labels[a]!r}, {s.labels[b]!r}) was not enumerated")
+    full = (1 << n) - 1
+    lattice = lattice_of([c.block_string(s) for c in ordered], [full & ~t for *_, t in keyed])
+    return CongruenceLattice(s, ordered, lattice)
 
 
 def is_simple(s: OpSemilattice) -> bool:
@@ -369,10 +365,9 @@ def _tau(s: OpSemilattice, mask: int, monoid: Sequence[Sequence[int]]) -> Congru
 
 @dataclass(frozen=True)
 class OrderedRelation:
-    """A binary relation as bitmask rows; ``kind`` is 'don' or 'eon'."""
+    """A binary relation as bitmask rows."""
 
     rows: tuple[int, ...]
-    kind: str
 
     @property
     def n(self) -> int:
@@ -422,12 +417,12 @@ def don_of(s: OpSemilattice, theta: Congruence) -> OrderedRelation:
     below: dict[int, int] = {}
     for w, r in enumerate(theta.rep):
         below[r] = below.get(r, 0) | s.down[w]
-    return OrderedRelation(tuple(below[r] for r in theta.rep), "don")
+    return OrderedRelation(tuple(below[r] for r in theta.rep))
 
 
 def _eon_of(s: OpSemilattice, theta: Congruence) -> OrderedRelation:
     """Meet the congruence with <= : x R y iff x <= y and x ~ y."""
-    return OrderedRelation(tuple(b & u for b, u in zip(theta._block_masks, s.up)), "eon")
+    return OrderedRelation(tuple(b & u for b, u in zip(theta._block_masks, s.up)))
 
 
 def con_of_don(s: OpSemilattice, rel: OrderedRelation) -> Congruence:

@@ -27,6 +27,7 @@ from typing import Iterable
 from .congruence import (
     Congruence,
     all_congruences,
+    congruence_generated,
     eta,
     join_congruences,
     make_congruence,
@@ -140,21 +141,12 @@ def _ideal_mask_of(item) -> int:
 
 
 def galois_h(s: OpSemilattice, theta: Congruence) -> tuple[IdealSet, ...]:
-    """The family of theta-closed ideals, ordered by (size, membership mask)."""
-    out = []
-    for ideal in ideals(s):
-        closed = True
-        for x in iter_bits(ideal.mask):
-            cls = 0
-            for y in range(s.n):
-                if theta.rep[y] == theta.rep[x]:
-                    cls |= 1 << y
-            if cls & ~ideal.mask:
-                closed = False
-                break
-        if closed:
-            out.append(ideal)
-    return tuple(out)
+    """The family of theta-closed ideals, ordered by (size, membership mask).
+
+    An ideal is a union of blocks iff each x lies in it exactly when its rep does.
+    """
+    return tuple(i for i in ideals(s)
+                 if all(i.mask >> x & 1 == i.mask >> r & 1 for x, r in enumerate(theta.rep)))
 
 
 def galois_rho(s: OpSemilattice, family: Iterable) -> Congruence:
@@ -172,10 +164,19 @@ def verify_consl(s: OpSemilattice) -> CheckResult:
 
     Builds every congruence of the reduct and every meet-closed top-containing
     family of ideals, then checks that the two maps are mutually inverse
-    order-reversing bijections.
+    order-reversing bijections. Both sides are ``closed_sets`` walks, so Con
+    is first checked by union-find: it must hold theta v Cg(a, b) for each
+    congruence theta and each cover pair a < b that theta does not relate.
     """
     reduct = s.reduct()
     conl = all_congruences(reduct)
+    reps = {t.rep for t in conl.congruences}
+    covers = [(p, congruence_generated(reduct, [p])) for p in reduct.poset.covers]
+    for theta in conl.congruences:
+        for (a, b), principal in covers:
+            if not theta.relates(a, b) and join_congruences(reduct, theta, principal).rep not in reps:
+                return CheckResult("consl", False, {"theta": theta.block_string(reduct)},
+                                   "a join with a cover principal is missing")
     il = ideal_lattice(reduct)
     ideal_masks = [i.mask for i in ideals(reduct)]
     index_of_ideal = {m: k for k, m in enumerate(ideal_masks)}

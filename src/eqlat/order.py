@@ -11,7 +11,8 @@ Conventions
 * ``iter_bits(m)`` yields set bit positions in increasing order
 * cover lists are pairs (lower, upper)
 * ``closure`` closes a mask under a binary operation table; ``closed_sets``
-  enumerates every closed mask (Close-by-One) and serves every subset search
+  enumerates every closed mask (Close-by-One) and serves every subset search,
+  the congruence lattice included
 * ``canonical_key`` is the one isomorphism test: equal keys, isomorphic
   join-semilattices
 """

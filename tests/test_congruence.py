@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from eqlat import congruence
+from eqlat import congruence, order
 from eqlat.checks import catalog_for_acceptance
 from eqlat.congruence import (
     Congruence,
@@ -147,8 +147,8 @@ def test_validators_accept_exactly_the_relation_scans():
         dons, eons = oracles.oracle_don(s), oracles.oracle_eon(s)
         for bits in range(1 << s.n * s.n):
             rows = tuple(bits >> s.n * x & (1 << s.n) - 1 for x in range(s.n))
-            assert _accepts(validate_don, s, OrderedRelation(rows, "don")) == (rows in dons)
-            assert _accepts(validate_eon, s, OrderedRelation(rows, "eon")) == (rows in eons)
+            assert _accepts(validate_don, s, OrderedRelation(rows)) == (rows in dons)
+            assert _accepts(validate_eon, s, OrderedRelation(rows)) == (rows in eons)
             checks += 2
     assert checks == 7_272
 
@@ -168,11 +168,11 @@ def test_eta_and_tau_accept_exactly_the_closed_ideals():
 
 def test_rejections_name_the_first_differing_pair():
     s = chain(2).structure
-    reverse = OrderedRelation((0b001, 0b011, 0b100), "eon")
+    reverse = OrderedRelation((0b001, 0b011, 0b100))
     with pytest.raises(InvariantViolation, match=r"not a valid eon relation: \('1', '0'\) is not generated"):
         validate_eon(s, reverse)
     with pytest.raises(InvariantViolation, match=r"not a valid don relation: \('2', '2'\) is forced"):
-        validate_don(s, OrderedRelation((0b001, 0b011, 0b011), "don"))
+        validate_don(s, OrderedRelation((0b001, 0b011, 0b011)))
     with pytest.raises(InvariantViolation, match="not an ideal: '1' is forced"):
         ideal(s, [0, 2])
     up = s.with_operators([("f", (0, 2, 2))])
@@ -184,7 +184,7 @@ def test_rejections_name_the_first_differing_pair():
 @pytest.mark.parametrize("validate", [validate_don, validate_eon])
 def test_relations_of_the_wrong_shape_are_rejected(validate, rows):
     with pytest.raises(InvariantViolation, match="rows do not fit a carrier of 4 elements"):
-        validate(boolean(2).structure, OrderedRelation(rows, "don"))
+        validate(boolean(2).structure, OrderedRelation(rows))
 
 
 @pytest.mark.parametrize("blocks", [[[0, 1], [2, 3, 9]], [[0, 1], [2], [3, -1]]])
@@ -197,6 +197,17 @@ def test_block_members_outside_the_carrier_are_rejected(blocks):
 def test_ideal_members_outside_the_carrier_are_rejected(members):
     with pytest.raises(InvariantViolation, match="not an element index|mask is negative"):
         ideal(boolean(2).structure, members)
+
+
+@pytest.mark.parametrize("items,message", [
+    ([[0, 1], 2, 3], "block 2 is not an iterable"),
+    ([[0, 1], [2, 3.0]], "block member 3.0 is not an element index"),
+    ([0, 0, 9, 9], "rep value 9 is not an element index"),
+    ([0, 0, 2.0, 2], "rep value 2.0 is not an element index"),
+])
+def test_make_congruence_names_the_first_bad_item(items, message):
+    with pytest.raises(InvariantViolation, match=message):
+        make_congruence(boolean(2).structure, items)
 
 
 def test_make_congruence_accepts_a_generator_of_blocks():
@@ -388,13 +399,14 @@ def test_congruence_relation_properties(small_semilattices, data):
 
 
 def test_engine_matches_the_oracle_on_every_small_decoration():
-    # Every single operator up to 4 elements (the 1-element carrier included),
-    # and every ordered operator pair up to 4 elements.
+    # Every single operator up to 5 elements (the 1-element carrier included),
+    # and every ordered operator pair up to 4 elements. Only operators reach
+    # the residual rows of the closed-set walk.
     count = 0
-    for s in itertools.chain(_decorations(4, 1), _decorations(4, 2)):
+    for s in itertools.chain(_decorations(5, 1), _decorations(4, 2)):
         _assert_engine_matches_oracle(s)
         count += 1
-    assert count == 45 + 697
+    assert count == 308 + 697
 
 
 @given(st.data())
@@ -438,31 +450,29 @@ def test_cover_principals_reach_the_cap_exactly(monkeypatch):
         all_congruences(s)
 
 
-def _count_calls(monkeypatch, name: str = "_extend") -> list:
+def _count_calls(monkeypatch, name: str = "_extend", module=congruence) -> list:
     calls: list = []
-    real = getattr(congruence, name)
+    real = getattr(module, name)
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(congruence, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
 def test_con_enumeration_work_is_bounded(monkeypatch):
-    # One propagating _extend per cover pair (the principals); every further
-    # congruence comes from a partition join with a generator, at most one
-    # per (congruence, generator).
+    # One propagating _extend per cover pair (the cross-check); the
+    # Close-by-One walk makes one closure for its base and at most one per
+    # (congruence found, element).
     s = boolean(3).structure
-    covers = _cover_pairs(s)
-    generators = {congruence_generated(s, [p]).rep for p in covers}
     size = len(oracles.oracle_congruences(s))
     calls = _count_calls(monkeypatch)
-    joins = _count_calls(monkeypatch, "_join")
+    closures = _count_calls(monkeypatch, "closure", order)
     assert len(all_congruences(s).congruences) == size
-    assert len(calls) == len(covers)
-    assert 0 < len(joins) <= size * len(generators)
+    assert len(calls) == len(_cover_pairs(s))
+    assert 0 < len(closures) <= 1 + size * s.n
 
 
 def test_is_simple_stops_at_the_first_proper_cover_principal(monkeypatch):

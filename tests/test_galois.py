@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 import oracles
+from eqlat import galois
 from eqlat.congruence import all_congruences, make_congruence
 from eqlat.corpus import boolean, chain, omega
 from eqlat.errors import InvariantViolation, UnknownLabel
@@ -91,6 +94,20 @@ def test_verify_consl_on_a_nondistributive_carrier(small_semilattices):
     assert pool
     for s in pool:
         assert verify_consl(s).passed
+
+
+def test_verify_consl_needs_con_closed_under_cover_principal_joins(monkeypatch):
+    # Con(2 x 2) without its join-reducible congruence [0][p q 1].
+    s = boolean(2).structure
+    idx = s.index
+    missing = make_congruence(s, [[idx["0"]], [idx["p"], idx["q"], idx["1"]]])
+    conl = all_congruences(s)
+    stub = replace(conl, congruences=tuple(t for t in conl.congruences if t != missing))
+    monkeypatch.setattr(galois, "all_congruences", lambda _: stub)
+    result = verify_consl(s)
+    assert not result.passed
+    assert result.note == "a join with a cover principal is missing"
+    assert result.witness == {"theta": "[0][p 1][q]"}
 
 
 def test_subalgebra_family_of_boolean_two():
