@@ -109,7 +109,6 @@ from .semilattice import (
     ideal,
     ideals,
     join_irreducibles,
-    operator_monoid,
     semilattice_from_json,
 )
 

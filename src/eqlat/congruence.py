@@ -17,7 +17,11 @@ their images under these bijections (a R b iff a ~ a + b), so all three views
 share one enumeration and one cap. ``tests/oracles.py`` enumerates the
 relations independently.
 
-Validity is decided by the same engine: an input is valid iff it equals what
+The 0-class of a congruence is the downset of the least member t of its
+closed set T; the least congruence with that 0-class has T = up(t) and the
+greatest (``tau``) has T = closure({t, top}).
+
+Validity is decided by union-find: an input is valid iff it equals what
 its own pairs generate. A partition is a congruence iff generating from its
 pairs returns it; a don or eon relation is valid iff it is the view of the
 congruence generated by its pairs (a, a + b). A failure names the first pair,
@@ -32,8 +36,8 @@ from functools import cached_property
 from typing import Iterable, NoReturn, Sequence
 
 from .errors import BudgetExceeded, InvariantViolation
-from .order import FiniteLattice, closed_sets, iter_bits, lattice_of, popcount
-from .semilattice import IdealSet, OpSemilattice, ideal, operator_monoid
+from .order import FiniteLattice, closed_sets, closure, iter_bits, lattice_of, popcount
+from .semilattice import IdealSet, OpSemilattice, ideal
 
 # One cap for the congruence family, shared by its three views (Con, Don, Eon).
 _CON_CAP = 100_000
@@ -226,12 +230,14 @@ class CongruenceLattice:
 
     ``congruences[i]`` corresponds to element i of ``lattice``; index 0 is the
     identity congruence and the last index the all-in-one congruence. Labels in
-    the lattice are the block strings.
+    the lattice are the block strings. ``closed[i]`` is the mask of the largest
+    block members of ``congruences[i]``, its closed set in ``all_congruences``.
     """
 
     semilattice: OpSemilattice
     congruences: tuple[Congruence, ...]
     lattice: FiniteLattice
+    closed: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -259,6 +265,24 @@ class CongruenceLattice:
         return json.dumps(data, indent=2)
 
 
+def _closure_system(s: OpSemilattice) -> tuple[list[list[int]], list[int]]:
+    """The meet table and, per element t, the mask of each f*(t) = join{x : f(x) <= t}."""
+    n, down = s.n, s.down
+    at = {d: x for x, d in enumerate(down)}
+    meet = [[at[a & b] for b in down] for a in down]
+    rows = [0] * n
+    for _, images in s.operators:
+        for t in range(n):
+            rows[t] |= 1 << s.join_all(x for x in range(n) if down[t] >> images[x] & 1)
+    return meet, rows
+
+
+def _congruence_of(s: OpSemilattice, t: int) -> Congruence:
+    """The congruence whose largest block members are the closed set t."""
+    first: dict[int, int] = {}
+    return Congruence(tuple(first.setdefault(u & t, x) for x, u in enumerate(s.up)))
+
+
 def all_congruences(s: OpSemilattice) -> CongruenceLattice:
     """The full congruence lattice, enumerated as a closure system on the carrier.
 
@@ -267,34 +291,26 @@ def all_congruences(s: OpSemilattice) -> CongruenceLattice:
     so T fixes theta, and theta <= phi iff T_phi lies inside T_theta. The sets
     that arise are exactly those that hold the top and are closed under meets
     and under each residual f*(t) = join{x : f(x) <= t} (Papert; Freese and
-    Nation), so one ``closed_sets`` walk finds them all. As a cross-check by
-    the union-find engine, every cover principal must be among them. Raises
-    BudgetExceeded exactly when there are more than ``_CON_CAP``.
+    Nation), so one ``closed_sets`` walk over ``_closure_system`` finds them
+    all. As a cross-check by the union-find engine, every cover principal
+    must be among them. Raises BudgetExceeded exactly when there are more
+    than ``_CON_CAP``.
     """
-    n, up, down = s.n, s.up, s.down
-    at = {d: x for x, d in enumerate(down)}
-    meet = [[at[a & b] for b in down] for a in down]
-    residuals = [0] * n
-    for _, images in s.operators:
-        for t in range(n):
-            residuals[t] |= 1 << s.join_all(x for x in range(n) if down[t] >> images[x] & 1)
+    meet, rows = _closure_system(s)
     try:
-        found = closed_sets(meet, 1 << s.top, rows=residuals, cap=_CON_CAP)
+        found = closed_sets(meet, 1 << s.top, rows=rows, cap=_CON_CAP)
     except BudgetExceeded:
         raise BudgetExceeded("congruences", _CON_CAP) from None
-    keyed = []
-    for t in found:
-        first: dict[int, int] = {}
-        keyed.append((-popcount(t), tuple(first.setdefault(u & t, x) for x, u in enumerate(up)), t))
-    keyed.sort()
+    keyed = sorted((-popcount(t), _congruence_of(s, t).rep, t) for t in found)
     ordered = tuple(Congruence(rep) for _, rep, _ in keyed)
     reps = {c.rep for c in ordered}
     for a, b in s.poset.covers:
         if congruence_generated(s, [(a, b)]).rep not in reps:
             raise InvariantViolation(f"Cg({s.labels[a]!r}, {s.labels[b]!r}) was not enumerated")
-    full = (1 << n) - 1
-    lattice = lattice_of([c.block_string(s) for c in ordered], [full & ~t for *_, t in keyed])
-    return CongruenceLattice(s, ordered, lattice)
+    closed = tuple(t for *_, t in keyed)
+    full = (1 << s.n) - 1
+    lattice = lattice_of([c.block_string(s) for c in ordered], [full & ~t for t in closed])
+    return CongruenceLattice(s, ordered, lattice, closed)
 
 
 def is_simple(s: OpSemilattice) -> bool:
@@ -317,15 +333,18 @@ def is_simple(s: OpSemilattice) -> bool:
 def _closed_ideal_top(s: OpSemilattice, theta) -> int:
     """The top of the ideal given as a Congruence (its 0-class) / IdealSet / mask / iterable.
 
-    The ideal is the downset of its top t. It must be closed under the
-    operators; they are monotone, so it is closed iff it holds each f(t).
+    Every form is validated by ``ideal``, and a congruence or IdealSet must
+    be sized for the carrier. The ideal is the downset of its top t. It must
+    be closed under the operators; they are monotone, so it is closed iff it
+    holds each f(t).
     """
+    if isinstance(theta, (Congruence, IdealSet)) and theta.n != s.n:
+        raise InvariantViolation(f"0-class is given on {theta.n} elements, not {s.n}")
     if isinstance(theta, Congruence):
-        mask = theta.zero_class_mask(s)
+        theta = theta.zero_class_mask(s)
     elif isinstance(theta, IdealSet):
-        mask = theta.mask
-    else:
-        mask = ideal(s, theta).mask
+        theta = theta.mask
+    mask = ideal(s, theta).mask
     top = s.join_all(iter_bits(mask))
     for name, images in s.operators:
         if not mask >> images[top] & 1:
@@ -349,18 +368,30 @@ def eta(s: OpSemilattice, theta) -> Congruence:
 def tau(s: OpSemilattice, theta) -> Congruence:
     """Greatest congruence whose 0-class is the 0-class of ``theta``.
 
-    x ~ y iff x and y land inside the class under exactly the same members of
-    the operator monoid (identity included).
+    Its largest block members are the closure T of {t, top}, for the top t
+    of the class. Every member of T lies at or above t: meets of such
+    elements do, and f*(u) >= t for u >= t because f(t) <= t. So the least
+    member of T is t and the 0-class is down(t). Any closed set with that
+    0-class holds t and the top, hence T; the least closed set is the
+    greatest congruence. Accepts the same forms as ``eta``.
     """
-    return _tau(s, s.down[_closed_ideal_top(s, theta)], operator_monoid(s))
+    t = _closed_ideal_top(s, theta)
+    meet, rows = _closure_system(s)
+    return _congruence_of(s, closure(meet, 1 << t | 1 << s.top, rows))
 
 
-def _tau(s: OpSemilattice, mask: int, monoid: Sequence[Sequence[int]]) -> Congruence:
-    """``tau`` of an operator-closed 0-class mask, given ``operator_monoid(s)``."""
-    first: dict[tuple[int, ...], int] = {}
-    return Congruence(tuple(
-        first.setdefault(tuple((mask >> h[x]) & 1 for h in monoid), x) for x in range(s.n)
-    ))
+def _zero_class_maps(conl: CongruenceLattice) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For each index i of Con, the indices of eta and of tau of congruence i.
+
+    The 0-class of congruence i is down(m) for the least member m of its
+    closed set; eta's closed set is up(m) and tau's the closure of {m, top}
+    (see ``tau``), taken once per 0-class from one closure system.
+    """
+    s, position = conl.semilattice, {t: i for i, t in enumerate(conl.closed)}
+    meet, rows = _closure_system(s)
+    least = [next(x for x in iter_bits(t) if not t & ~s.up[x]) for t in conl.closed]
+    tau_at = {m: position[closure(meet, 1 << m | 1 << s.top, rows)] for m in set(least)}
+    return tuple(position[s.up[m]] for m in least), tuple(tau_at[m] for m in least)
 
 
 @dataclass(frozen=True)

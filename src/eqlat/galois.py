@@ -72,6 +72,8 @@ class AlgebraicSubsetFamily:
     def __post_init__(self) -> None:
         l = self.ambient
         for m in self.members:
+            if not 0 <= m < 1 << l.n:
+                raise InvariantViolation(f"member mask {m:#x} has bits outside the carrier")
             if not (m >> l.top) & 1:
                 raise InvariantViolation(f"member {set_label(l.labels, m)} misses the top")
             if closure(l.meet_table, m) != m:
@@ -233,7 +235,7 @@ class QuasiOrder:
 
     def __post_init__(self) -> None:
         n = self.carrier.n
-        if len(self.rows) != n:
+        if len(self.rows) != n or any(not 0 <= r < 1 << n for r in self.rows):
             raise InvariantViolation("relation rows do not match the carrier")
         for c in range(n):
             if not (self.rows[c] >> c) & 1:
@@ -348,11 +350,6 @@ def sub_closed_lattice(q: QuasiOrder) -> FiniteLattice:
     return containment_lattice(q.carrier.labels, _closed_sub_members(q))
 
 
-def all_subalgebras(carrier: OpSemilattice) -> tuple[int, ...]:
-    """Masks of all meet-subsemilattices containing the unit (no relation)."""
-    return _closed_sub_members(quasiorder_from_pairs(carrier, []))
-
-
 def quasiorder_from_sublattice(carrier: OpSemilattice, family: Iterable[int]) -> QuasiOrder:
     """The quasiorder induced by a sublattice of the subalgebra lattice.
 
@@ -410,13 +407,9 @@ def check_sub_duality(carrier: OpSemilattice, family: Iterable[int]) -> CheckRes
 
 
 def _congruence_items(s: OpSemilattice, family: Iterable) -> list[Congruence]:
-    out = []
-    for item in family:
-        if isinstance(item, Congruence):
-            out.append(item)
-        else:
-            out.append(make_congruence(s.reduct(), item))
-    return out
+    """Validated reduct congruences from Congruence objects, rep vectors or block lists."""
+    reduct = s.reduct()
+    return [make_congruence(reduct, t.rep if isinstance(t, Congruence) else t) for t in family]
 
 
 def check_filterable(s: OpSemilattice, family: Iterable) -> CheckResult:

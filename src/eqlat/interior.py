@@ -440,30 +440,18 @@ class InteriorMap:
 def natural_eta(s, conl) -> InteriorMap:
     """The least-congruence-with-same-0-class map on a congruence lattice.
 
-    The congruences sharing a 0-class are closed under meets, so folding
-    the meet table of Con over them lands on their least member, eta. The
-    derived tau is verified to agree with the greatest-congruence companion.
+    eta and the greatest-congruence companion tau are read off the closed
+    sets of Con (``congruence._zero_class_maps``); the tau derived from the
+    fibers of eta is verified to agree with the companion.
     """
-    from .congruence import _tau
-    from .semilattice import operator_monoid
+    from .congruence import _zero_class_maps
 
     if conl.semilattice != s:
         raise InvariantViolation("congruence lattice does not belong to this semilattice")
-    # tau reads only the 0-class, so it is computed once per class; the
-    # operator monoid it reads is built once per structure.
-    monoid, meet = operator_monoid(s), conl.lattice.meet_table
-    classes = [theta.zero_class_mask(s) for theta in conl.congruences]
-    eta_at: dict[int, int] = {}
-    tau_at: dict[int, int] = {}
-    for i, z in enumerate(classes):
-        if z not in tau_at:
-            tau_at[z] = conl.index_of(_tau(s, z, monoid))
-        eta_at[z] = meet[eta_at.get(z, i)][i]
-    if any(classes[e] != z for z, e in eta_at.items()):
-        raise InvariantViolation("a meet of congruences left their common 0-class")
-    im = InteriorMap(conl.lattice, tuple(eta_at[z] for z in classes))
-    for i, z in enumerate(classes):
-        if im.tau[i] != tau_at[z]:
+    h, tau_of = _zero_class_maps(conl)
+    im = InteriorMap(conl.lattice, h)
+    for i, t in enumerate(tau_of):
+        if im.tau[i] != t:
             raise InvariantViolation(
                 f"derived tau disagrees with the greatest-congruence construction at index {i}"
             )

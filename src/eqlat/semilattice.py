@@ -16,7 +16,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
-    BudgetExceeded,
     InvariantViolation,
     NotJoinHomomorphism,
     UnknownLabel,
@@ -24,7 +23,6 @@ from .errors import (
 )
 from .order import FiniteLattice, FinitePoset, as_lattice, iter_bits, json_list, popcount
 
-_MONOID_CAP = 10_000
 # The cached properties of OpSemilattice that read only the carrier.
 _CARRIER_DATA = ("up", "down", "top", "poset", "lattice", "index")
 
@@ -236,35 +234,12 @@ def semilattice_from_json(text: str) -> OpSemilattice:
     return from_join_table(labels, join_table, zero, operators)
 
 
-def operator_monoid(s: OpSemilattice) -> tuple[tuple[int, ...], ...]:
-    """Closure of the operator set plus identity under composition.
-
-    Breadth-first from the identity, deterministic order. Raises
-    BudgetExceeded when the monoid has more than ``_MONOID_CAP`` maps.
-    """
-    ident = tuple(range(s.n))
-    generators = [images for _, images in s.operators]
-    seen = {ident}
-    order = [ident]
-    frontier = [ident]
-    while frontier:
-        new = []
-        for g in frontier:
-            for f in generators:
-                h = tuple(f[x] for x in g)
-                if h not in seen:
-                    seen.add(h)
-                    order.append(h)
-                    new.append(h)
-                    if len(order) > _MONOID_CAP:
-                        raise BudgetExceeded("monoid maps", _MONOID_CAP)
-        frontier = new
-    return tuple(order)
-
-
 @dataclass(frozen=True)
 class IdealSet:
-    """An ideal stored as a bitmask over the carrier (validated at construction)."""
+    """An ideal stored as a bitmask over the carrier.
+
+    Direct construction checks nothing; ``ideal`` validates and wraps.
+    """
 
     mask: int
     n: int

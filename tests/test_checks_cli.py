@@ -99,6 +99,16 @@ def test_cli_eta_tau(b2_file, capsys):
     assert data["eta"] == data["congruence"] == data["tau"] == "[0 p][q 1]"
 
 
+def test_cli_eta_tau_when_the_operators_generate_every_atom_map(atom_maps_b6, tmp_path, capsys):
+    path = tmp_path / "b6.json"
+    path.write_text(atom_maps_b6.to_json())
+    rest = atom_maps_b6.labels[1:]
+    assert main(["eta-tau", str(path), "--congruence", "[0][" + ",".join(rest) + "]"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["eta"] == "[" + "][".join(atom_maps_b6.labels) + "]"
+    assert data["tau"] == data["congruence"] == "[0][" + " ".join(rest) + "]"
+
+
 def test_cli_eta_tau_rejects_garbage_blocks(b2_file, capsys):
     assert main(["eta-tau", b2_file, "--congruence", "nonsense"]) == 2
     assert "error:" in capsys.readouterr().err

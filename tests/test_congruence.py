@@ -35,7 +35,7 @@ from eqlat.congruence import (
 )
 from eqlat.corpus import boolean, chain, enumerate_semilattices, omega
 from eqlat.errors import BudgetExceeded, InvariantViolation
-from eqlat.semilattice import all_endomorphisms, ideal, ideals
+from eqlat.semilattice import IdealSet, all_endomorphisms, ideal, ideals
 
 SMALL_CARRIERS = enumerate_semilattices(5)
 
@@ -180,6 +180,19 @@ def test_rejections_name_the_first_differing_pair():
         eta(up, [0, 1])
 
 
+@pytest.mark.parametrize("bad", [
+    IdealSet(0b0110, 4),  # {p, q} is not down-closed
+    IdealSet(1 << 9, 10),
+    IdealSet(1, 10),  # an ideal of a 10-element carrier
+    IdealSet(-1, 4),
+    Congruence((0, 1, 2, 3, 4, 5)),
+])
+@pytest.mark.parametrize("fn", [eta, tau])
+def test_malformed_zero_classes_are_rejected(fn, bad):
+    with pytest.raises(InvariantViolation):
+        fn(boolean(2).structure, bad)
+
+
 @pytest.mark.parametrize("rows", [(0b0001,) * 3, (0b0001,) * 5, (0b0001, 0b0011, 0b0101, 0b11111)])
 @pytest.mark.parametrize("validate", [validate_don, validate_eon])
 def test_relations_of_the_wrong_shape_are_rejected(validate, rows):
@@ -257,7 +270,7 @@ def test_join_and_meet_agree_with_refinement(tiny_semilattices):
 
 
 def test_eta_tau_match_partition_oracle(tiny_semilattices):
-    for s in tiny_semilattices:
+    for s in itertools.chain(tiny_semilattices, _decorations(3, 2)):
         for i in ideals(s, f_closed_only=True):
             least, greatest = oracles.oracle_eta_tau(s, i.mask)
             assert eta(s, i).rep == least

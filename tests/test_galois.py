@@ -6,13 +6,13 @@ import pytest
 
 import oracles
 from eqlat import galois
-from eqlat.congruence import all_congruences, make_congruence
+from eqlat.congruence import Congruence, all_congruences, make_congruence
 from eqlat.corpus import boolean, chain, omega
 from eqlat.errors import InvariantViolation, UnknownLabel
 from eqlat.galois import (
     AlgebraicSubsetFamily,
+    QuasiOrder,
     algebraic_subsets,
-    all_subalgebras,
     check_distributive_quasiorder,
     check_filterable,
     check_sub_duality,
@@ -112,7 +112,7 @@ def test_verify_consl_needs_con_closed_under_cover_principal_joins(monkeypatch):
 
 def test_subalgebra_family_of_boolean_two():
     carrier = boolean(2).structure
-    subs = all_subalgebras(carrier)
+    subs = galois._closed_sub_members(quasiorder_from_pairs(carrier, []))
     assert len(subs) == 7
     q = quasiorder_from_sublattice(carrier, subs)
     report = check_distributive_quasiorder(q)
@@ -123,7 +123,7 @@ def test_subalgebra_family_of_boolean_two():
 
 def test_proper_subfamily_round_trips():
     carrier = boolean(2).structure
-    subs = list(all_subalgebras(carrier))
+    subs = list(galois._closed_sub_members(quasiorder_from_pairs(carrier, [])))
     p_only = next(
         m for m in subs if m == (1 << carrier.zero) | (1 << carrier.index["p"])
     )
@@ -198,3 +198,20 @@ def test_induced_interior_on_the_reconstruction(k_entry):
     assert len(sorted_members) == 9
     assert len(set(im.h)) == 5
     assert im.h == k_entry.extra["interior"].h
+
+
+def test_filterable_rejects_a_congruence_of_the_wrong_length(b2):
+    with pytest.raises(InvariantViolation, match="rep vector has wrong length"):
+        check_filterable(b2, [Congruence((0, 1, 2))])
+
+
+@pytest.mark.parametrize("rows", [(1 | 1 << 9, 2, 4, 8), (-1, 2, 4, 8)])
+def test_quasiorder_rows_outside_the_carrier_are_rejected(b2, rows):
+    with pytest.raises(InvariantViolation, match="rows do not match the carrier"):
+        QuasiOrder(b2, rows)
+
+
+def test_subset_family_members_outside_the_carrier_are_rejected(b2):
+    l = b2.lattice
+    with pytest.raises(InvariantViolation, match="outside the carrier"):
+        AlgebraicSubsetFamily(l, (1 << 20 | 1 << l.top,))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from eqlat import checks, congruence, interior, semilattice
+from eqlat import checks, congruence, interior
 from eqlat.congruence import all_congruences, congruence_generated, eta, tau
 from eqlat.corpus import (
     boolean, chain, enumerate_semilattices, k_lattice, m2, m_infinity, omega, p1,
@@ -310,22 +310,30 @@ def test_distributive_elements_match_the_pair_scan():
         assert interior._distributive_elements(l) == oracles.oracle_distributive_elements(l)
 
 
-def test_natural_map_builds_the_operator_monoid_once(monkeypatch):
+def test_natural_map_builds_the_closure_system_once(monkeypatch):
     s = omega(3).structure
     conl = all_congruences(s)
     assert len({theta.zero_class_mask(s) for theta in conl.congruences}) >= 2
     calls = []
-    real = semilattice.operator_monoid
+    real = congruence._closure_system
 
     def counting(t):
         calls.append(t)
         return real(t)
 
-    for module in (semilattice, congruence, interior):
-        if getattr(module, "operator_monoid", None) is real:
-            monkeypatch.setattr(module, "operator_monoid", counting)
+    monkeypatch.setattr(congruence, "_closure_system", counting)
     natural_eta(s, conl)
-    assert len(calls) == 1
+    assert calls == [s]
+
+
+def test_natural_map_when_the_operators_generate_every_atom_map(atom_maps_b6):
+    s = atom_maps_b6
+    conl = all_congruences(s)
+    assert [theta.block_count for theta in conl.congruences] == [64, 2, 1]
+    assert tau(s, [0]).rep == (0,) + (1,) * 63
+    assert eta(s, [0]).rep == tuple(range(64))
+    im = natural_eta(s, conl)
+    assert (im.h, im.tau) == ((0, 0, 2), (1, 1, 2))
 
 
 def test_natural_map_passes_the_full_battery_on_small_carriers():
