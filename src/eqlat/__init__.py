@@ -109,6 +109,7 @@ from .semilattice import (
     ideal,
     ideals,
     join_irreducibles,
+    operator_monoid,
     semilattice_from_json,
 )
 

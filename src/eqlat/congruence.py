@@ -265,15 +265,23 @@ class CongruenceLattice:
         return json.dumps(data, indent=2)
 
 
-def _closure_system(s: OpSemilattice) -> tuple[list[list[int]], list[int]]:
-    """The meet table and, per element t, the mask of each f*(t) = join{x : f(x) <= t}."""
+def _closure_system(s: OpSemilattice, within: int | None = None) -> tuple[list[list[int]], list[int]]:
+    """The meet table and, per element t, the mask of each f*(t) = join{x : f(x) <= t}.
+
+    {x : f(x) <= t} is a join-closed downset holding 0, so it is down(f*(t)).
+    Given ``within``, the mask of an up-set closed under meets and residuals,
+    only its members get a meet row and residuals; closures of its subsets
+    never leave it.
+    """
     n, down = s.n, s.down
+    within = (1 << n) - 1 if within is None else within
     at = {d: x for x, d in enumerate(down)}
-    meet = [[at[a & b] for b in down] for a in down]
+    meet = [[at[a & d] for d in down] if within >> x & 1 else [] for x, a in enumerate(down)]
     rows = [0] * n
     for _, images in s.operators:
-        for t in range(n):
-            rows[t] |= 1 << s.join_all(x for x in range(n) if down[t] >> images[x] & 1)
+        for t in iter_bits(within):
+            lower = down[t]
+            rows[t] |= 1 << at[sum(1 << x for x in range(n) if lower >> images[x] & 1)]
     return meet, rows
 
 
@@ -373,10 +381,11 @@ def tau(s: OpSemilattice, theta) -> Congruence:
     elements do, and f*(u) >= t for u >= t because f(t) <= t. So the least
     member of T is t and the 0-class is down(t). Any closed set with that
     0-class holds t and the top, hence T; the least closed set is the
-    greatest congruence. Accepts the same forms as ``eta``.
+    greatest congruence, and the closure system is built on up(t) alone.
+    Accepts the same forms as ``eta``.
     """
     t = _closed_ideal_top(s, theta)
-    meet, rows = _closure_system(s)
+    meet, rows = _closure_system(s, s.up[t])
     return _congruence_of(s, closure(meet, 1 << t | 1 << s.top, rows))
 
 
@@ -389,9 +398,12 @@ def _zero_class_maps(conl: CongruenceLattice) -> tuple[tuple[int, ...], tuple[in
     """
     s, position = conl.semilattice, {t: i for i, t in enumerate(conl.closed)}
     meet, rows = _closure_system(s)
-    least = [next(x for x in iter_bits(t) if not t & ~s.up[x]) for t in conl.closed]
-    tau_at = {m: position[closure(meet, 1 << m | 1 << s.top, rows)] for m in set(least)}
-    return tuple(position[s.up[m]] for m in least), tuple(tau_at[m] for m in least)
+    try:
+        least = [next(x for x in iter_bits(t) if not t & ~s.up[x]) for t in conl.closed]
+        tau_at = {m: position[closure(meet, 1 << m | 1 << s.top, rows)] for m in set(least)}
+        return tuple(position[s.up[m]] for m in least), tuple(tau_at[m] for m in least)
+    except (StopIteration, KeyError):
+        raise InvariantViolation("closed sets do not match this congruence lattice") from None
 
 
 @dataclass(frozen=True)

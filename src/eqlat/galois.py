@@ -407,9 +407,11 @@ def check_sub_duality(carrier: OpSemilattice, family: Iterable[int]) -> CheckRes
 
 
 def _congruence_items(s: OpSemilattice, family: Iterable) -> list[Congruence]:
-    """Validated reduct congruences from Congruence objects, rep vectors or block lists."""
-    reduct = s.reduct()
-    return [make_congruence(reduct, t.rep if isinstance(t, Congruence) else t) for t in family]
+    """Reduct congruences from Congruence objects (length-checked), rep vectors or block lists."""
+    out = [t if isinstance(t, Congruence) else make_congruence(s.reduct(), t) for t in family]
+    if any(t.n != s.n for t in out):
+        raise InvariantViolation("rep vector has wrong length")
+    return out
 
 
 def check_filterable(s: OpSemilattice, family: Iterable) -> CheckResult:

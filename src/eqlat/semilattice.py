@@ -16,6 +16,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
+    BudgetExceeded,
     InvariantViolation,
     NotJoinHomomorphism,
     UnknownLabel,
@@ -23,6 +24,7 @@ from .errors import (
 )
 from .order import FiniteLattice, FinitePoset, as_lattice, iter_bits, json_list, popcount
 
+_MONOID_CAP = 10_000
 # The cached properties of OpSemilattice that read only the carrier.
 _CARRIER_DATA = ("up", "down", "top", "poset", "lattice", "index")
 
@@ -232,6 +234,35 @@ def semilattice_from_json(text: str) -> OpSemilattice:
         raise InvariantViolation("'operators' must map names to lists of labels")
     operators = [(str(name), [look(v) for v in json_list(named, name)]) for name in named]
     return from_join_table(labels, join_table, zero, operators)
+
+
+def operator_monoid(s: OpSemilattice) -> tuple[tuple[int, ...], ...]:
+    """Closure of the operator set plus identity under composition.
+
+    Breadth-first from the identity, deterministic order. Raises
+    BudgetExceeded when the monoid has more than ``_MONOID_CAP`` maps.
+    Nothing in the package calls it: ``congruence.tau`` and ``natural_eta``
+    read the 0-class interval off Con's closed sets instead. It stays public
+    while ``bench/tracer.py`` traces it by name.
+    """
+    ident = tuple(range(s.n))
+    generators = [images for _, images in s.operators]
+    seen = {ident}
+    order = [ident]
+    frontier = [ident]
+    while frontier:
+        new = []
+        for g in frontier:
+            for f in generators:
+                h = tuple(f[x] for x in g)
+                if h not in seen:
+                    seen.add(h)
+                    order.append(h)
+                    new.append(h)
+                    if len(order) > _MONOID_CAP:
+                        raise BudgetExceeded("monoid maps", _MONOID_CAP)
+        frontier = new
+    return tuple(order)
 
 
 @dataclass(frozen=True)

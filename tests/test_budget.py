@@ -14,13 +14,14 @@ from pathlib import Path
 import pytest
 
 import eqlat
-from eqlat import congruence, corpus, galois, interior, order
+from eqlat import congruence, corpus, galois, interior, order, semilattice
 from eqlat.congruence import all_congruences, all_don, all_eon
-from eqlat.corpus import boolean, chain, m2, run_claims
+from eqlat.corpus import boolean, chain, m2, omega, run_claims
 from eqlat.errors import BudgetExceeded, SearchBudgetExceeded
 from eqlat.galois import algebraic_subsets, ideal_lattice, quasiorder_from_pairs
 from eqlat.interior import enumerate_eios
 from eqlat.order import canonical_key
+from eqlat.semilattice import operator_monoid
 
 
 def _evidence(entry) -> None:
@@ -43,6 +44,8 @@ CAPPED_SEARCHES = [
                  id="all_don"),
     pytest.param(congruence, "_CON_CAP", lambda: all_eon(chain(2).structure), 4, "congruences",
                  id="all_eon"),
+    pytest.param(semilattice, "_MONOID_CAP", lambda: operator_monoid(omega(3).structure), 4,
+                 "monoid maps", id="operator_monoid"),
     pytest.param(galois, "_SUBSET_CAP", lambda: algebraic_subsets(ideal_lattice(_B2)), 7,
                  "closed sets", id="algebraic_subsets"),
     pytest.param(galois, "_SUBSET_CAP",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -324,6 +325,16 @@ def test_natural_map_builds_the_closure_system_once(monkeypatch):
     monkeypatch.setattr(congruence, "_closure_system", counting)
     natural_eta(s, conl)
     assert calls == [s]
+
+
+# {p, q, 1} has no least member; {0, p, q} has 0 least, but up(0) is no longer listed.
+@pytest.mark.parametrize("foreign", [0b1110, 0b0111])
+def test_natural_map_rejects_closed_sets_foreign_to_its_lattice(b2, foreign):
+    conl = all_congruences(b2)
+    assert conl.closed[0] == 0b1111
+    stale = dataclasses.replace(conl, closed=(foreign,) + conl.closed[1:])
+    with pytest.raises(InvariantViolation, match="closed sets do not match"):
+        natural_eta(b2, stale)
 
 
 def test_natural_map_when_the_operators_generate_every_atom_map(atom_maps_b6):

@@ -18,6 +18,7 @@ from eqlat.semilattice import (
     ideal,
     ideals,
     join_irreducibles,
+    operator_monoid,
     semilattice_from_json,
 )
 
@@ -83,6 +84,20 @@ def test_join_irreducibles_of_boolean_are_atoms():
     b3 = boolean(3).structure
     irr = join_irreducibles(b3)
     assert sorted(b3.labels[i] for i in irr) == ["p", "q", "r"]
+
+
+def test_operator_monoid_of_omega_is_the_power_chain():
+    s = omega(5).structure
+    monoid = operator_monoid(s)
+    ident = tuple(range(s.n))
+    assert ident in monoid
+    (_, p) = s.operators[0]
+    powers = {ident}
+    cur = ident
+    for _ in range(s.n):
+        cur = tuple(p[x] for x in cur)
+        powers.add(cur)
+    assert set(monoid) == powers
 
 
 def _reversed(s):
