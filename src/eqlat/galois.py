@@ -12,6 +12,12 @@ Three strands share this module:
 * filterable sublattices of the congruence lattice and the interior map
   they induce (``check_filterable``, ``sublattice_interior``).
 
+The families of the first two strands are one ``closed_sets`` walk,
+``_closed_family``: the meet-closed subsets of the ideal lattice that hold
+its top, and the relation-closed subalgebras that hold the unit. The other
+side of each duality (``galois_h`` / ``galois_rho``, the quasiorder induced
+by a family) is computed independently, so the round trips are checks.
+
 Meet-semilattices with unit are represented by their dual join-semilattice:
 the structure's meet is the carrier's join and the structure's unit is the
 carrier's zero.
@@ -19,9 +25,7 @@ carrier's zero.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 from .congruence import (
@@ -47,7 +51,8 @@ from .order import (
 )
 from .semilattice import IdealSet, OpSemilattice, ideals
 
-# Cap on the closed sets walked by algebraic_subsets and _closed_sub_members.
+# Cap on the closed sets of one _closed_family walk: the meet-closed subsets
+# of an ideal lattice (consl) and the closed subalgebras of a quasiorder.
 _SUBSET_CAP = 1 << 22
 
 
@@ -81,59 +86,20 @@ class AlgebraicSubsetFamily:
         if len(set(self.members)) != len(self.members):
             raise InvariantViolation("duplicate members")
 
-    def __len__(self) -> int:
-        return len(self.members)
 
-    def member_labels(self, i: int) -> tuple[str, ...]:
-        return tuple(self.ambient.labels[e] for e in iter_bits(self.members[i]))
+def _closed_family(table, base: int, rows=None) -> tuple[int, ...]:
+    """Every set over ``base`` closed under ``table`` and ``rows``, by (size, mask).
 
-    @cached_property
-    def lattice(self) -> FiniteLattice:
-        return containment_lattice(self.ambient.labels, self.members)
-
-    def to_json(self) -> str:
-        return json.dumps({"members": [list(self.member_labels(i)) for i in range(len(self))]})
-
-
-def _relation_pairs(index: dict[str, int], rel) -> list[tuple[int, int]]:
-    """Index pairs of a relation given as (source, target) labels or indices.
-
-    Raises UnknownLabel for a label outside ``index`` and InvariantViolation
-    for anything else that is not an index in 0..n-1.
+    Raises BudgetExceeded when more than ``_SUBSET_CAP`` such sets exist;
+    they are counted before any is kept.
     """
-    n = len(index)
-
-    def end(x, pair) -> int:
-        if isinstance(x, str):
-            if x not in index:
-                raise UnknownLabel(f"unknown label {x!r} in relation pair {pair!r}")
-            return index[x]
-        if not isinstance(x, int) or not 0 <= x < n:
-            raise InvariantViolation(f"relation pair {pair!r} is out of range")
-        return x
-
-    return [(end(a, (a, b)), end(b, (a, b))) for a, b in rel]
+    found = closed_sets(table, base, rows=rows, cap=_SUBSET_CAP)
+    return tuple(sorted(found, key=lambda m: (popcount(m), m)))
 
 
-def _normalize_relation(l: FiniteLattice, rel) -> list[int]:
-    """Rows of a binary relation given as (source, target) pairs."""
-    rows = [0] * l.n
-    for ia, ib in _relation_pairs(l.poset.index, rel):
-        rows[ia] |= 1 << ib
-    return rows
-
-
-def algebraic_subsets(l: FiniteLattice, closed_under=None) -> AlgebraicSubsetFamily:
-    """Every meet-closed, top-containing subset, optionally relation-closed.
-
-    When ``closed_under`` pairs are given, a member S must also satisfy:
-    s in S and s R t imply t in S. Raises BudgetExceeded when more than
-    ``_SUBSET_CAP`` such subsets exist; they are counted before any is kept.
-    """
-    rows = _normalize_relation(l, closed_under) if closed_under is not None else None
-    found = closed_sets(l.meet_table, 1 << l.top, rows=rows, cap=_SUBSET_CAP)
-    out = sorted(found, key=lambda m: (popcount(m), m))
-    return AlgebraicSubsetFamily(l, tuple(out))
+def algebraic_subsets(l: FiniteLattice) -> AlgebraicSubsetFamily:
+    """Every meet-closed subset of ``l`` that contains its top, by (size, mask)."""
+    return AlgebraicSubsetFamily(l, _closed_family(l.meet_table, 1 << l.top))
 
 
 def _ideal_mask_of(item) -> int:
@@ -249,22 +215,29 @@ class QuasiOrder:
     def holds(self, c: int, d: int) -> bool:
         return bool((self.rows[c] >> d) & 1)
 
-    def meet(self, a: int, b: int) -> int:
-        return self.carrier.join(a, b)
-
     @property
     def unit(self) -> int:
         return self.carrier.zero
 
-    @cached_property
-    def pairs(self) -> tuple[tuple[str, str], ...]:
-        labs = self.carrier.labels
-        return tuple(
-            (labs[c], labs[d]) for c in range(self.carrier.n) for d in iter_bits(self.rows[c])
-        )
 
-    def to_json(self) -> str:
-        return json.dumps({"pairs": [list(p) for p in self.pairs]})
+def _relation_pairs(index: dict[str, int], rel) -> list[tuple[int, int]]:
+    """Index pairs of a relation given as (source, target) labels or indices.
+
+    Raises UnknownLabel for a label outside ``index`` and InvariantViolation
+    for anything else that is not an index in 0..n-1.
+    """
+    n = len(index)
+
+    def end(x, pair) -> int:
+        if isinstance(x, str):
+            if x not in index:
+                raise UnknownLabel(f"unknown label {x!r} in relation pair {pair!r}")
+            return index[x]
+        if not isinstance(x, int) or not 0 <= x < n:
+            raise InvariantViolation(f"relation pair {pair!r} is out of range")
+        return x
+
+    return [(end(a, (a, b)), end(b, (a, b))) for a, b in rel]
 
 
 def quasiorder_from_pairs(carrier: OpSemilattice, pairs: Iterable) -> QuasiOrder:
@@ -276,7 +249,7 @@ def quasiorder_from_pairs(carrier: OpSemilattice, pairs: Iterable) -> QuasiOrder
 
 
 def check_distributive_quasiorder(q: QuasiOrder) -> AxiomReport:
-    """Report on the four quasiorder conditions.
+    """Report on the four quasiorder conditions, each with its first witness.
 
     (1) a meet related to d splits: c1 ^ c2 related to d implies d = d1 ^ d2
         with c1 related to d1 and c2 related to d2;
@@ -284,65 +257,37 @@ def check_distributive_quasiorder(q: QuasiOrder) -> AxiomReport:
     (3) common targets are meet-closed: c related to d1 and d2 implies
         c related to d1 ^ d2;
     (4) everything is related to the unit.
+
+    Condition (1) compares the targets of c1 ^ c2 with one split mask per
+    pair (c1, c2): every meet d1 ^ d2 of a target of c1 and a target of c2.
+    Witnesses are the first failures in the order c1, c2, d (resp. c, d1, d2)
+    with each index increasing.
     """
     s = q.carrier
-    labs = s.labels
-    n = s.n
+    labs, meet, rows, unit, n = s.labels, s.join_t, q.rows, q.unit, s.n
 
-    w1 = None
-    for c1 in range(n):
-        for c2 in range(n):
-            m = q.meet(c1, c2)
-            for d in iter_bits(q.rows[m]):
-                split = any(
-                    q.meet(d1, d2) == d
-                    for d1 in iter_bits(q.rows[c1])
-                    for d2 in iter_bits(q.rows[c2])
-                )
-                if not split:
-                    w1 = {"c1": labs[c1], "c2": labs[c2], "d": labs[d]}
-                    break
-            if w1:
-                break
-        if w1:
-            break
+    def split(c1: int, c2: int) -> int:
+        out = 0
+        for d1 in iter_bits(rows[c1]):
+            row = meet[d1]
+            for d2 in iter_bits(rows[c2]):
+                out |= 1 << row[d2]
+        return out
 
-    w2 = None
-    for d in iter_bits(q.rows[q.unit]):
-        if d != q.unit:
-            w2 = {"d": labs[d]}
-            break
-
-    w3 = None
-    for c in range(n):
-        for d1 in iter_bits(q.rows[c]):
-            for d2 in iter_bits(q.rows[c]):
-                if not q.holds(c, q.meet(d1, d2)):
-                    w3 = {"c": labs[c], "d1": labs[d1], "d2": labs[d2]}
-                    break
-            if w3:
-                break
-        if w3:
-            break
-
-    w4 = None
-    for c in range(n):
-        if not q.holds(c, q.unit):
-            w4 = {"c": labs[c]}
-            break
-
-    return AxiomReport((
-        ("1", Verdict(w1 is None, w1)),
-        ("2", Verdict(w2 is None, w2)),
-        ("3", Verdict(w3 is None, w3)),
-        ("4", Verdict(w4 is None, w4)),
-    ))
+    w1 = next(({"c1": labs[c1], "c2": labs[c2], "d": labs[d]}
+               for c1 in range(n) for c2 in range(n)
+               for d in iter_bits(rows[meet[c1][c2]] & ~split(c1, c2))), None)
+    w2 = next(({"d": labs[d]} for d in iter_bits(rows[unit] & ~(1 << unit))), None)
+    w3 = next(({"c": labs[c], "d1": labs[d1], "d2": labs[d2]}
+               for c in range(n) for d1 in iter_bits(rows[c]) for d2 in iter_bits(rows[c])
+               if not (rows[c] >> meet[d1][d2]) & 1), None)
+    w4 = next(({"c": labs[c]} for c in range(n) if not (rows[c] >> unit) & 1), None)
+    return AxiomReport(tuple((name, Verdict(w is None, w)) for name, w in zip("1234", (w1, w2, w3, w4))))
 
 
 def _closed_sub_members(q: QuasiOrder) -> tuple[int, ...]:
     """Masks of relation-closed meet-subsemilattices containing the unit."""
-    found = closed_sets(q.carrier.join_t, 1 << q.unit, rows=q.rows, cap=_SUBSET_CAP)
-    return tuple(sorted(found, key=lambda m: (popcount(m), m)))
+    return _closed_family(q.carrier.join_t, 1 << q.unit, q.rows)
 
 
 def sub_closed_lattice(q: QuasiOrder) -> FiniteLattice:

@@ -195,17 +195,7 @@ def build_poset(labels: Sequence[str], covers: Iterable[tuple[str, str]]) -> Fin
         if hi not in index:
             raise UnknownLabel(f"unknown label {hi!r} in cover")
         succ[index[lo]] |= 1 << index[hi]
-    up = [1 << i for i in range(n)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            acc = up[i]
-            for j in iter_bits(succ[i]):
-                acc |= up[j]
-            if acc != up[i]:
-                up[i] = acc
-                changed = True
+    up = [closure(None, 1 << i, succ) for i in range(n)]
     for i in range(n):
         for j in iter_bits(up[i]):
             if i != j and (up[j] >> i) & 1:

@@ -203,13 +203,12 @@ def semilattice_from_json(text: str) -> OpSemilattice:
 
     if "joins" in data:
         n = len(labels)
-        table = [[None] * n for _ in range(n)]
+        table = [[i if i == j else None for j in range(n)] for i in range(n)]
         for a, b, c in json_list(data, "joins", 3):
             ia, ib, ic = look(a), look(b), look(c)
-            table[ia][ib] = ic
-            table[ib][ia] = ic
-        for i in range(n):
-            table[i][i] = i
+            if table[ia][ib] not in (None, ic):
+                raise InvariantViolation(f"the join of {a!r} and {b!r} is given two values")
+            table[ia][ib] = table[ib][ia] = ic
         if any(v is None for row in table for v in row):
             raise InvariantViolation("joins list does not cover every pair")
         join_table = table

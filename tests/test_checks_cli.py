@@ -158,6 +158,17 @@ def test_cli_verify_emits_one_json_line_per_outcome(capsys):
     }
 
 
+def test_cli_verify_runs_the_filterable_suite(capsys):
+    assert main(["verify", "filterable"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 752
+    checks = [json.loads(line)["check"] for line in lines[:-1]]
+    assert (checks.count("filterable"), checks.count("filterable-interior")) == (376, 375)
+    assert json.loads(lines[-1]) == {
+        "suite": "filterable", "total": 751, "failed": 0, "skipped": 0, "verdict": "pass",
+    }
+
+
 def test_cli_verify_rejects_unknown_suite(capsys):
     assert main(["verify", "bogus"]) == 2
 

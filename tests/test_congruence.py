@@ -217,6 +217,9 @@ def test_ideal_members_outside_the_carrier_are_rejected(members):
     ([[0, 1], [2, 3.0]], "block member 3.0 is not an element index"),
     ([0, 0, 9, 9], "rep value 9 is not an element index"),
     ([0, 0, 2.0, 2], "rep value 2.0 is not an element index"),
+    ([[0, 1], [1, 2, 3]], "blocks overlap"),
+    ([[0, 1], [2]], "blocks do not cover the carrier"),
+    ([0, 0, 2], "rep vector has wrong length"),
 ])
 def test_make_congruence_names_the_first_bad_item(items, message):
     with pytest.raises(InvariantViolation, match=message):

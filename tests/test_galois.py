@@ -154,8 +154,6 @@ def test_relation_pairs_get_typed_errors(pair, error):
     carrier = boolean(2).structure
     with pytest.raises(error):
         quasiorder_from_pairs(carrier, [pair])
-    with pytest.raises(error):
-        algebraic_subsets(carrier.lattice, [pair])
 
 
 def test_unit_condition_failure_is_reported():
@@ -209,6 +207,19 @@ def test_filterable_rejects_a_congruence_of_the_wrong_length(b2):
 def test_quasiorder_rows_outside_the_carrier_are_rejected(b2, rows):
     with pytest.raises(InvariantViolation, match="rows do not match the carrier"):
         QuasiOrder(b2, rows)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda s: QuasiOrder(s, (0b0001, 0b0000, 0b0100, 0b1000)), "not reflexive at p"),
+    (lambda s: quasiorder_from_sublattice(s, []), "empty family"),
+    (lambda s: quasiorder_from_sublattice(s, [0b1110, 0b1111]), "not a meet-subsemilattice with unit"),
+    (lambda s: quasiorder_from_sublattice(s, [0b0001]), "misses the full subalgebra"),
+    (lambda s: quasiorder_from_sublattice(s, [0b1011, 0b1101, 0b1111]), "not closed under intersection"),
+    (lambda s: AlgebraicSubsetFamily(s.lattice, (0b1111, 0b1111)), "duplicate members"),
+])
+def test_malformed_quasiorders_and_families_are_rejected(b2, build, message):
+    with pytest.raises(InvariantViolation, match=message):
+        build(b2)
 
 
 def test_subset_family_members_outside_the_carrier_are_rejected(b2):

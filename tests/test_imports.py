@@ -21,6 +21,37 @@ def _unused_imports(path: Path) -> list[str]:
     return [f"{line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def _unread_private_names(paths: list[Path]) -> list[str]:
+    """Module-level ``_names`` that no module in ``paths`` reads, as 'file:line: name'.
+
+    A read is a loaded name, an attribute or an imported name.
+    """
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    out = []
+    for p, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            out += [f"{p.name}:{node.lineno}: {name}" for name in names
+                    if name.startswith("_") and not name.startswith("__") and name not in read]
+    return out
+
+
 def test_no_unused_imports():
     # The package's __init__.py imports only to re-export.
     paths = [p for p in sorted(ROOT.glob("src/eqlat/*.py")) if p.name != "__init__.py"]
@@ -34,3 +65,18 @@ def test_the_scan_sees_an_unused_import(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("import os\nimport json.decoder\nfrom typing import Any, Sequence\nx: Sequence = json\n")
     assert _unused_imports(module) == ["1: os", "3: Any"]
+
+
+def test_every_private_module_name_is_read():
+    paths = sorted(ROOT.glob("src/eqlat/*.py"))
+    assert len(paths) > 5
+    assert _unread_private_names(paths) == []
+
+
+def test_the_scan_sees_an_unread_private_name(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_CAP = 3\n_table: dict = {}\n\n\ndef _used():\n    return _CAP\n\n\n"
+        "def _gone():\n    return 1\n\n\nclass _Left:\n    _inner = 1\n"
+    )
+    (tmp_path / "b.py").write_text("from a import _used\nimport a\n\nx = a._table\n")
+    assert _unread_private_names([tmp_path / "a.py", tmp_path / "b.py"]) == ["a.py:9: _gone", "a.py:13: _Left"]

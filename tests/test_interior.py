@@ -221,6 +221,16 @@ def test_normalize_map_accepts_label_dicts():
     assert h == (0, 0, 0, 3)
 
 
+@pytest.mark.parametrize("h,message", [
+    ({"0": "0", "p": "zz", "q": "0", "1": "1"}, "unknown label in map entry 'p' -> 'zz'"),
+    ({"0": "0", "1": "1"}, "map does not cover every element"),
+    ((0, 0, 3), "map is not a total map on the carrier"),
+])
+def test_normalize_map_rejects_maps_that_are_not_total(h, message):
+    with pytest.raises(InvariantViolation, match=message):
+        normalize_map(boolean(2).structure.lattice, h)
+
+
 def test_identity_passes_on_distributive_lattices():
     for l in (boolean(2).structure.lattice, chain(4).structure.lattice):
         report = check_axioms(l, tuple(range(l.n)))

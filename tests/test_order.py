@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import oracles
 from eqlat.corpus import enumerate_semilattices
-from eqlat.errors import BudgetExceeded, CycleError, NotALattice, UnknownLabel
+from eqlat.errors import BudgetExceeded, CycleError, InvariantViolation, NotALattice, UnknownLabel
 from eqlat.order import (
+    FinitePoset,
     as_lattice,
     build_poset,
     canonical_key,
@@ -38,8 +39,26 @@ def test_build_poset_order():
 def test_build_poset_rejects_unknown_label_and_cycle():
     with pytest.raises(UnknownLabel):
         build_poset(("a", "b"), (("a", "zz"),))
+    with pytest.raises(UnknownLabel, match="unknown label 'zz' in cover"):
+        build_poset(("a", "b"), (("zz", "a"),))
+    with pytest.raises(InvariantViolation, match="labels must be unique"):
+        build_poset(("a", "a"), ())
     with pytest.raises(CycleError):
         build_poset(("a", "b"), (("a", "b"), ("b", "a")))
+
+
+@pytest.mark.parametrize("labels,up,message", [
+    ((), (), "empty poset"),
+    (("a", "b"), (0b01,), "up rows do not match label count"),
+    (("a", "a"), (0b01, 0b10), "labels must be unique"),
+    (("a",), (0b11,), "has bits outside the carrier"),
+    (("a", "b"), (0b10, 0b10), "missing reflexivity at 0"),
+    (("a", "b"), (0b11, 0b11), r"antisymmetry fails at \(0, 1\)"),
+    (("a", "b", "c"), (0b011, 0b110, 0b100), r"transitivity fails at \(0, 1\)"),
+])
+def test_poset_rows_that_are_not_an_order_are_rejected(labels, up, message):
+    with pytest.raises(InvariantViolation, match=message):
+        FinitePoset(labels, up)
 
 
 def test_as_lattice_rejects_non_lattice():

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import json
 
 import pytest
 
 import oracles
 from eqlat.congruence import all_congruences, eta, tau
-from eqlat.errors import InvariantViolation, NotJoinHomomorphism, ZeroNotPreserved
+from eqlat.errors import InvariantViolation, NotJoinHomomorphism, UnknownLabel, ZeroNotPreserved
 from eqlat.corpus import boolean, chain, enumerate_semilattices, omega
 from eqlat.interior import natural_eta
 from eqlat.semilattice import (
@@ -40,6 +41,19 @@ def test_zero_and_join_entries_are_range_checked():
             from_join_table(("0", "a"), table, zero)
     with pytest.raises(InvariantViolation, match="entry out of range"):
         from_join_table(("0", "a", "b"), ((0, 1, 2), (1, 1, 9), (2, 9, 2)), 0)
+
+
+@pytest.mark.parametrize("labels,table,message", [
+    ((), (), "empty carrier"),
+    (("0", "0"), ((0, 1), (1, 1)), "labels must be unique"),
+    (("0", "a"), ((0, 1),), "join table must be n by n"),
+    (("0", "a", "b"), ((0, 1, 2), (1, 1, 1), (2, 2, 2)), r"join not commutative at \(1, 2\)"),
+    (("0", "a", "b", "c"), ((0, 1, 2, 3), (1, 1, 3, 1), (2, 3, 2, 2), (3, 1, 2, 3)),
+     "join not associative"),
+])
+def test_tables_that_are_not_semilattices_are_rejected(labels, table, message):
+    with pytest.raises(InvariantViolation, match=message):
+        from_join_table(labels, table, 0)
 
 
 def test_zero_must_be_neutral():
@@ -130,10 +144,36 @@ def test_json_round_trip_preserves_everything():
     ('{"elements": ["0", "a"], "joins": 3}', "'joins' must be a list of lists of 3 labels"),
     ('{"elements": ["0"], "covers": [], "operators": ["f"]}', "'operators' must map names"),
     ('{"elements": ["0"], "covers": [], "operators": {"f": "0"}}', "'f' must be a list of labels"),
+    ('{"elements": ["0"]}', "needs 'joins' or 'covers'"),
+    ('{"elements": ["a", "b", "c"], "joins": [["a", "b", "c"], ["a", "c", "c"], ["b", "c", "c"]]}',
+     "cannot infer zero"),
+    ('{"elements": ["0", "a", "b"], "joins": [["0", "a", "a"], ["0", "b", "b"], ["a", "b", "b"], ["b", "a", "a"]]}',
+     "the join of 'b' and 'a' is given two values"),
+    ('{"elements": ["0", "a", "b"], "joins": [["0", "a", "a"], ["0", "b", "b"], ["a", "b", "b"], ["a", "a", "b"]]}',
+     "the join of 'a' and 'a' is given two values"),
 ])
 def test_json_of_the_wrong_shape_is_an_invariant_violation(text, message):
     with pytest.raises(InvariantViolation, match=message):
         semilattice_from_json(text)
+
+
+@pytest.mark.parametrize("load", [
+    lambda: from_join_table(("0", "a"), ((0, 1), (1, 1)), "z"),
+    lambda: semilattice_from_json('{"elements": ["0", "a"], "covers": [["0", "a"]], "zero": "z"}'),
+    lambda: semilattice_from_json('{"elements": ["0", "a"], "joins": [["0", "z", "a"]]}'),
+])
+def test_unknown_labels_are_typed(load):
+    with pytest.raises(UnknownLabel, match="unknown (zero )?label 'z'"):
+        load()
+
+
+def test_the_diamond_loads_from_its_joins():
+    b2 = boolean(2).structure
+    joins = [["0", "p", "p"], ["0", "q", "q"], ["0", "1", "1"], ["p", "q", "1"], ["p", "1", "1"], ["q", "1", "1"]]
+    s = semilattice_from_json(json.dumps({"elements": ["0", "p", "q", "1"], "joins": joins}))
+    assert s.labels == b2.labels
+    assert s.join_t == b2.join_t
+    assert s.zero == 0
 
 
 def test_from_lattice_matches_join_table():
