@@ -427,6 +427,13 @@ def build_named(name: str, n: int | None = None) -> CorpusEntry:
 
 
 def _canonical_semilattices(n: int) -> list[OpSemilattice]:
+    """The n-element carriers, one per isomorphism class, in first-reached order.
+
+    Elements are placed one at a time, each maximal among those before it
+    (Heitzig and Reinhold, "Counting finite lattices"), so every leaf is a
+    linear extension of its order; the top is placed last, above all others.
+    A leaf whose canonical key is new is emitted, relabelled by that key.
+    """
     if n == 1:
         return [from_join_table(("0",), [[0]], 0)]
     seen: dict[tuple[int, ...], None] = {}
@@ -453,7 +460,7 @@ def _canonical_semilattices(n: int) -> list[OpSemilattice]:
 
     def emit() -> None:
         if any(None in row for row in join):
-            return
+            raise InvariantViolation("carrier leaf with a partial join table")
         key = canonical_key(join)
         if key in seen:
             return
@@ -467,7 +474,9 @@ def _canonical_semilattices(n: int) -> list[OpSemilattice]:
             emit()
             return
         # The new element's strict downset: a downset of 0..i-1 holding 0.
-        for below in sorted(closed_sets(None, 1, rows=tuple(down))):
+        # The last element of a linear extension of a lattice is its top.
+        last = i == n - 1
+        for below in [(1 << i) - 1] if last else sorted(closed_sets(None, 1, rows=tuple(down))):
             new = place(i, below)
             if new is not None:
                 down.append(below | (1 << i))
@@ -482,14 +491,14 @@ def _canonical_semilattices(n: int) -> list[OpSemilattice]:
 
 @cache
 def enumerate_semilattices(max_elements: int) -> tuple[OpSemilattice, ...]:
-    """One representative per isomorphism class, sizes 1 through the bound (<= 7).
+    """One representative per isomorphism class, sizes 1 through the bound (<= 8).
 
     Built once per bound, so callers share the carriers and their order data.
     """
     if max_elements < 1:
         raise ParamOutOfRange("need at least one element")
-    if max_elements > 7:
-        raise BudgetExceeded("elements", 7)
+    if max_elements > 8:
+        raise BudgetExceeded("elements", 8)
     out: list[OpSemilattice] = []
     for n in range(1, max_elements + 1):
         out.extend(_canonical_semilattices(n))

@@ -14,7 +14,7 @@ Conventions
   enumerates every closed mask (Close-by-One) and serves every subset search,
   the congruence lattice included
 * ``canonical_key`` is the one isomorphism test: equal keys, isomorphic
-  join-semilattices
+  join-semilattices with zero
 """
 
 from __future__ import annotations
@@ -399,51 +399,42 @@ def canonical_key(join_table: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Isomorphism key of a finite join-semilattice with zero, given by its join table.
 
     The key is the least row-major relabelled join table over the relabellings
-    that fix the bottom at 0 and keep each element within its invariant class
+    that fix the zero at 0 and keep each element within its invariant class
     (own up/down sizes, then those of its up- and downset), classes laid out
     in sorted order. Two tables get equal keys exactly when they are
-    isomorphic. Raises BudgetExceeded when more than ``_RELABEL_CAP``
-    relabellings would be tried.
+    isomorphic. Raises InvariantViolation on an empty or non-square table or
+    one without a zero (an element below all others), and BudgetExceeded when
+    more than ``_RELABEL_CAP`` relabellings would be tried.
     """
     n = len(join_table)
-    down = [0] * n
-    up = [0] * n
-    for x in range(n):
-        for y in range(n):
-            if join_table[x][y] == y:
-                up[x] |= 1 << y
-                down[y] |= 1 << x
-    inv0 = [(popcount(up[i]), popcount(down[i])) for i in range(n)]
-    inv1 = [
-        (inv0[i], tuple(sorted(inv0[j] for j in iter_bits(up[i]))),
-         tuple(sorted(inv0[j] for j in iter_bits(down[i]))))
-        for i in range(n)
-    ]
-    bottom = next(i for i in range(n) if popcount(down[i]) == 1)
+    if not n or any(len(row) != n for row in join_table):
+        raise InvariantViolation("join table must be square and non-empty")
+    ups = [[y for y in range(n) if row[y] == y] for row in join_table]
+    downs: list[list[int]] = [[] for _ in range(n)]
+    for x, up in enumerate(ups):
+        for y in up:
+            downs[y].append(x)
+    bottom = next((x for x in range(n) if len(ups[x]) == n), None)
+    if bottom is None:
+        raise InvariantViolation("join table has no zero: no element lies below all others")
+    inv0 = [(len(ups[x]), len(downs[x])) for x in range(n)]
+    get = inv0.__getitem__
     groups: dict = {}
-    for i in range(n):
-        if i != bottom:
-            groups.setdefault(inv1[i], []).append(i)
+    for x in range(n):
+        if x != bottom:
+            inv1 = (inv0[x], tuple(sorted(map(get, ups[x]))), tuple(sorted(map(get, downs[x]))))
+            groups.setdefault(inv1, []).append(x)
     ordered_groups = [[bottom]] + [groups[k] for k in sorted(groups)]
     if math.prod(math.factorial(len(g)) for g in ordered_groups) > _RELABEL_CAP:
         raise BudgetExceeded("relabellings", _RELABEL_CAP)
-    starts = []
-    pos = 0
-    for g in ordered_groups:
-        starts.append(pos)
-        pos += len(g)
     best = None
-    for perms in itertools.product(*[itertools.permutations(g) for g in ordered_groups]):
-        sigma = [0] * n
-        for start, perm in zip(starts, perms):
-            for offset, elem in enumerate(perm):
-                sigma[elem] = start + offset
-        invperm = [0] * n
-        for elem, p in enumerate(sigma):
-            invperm[p] = elem
-        enc = tuple(
-            sigma[join_table[invperm[r]][invperm[c]]] for r in range(n) for c in range(n)
-        )
+    sigma = [0] * n
+    for perms in itertools.product(*map(itertools.permutations, ordered_groups)):
+        # labelling[p] is the element relabelled p; sigma is its inverse.
+        labelling = [x for perm in perms for x in perm]
+        for p, x in enumerate(labelling):
+            sigma[x] = p
+        enc = tuple([sigma[row[c]] for row in map(join_table.__getitem__, labelling) for c in labelling])
         if best is None or enc < best:
             best = enc
     return best

@@ -23,13 +23,13 @@ from eqlat.errors import BudgetExceeded, ParamOutOfRange
 from eqlat.order import canonical_key, dot_hasse
 from eqlat.semilattice import semilattice_from_json
 
-SIZE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53}
+# OEIS A006966: finite lattices, equivalently join-semilattices with zero.
+SIZE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222}
 
 
 def test_enumeration_counts_up_to_seven():
     pool = enumerate_semilattices(7)
-    assert Counter(s.n for s in pool) == SIZE_COUNTS
-    assert len(pool) == sum(SIZE_COUNTS.values())
+    assert Counter(s.n for s in pool) == {n: k for n, k in SIZE_COUNTS.items() if n <= 7}
 
 
 def test_enumeration_matches_relation_scan_oracle():
@@ -71,11 +71,42 @@ def test_enumeration_order_and_tables_are_pinned():
                 assert all(s.leq(s.join(x, y), w) for w in upper)
 
 
+# sha256 of repr() of the join tables of the 8-element carriers, in order.
+EIGHT_ELEMENT_DIGEST = "fe6a2825364b84b26d047637dac1ea0c7c82510da21dcba317a091431feeb46c"
+
+
+def test_eight_element_carriers_are_counted_and_pinned():
+    pool = enumerate_semilattices(8)
+    assert Counter(s.n for s in pool) == SIZE_COUNTS
+    eight = [s.join_t for s in pool if s.n == 8]
+    assert hashlib.sha256(repr(eight).encode()).hexdigest() == EIGHT_ELEMENT_DIGEST
+
+
+def test_enumeration_walks_only_toward_complete_leaves(monkeypatch):
+    """The top is placed last, so no leaf is partial and the last level needs no walk."""
+    counts = Counter()
+    walk, key = corpus.closed_sets, corpus.canonical_key
+
+    def counted_walk(*args, **kwargs):
+        counts["walks"] += 1
+        return walk(*args, **kwargs)
+
+    def counted_key(table):
+        counts["keys"] += 1
+        counts["partial"] += any(None in row for row in table)
+        return key(table)
+
+    monkeypatch.setattr(corpus, "closed_sets", counted_walk)
+    monkeypatch.setattr(corpus, "canonical_key", counted_key)
+    enumerate_semilattices.__wrapped__(7)
+    assert (counts["walks"], counts["keys"], counts["partial"]) == (68, 370, 0)
+
+
 def test_enumeration_bounds():
     with pytest.raises(ParamOutOfRange):
         enumerate_semilattices(0)
     with pytest.raises(BudgetExceeded):
-        enumerate_semilattices(8)
+        enumerate_semilattices(9)
 
 
 def test_catalog_is_deterministic_for_a_seed():

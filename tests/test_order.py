@@ -114,6 +114,22 @@ def test_canonical_key_tells_isomorphic_lattices_apart():
     assert canonical_key(l.join_table) != canonical_key(chain4.join_table)
 
 
+# {a < c < t, b < t} has no zero; labelled a, b, c, t or b, a, c, t, a
+# different minimal element would pass for the bottom.
+_ZERO_FREE = (
+    [[0, 3, 2, 3], [3, 1, 3, 3], [2, 3, 2, 3], [3, 3, 3, 3]],
+    [[0, 3, 3, 3], [3, 1, 2, 3], [3, 2, 2, 3], [3, 3, 3, 3]],
+)
+
+
+@pytest.mark.parametrize(
+    "table", [[], [[0, 1], [1]], *_ZERO_FREE], ids=["empty", "ragged", "zero-free", "zero-free-relabelled"]
+)
+def test_canonical_key_rejects_tables_outside_its_domain(table):
+    with pytest.raises(InvariantViolation):
+        canonical_key(table)
+
+
 _KEY_POOL = list(enumerate_semilattices(6))
 
 
