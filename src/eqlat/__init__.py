@@ -98,7 +98,6 @@ from .order import (
     dual,
     lattice_from_covers,
     poset_from_json,
-    sub_poset,
 )
 from .semilattice import (
     IdealSet,

@@ -92,15 +92,6 @@ class Congruence:
         """self <= other in the congruence order."""
         return all(other.rep[r] == other.rep[i] for i, r in enumerate(self.rep))
 
-    def meet(self, other: "Congruence") -> "Congruence":
-        """Common refinement (block intersection)."""
-        first: dict[tuple[int, int], int] = {}
-        rep = []
-        for i in range(self.n):
-            key = (self.rep[i], other.rep[i])
-            rep.append(first.setdefault(key, i))
-        return Congruence(tuple(rep))
-
     def block_string(self, s: OpSemilattice) -> str:
         return "".join("[" + " ".join(s.labels[i] for i in cls) + "]" for cls in self.classes())
 
@@ -221,7 +212,9 @@ def join_congruences(s: OpSemilattice, a: Congruence, b: Congruence) -> Congruen
 
 
 def meet_congruences(a: Congruence, b: Congruence) -> Congruence:
-    return a.meet(b)
+    """Common refinement (block intersection)."""
+    first: dict[tuple[int, int], int] = {}
+    return Congruence(tuple(map(first.setdefault, zip(a.rep, b.rep), range(a.n))))
 
 
 @dataclass(frozen=True)

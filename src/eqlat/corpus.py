@@ -40,15 +40,13 @@ from .interior import (
 )
 from .order import (
     FiniteLattice,
-    FinitePoset,
-    as_lattice,
     canonical_key,
     closed_sets,
     complete_sublattice_closure,
-    containment_lattice,
-    dual,
     iter_bits,
+    lattice_of,
     popcount,
+    set_label,
 )
 from .semilattice import OpSemilattice, all_endomorphisms, from_join_table
 
@@ -252,11 +250,15 @@ def _check_meet_table(labels: Sequence[str], meet) -> None:
 
 
 def _sub_dual_lattice(labels: Sequence[str], meet) -> FiniteLattice:
-    """The dual of the containment lattice of meet-closed subsets (empty set included)."""
+    """The dual of the containment lattice of meet-closed subsets (empty set included).
+
+    Reverse containment of the subsets is containment of their complements.
+    """
     _check_meet_table(labels, meet)
+    full = (1 << len(labels)) - 1
     table = [[meet(i, j) for j in range(len(labels))] for i in range(len(labels))]
     subs = sorted(closed_sets(table), key=lambda m: (popcount(m), m))
-    return dual(containment_lattice(labels, subs))
+    return lattice_of([set_label(labels, m) for m in subs], [full & ~m for m in subs])
 
 
 _TRUNCATION_EVIDENCE = (
@@ -381,7 +383,7 @@ def k_lattice() -> CorpusEntry:
     if set(role) != {t.rep for t in ordered}:
         raise InvariantViolation("unexpected closure: not the nine expected congruences")
     labels = tuple(role[t.rep] for t in ordered)
-    lat2 = as_lattice(FinitePoset(labels, lat.poset.up))
+    lat2 = lattice_of(labels, lat.down)
     im2 = InteriorMap(lat2, im.h)
 
     threshold_map = {

@@ -10,7 +10,10 @@ Three strands share this module:
   their lattices of closed subalgebras (``QuasiOrder``,
   ``sub_closed_lattice``, ``quasiorder_from_sublattice``);
 * filterable sublattices of the congruence lattice and the interior map
-  they induce (``check_filterable``, ``sublattice_interior``).
+  they induce (``check_filterable``, ``sublattice_interior``). Both read
+  the family through ``_sublattice``, which validates it as a sublattice
+  of Con (closed under congruence meet and join) before either looks at
+  the zero-class collapse.
 
 The families of the first two strands are one ``closed_sets`` walk,
 ``_closed_family``: the meet-closed subsets of the ideal lattice that hold
@@ -39,16 +42,7 @@ from .congruence import (
 )
 from .errors import InvariantViolation, UnknownLabel
 from .interior import AxiomReport, CheckResult, InteriorMap, Verdict
-from .order import (
-    FiniteLattice,
-    closed_sets,
-    closure,
-    containment_lattice,
-    iter_bits,
-    lattice_of,
-    popcount,
-    set_label,
-)
+from .order import FiniteLattice, closed_sets, closure, iter_bits, lattice_of, popcount, set_label
 from .semilattice import IdealSet, OpSemilattice, ideals
 
 # Cap on the closed sets of one _closed_family walk: the meet-closed subsets
@@ -59,7 +53,7 @@ _SUBSET_CAP = 1 << 22
 def ideal_lattice(s: OpSemilattice) -> FiniteLattice:
     """All ideals of the semilattice reduct, ordered by containment."""
     masks = [i.mask for i in ideals(s)]
-    return containment_lattice(s.labels, masks)
+    return lattice_of([set_label(s.labels, m) for m in masks], masks)
 
 
 @dataclass(frozen=True)
@@ -292,7 +286,8 @@ def _closed_sub_members(q: QuasiOrder) -> tuple[int, ...]:
 
 def sub_closed_lattice(q: QuasiOrder) -> FiniteLattice:
     """The containment lattice of relation-closed meet-subsemilattices with unit."""
-    return containment_lattice(q.carrier.labels, _closed_sub_members(q))
+    members = _closed_sub_members(q)
+    return lattice_of([set_label(q.carrier.labels, m) for m in members], members)
 
 
 def quasiorder_from_sublattice(carrier: OpSemilattice, family: Iterable[int]) -> QuasiOrder:
@@ -351,38 +346,43 @@ def check_sub_duality(carrier: OpSemilattice, family: Iterable[int]) -> CheckRes
     return CheckResult("sub-duality", True, None, f"family size {len(members)}")
 
 
-def _congruence_items(s: OpSemilattice, family: Iterable) -> list[Congruence]:
-    """Reduct congruences from Congruence objects (length-checked), rep vectors or block lists."""
-    out = [t if isinstance(t, Congruence) else make_congruence(s.reduct(), t) for t in family]
-    if any(t.n != s.n for t in out):
+def _sublattice(s: OpSemilattice, family: Iterable) -> tuple[tuple[Congruence, ...], list[int | None]]:
+    """A family of reduct congruences read as a sublattice of Con, with its collapse map.
+
+    Members are Congruence objects (length-checked), rep vectors or block
+    lists; duplicates are dropped and the rest sorted coarsest-last, by
+    (-block_count, rep). Raises InvariantViolation unless the family is
+    closed under congruence meet and join. ``collapse[i]`` is the index of
+    the congruence generated by member i's zero class, None off the family.
+    """
+    reduct = s.reduct()
+    parsed = [t if isinstance(t, Congruence) else make_congruence(reduct, t) for t in family]
+    if any(t.n != s.n for t in parsed):
         raise InvariantViolation("rep vector has wrong length")
-    return out
+    members = tuple(sorted({t.rep: t for t in parsed}.values(), key=lambda t: (-t.block_count, t.rep)))
+    index = {t.rep: i for i, t in enumerate(members)}
+    for i, a in enumerate(members):
+        for b in members[i:]:
+            if meet_congruences(a, b).rep not in index:
+                raise InvariantViolation("family is not closed under congruence meet")
+            if join_congruences(reduct, a, b).rep not in index:
+                raise InvariantViolation("family is not closed under congruence join")
+    return members, [index.get(eta(reduct, t.zero_class_mask(reduct)).rep) for t in members]
 
 
 def check_filterable(s: OpSemilattice, family: Iterable) -> CheckResult:
     """Is this sublattice of reduct congruences closed under zero-class collapse?
 
     Pass when, for every member, the reduct congruence generated by the
-    member's zero class is again a member. The family must be closed under
-    pairwise meet and join of congruences.
+    member's zero class is again a member; the witness is the first member,
+    coarsest-last, whose collapse leaves the family. The family must be
+    closed under pairwise meet and join of congruences.
     """
-    reduct = s.reduct()
-    members = _congruence_items(s, family)
-    member_set = {t.rep for t in members}
-    for a in members:
-        for b in members:
-            if meet_congruences(a, b).rep not in member_set:
-                raise InvariantViolation("family is not closed under congruence meet")
-            if join_congruences(reduct, a, b).rep not in member_set:
-                raise InvariantViolation("family is not closed under congruence join")
-    for theta in members:
-        collapsed = eta(reduct, theta.zero_class_mask(reduct))
-        if collapsed.rep not in member_set:
-            return CheckResult(
-                "filterable", False,
-                {"theta": theta.block_string(reduct)},
-                "zero-class collapse leaves the family",
-            )
+    members, collapse = _sublattice(s, family)
+    if None in collapse:
+        theta = members[collapse.index(None)]
+        return CheckResult("filterable", False, {"theta": theta.block_string(s.reduct())},
+                           "zero-class collapse leaves the family")
     return CheckResult("filterable", True, None, f"members={len(members)}")
 
 
@@ -395,17 +395,9 @@ def sublattice_interior(
     reduct congruence generated by member i's zero class, which must lie in
     the family (raise otherwise).
     """
+    members, h = _sublattice(s, family)
+    if None in h:
+        raise InvariantViolation("family is not filterable; no induced interior map")
     reduct = s.reduct()
-    members = sorted(
-        {t.rep: t for t in _congruence_items(s, family)}.values(),
-        key=lambda t: (-t.block_count, t.rep),
-    )
-    index = {t.rep: i for i, t in enumerate(members)}
     lat = lattice_of([t.block_string(reduct) for t in members], [t.pair_mask for t in members])
-    h = []
-    for t in members:
-        collapsed = eta(reduct, t.zero_class_mask(reduct))
-        if collapsed.rep not in index:
-            raise InvariantViolation("family is not filterable; no induced interior map")
-        h.append(index[collapsed.rep])
-    return lat, InteriorMap(lat, tuple(h)), tuple(members)
+    return lat, InteriorMap(lat, tuple(h)), members

@@ -13,6 +13,9 @@ Conventions
 * ``closure`` closes a mask under a binary operation table; ``closed_sets``
   enumerates every closed mask (Close-by-One) and serves every subset search,
   the congruence lattice included
+* ``lattice_of`` turns masks ordered by containment into a lattice and is the
+  one way the package builds a lattice from its own masks; ``as_lattice``
+  reads posets from outside (``FinitePoset``, ``build_poset``, JSON)
 * ``canonical_key`` is the one isomorphism test: equal keys, isomorphic
   join-semilattices with zero
 """
@@ -292,26 +295,8 @@ def lattice_of(labels: Sequence[str], masks: Sequence[int]) -> FiniteLattice:
     return as_lattice(FinitePoset(tuple(labels), up))
 
 
-def containment_lattice(labels: Sequence[str], masks: Sequence[int]) -> FiniteLattice:
-    """Lattice of the given subsets of the labeled carrier, ordered by containment."""
-    return lattice_of([set_label(labels, m) for m in masks], masks)
-
-
 def lattice_from_covers(labels: Sequence[str], covers: Iterable[tuple[str, str]]) -> FiniteLattice:
     return as_lattice(build_poset(labels, covers))
-
-
-def sub_poset(poset: FinitePoset, members: Sequence[int]) -> FinitePoset:
-    """The induced sub-poset on the given element indices (in the given order)."""
-    pos = {e: k for k, e in enumerate(members)}
-    rows = []
-    for e in members:
-        row = 0
-        for f in iter_bits(poset.up[e]):
-            if f in pos:
-                row |= 1 << pos[f]
-        rows.append(row)
-    return FinitePoset(tuple(poset.labels[e] for e in members), tuple(rows))
 
 
 def complete_sublattice_closure(lat: FiniteLattice, seeds: Iterable[int]) -> FiniteLattice:
@@ -319,23 +304,25 @@ def complete_sublattice_closure(lat: FiniteLattice, seeds: Iterable[int]) -> Fin
 
     Contains bottom and top and is closed under pairwise meet and join, which
     for a finite carrier is the full completeness condition. Labels carry over,
-    so closure elements can be located in the ambient lattice by label.
+    so closure elements can be located in the ambient lattice by label. A seed
+    that is not an element index raises InvariantViolation.
     """
     members = (1 << lat.bottom) | (1 << lat.top)
     for x in seeds:
+        if not isinstance(x, int) or x not in range(lat.n):
+            raise InvariantViolation(f"seed {x!r} is not an element index")
         members |= 1 << x
     while True:
         grown = closure(lat.join_table, closure(lat.meet_table, members))
         if grown == members:
-            return as_lattice(sub_poset(lat.poset, list(iter_bits(members))))
+            kept = list(iter_bits(members))
+            return lattice_of([lat.labels[x] for x in kept], [lat.down[x] for x in kept])
         members = grown
 
 
 def dual(lat: FiniteLattice) -> FiniteLattice:
     """The order-dual lattice: same labels, reversed order, tables swapped."""
-    p = lat.poset
-    flipped = FinitePoset(p.labels, p.down)
-    return FiniteLattice(flipped, lat.join_table, lat.meet_table, lat.top, lat.bottom)
+    return lattice_of(lat.labels, lat.up)
 
 
 def _is_label(x) -> bool:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -36,6 +37,15 @@ def test_acceptance_catalog_is_deterministic_and_sized():
     assert len(names) == len(set(names)) == 401
     again = [name for name, _ in catalog_for_acceptance(0)]
     assert names == again
+
+
+SUITE_ROWS_DIGEST = "201d28e194ebd8a77c8b937ef898c7418865882260cd0ecadd86df6787067688"
+
+
+def test_suite_rows_are_pinned():
+    rows = [o.to_json() + "\n" for name in sorted(SUITES) for o in run_suite(name)]
+    assert len(rows) == 3985
+    assert hashlib.sha256("".join(rows).encode()).hexdigest() == SUITE_ROWS_DIGEST
 
 
 def test_consl_suite_outcomes():

@@ -188,6 +188,38 @@ def test_filterable_family_closure_is_enforced():
         check_filterable(b3, [x, z])
 
 
+def test_interior_of_a_family_not_closed_under_join_is_refused(b2):
+    # [0][p 1][q] v [0][p][q 1] = [0][p q 1], which the family lacks.
+    family = [[[0], [1], [2], [3]], [[0], [1, 3], [2]], [[0], [1], [2, 3]], [[0, 1, 2, 3]]]
+    for build in (check_filterable, sublattice_interior):
+        with pytest.raises(InvariantViolation, match="not closed under congruence join"):
+            build(b2, family)
+
+
+def _b3_blocks(*blocks):
+    b3 = boolean(3).structure
+    return make_congruence(b3, [[b3.index[x] for x in block.split()] for block in blocks])
+
+
+def test_filterable_witness_is_the_first_failure_coarsest_last():
+    b3 = boolean(3).structure
+    top = _b3_blocks("0 p q r pq pr qr 1")
+    two = _b3_blocks("0 p", "q r pq pr qr 1")
+    three = _b3_blocks("0 p", "q pq qr 1", "r pr")
+    identity = make_congruence(b3, [[i] for i in range(8)])
+    # Both middle members collapse off the chain; input order would name `two`.
+    result = check_filterable(b3, [top, two, three, identity])
+    assert result.passed is False
+    assert result.witness == {"theta": "[0 p][q pq qr 1][r pr]"}
+
+
+def test_filterable_counts_distinct_members():
+    b3 = boolean(3).structure
+    top = _b3_blocks("0 p q r pq pr qr 1")
+    identity = make_congruence(b3, [[i] for i in range(8)])
+    assert check_filterable(b3, [top, identity, top.rep]).note == "members=2"
+
+
 def test_induced_interior_on_the_reconstruction(k_entry):
     ambient = k_entry.extra["ambient"]
     members = k_entry.extra["members"]

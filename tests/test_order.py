@@ -20,7 +20,6 @@ from eqlat.order import (
     dual,
     lattice_from_covers,
     poset_from_json,
-    sub_poset,
 )
 
 DIAMOND = (("0", "p"), ("0", "q"), ("p", "1"), ("q", "1"))
@@ -85,21 +84,33 @@ def test_dual_is_involutive_and_flips_order():
     d = dual(l)
     assert d.leq(l.top, l.bottom) and not d.leq(l.bottom, l.top)
     assert d.meet(1, 2) == l.join(1, 2)
+    assert d.up == l.down and (d.bottom, d.top) == (l.top, l.bottom)
+    assert (d.meet_table, d.join_table) == (l.join_table, l.meet_table)
     dd = dual(d)
     assert dd.leq(0, 3) and dd.join_table == l.join_table
-
-
-def test_sub_poset_keeps_induced_order():
-    l = diamond()
-    p = sub_poset(l.poset, (0, 1, 3))
-    assert p.labels == ("0", "p", "1")
-    assert p.leq(0, 2) and p.leq(1, 2) and not p.leq(2, 1)
 
 
 def test_complete_sublattice_closure_of_two_incomparables():
     l = diamond()
     closed = complete_sublattice_closure(l, (1, 2))
-    assert closed.n == 4
+    assert closed.labels == l.labels
+    assert closed.up == l.up
+    assert closed.join_table == l.join_table and closed.meet_table == l.meet_table
+
+
+def test_complete_sublattice_closure_keeps_the_induced_order():
+    l = diamond()
+    closed = complete_sublattice_closure(l, (1,))
+    assert closed.labels == ("0", "p", "1")
+    assert closed.leq(0, 2) and closed.leq(1, 2) and not closed.leq(2, 1)
+    assert (closed.bottom, closed.top) == (0, 2)
+    assert closed.join(0, 1) == 1 and closed.meet(1, 2) == 1
+
+
+@pytest.mark.parametrize("seed", [99, -1, "p", 1.0])
+def test_complete_sublattice_closure_rejects_a_seed_that_is_no_element(seed):
+    with pytest.raises(InvariantViolation, match=f"seed {seed!r} is not an element index"):
+        complete_sublattice_closure(diamond(), (seed,))
 
 
 def test_canonical_key_tells_isomorphic_lattices_apart():
