@@ -35,6 +35,7 @@ from .interior import (
 from .semilattice import all_endomorphisms
 
 _SCAN_MAX_ELEMENTS = 6
+_EQUAINT = ("I1", "I2", "I3", "I4", "I5", "I6", "I7")
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,7 @@ def _axiom_suite(check_name: str, axiom_names: tuple[str, ...], seed: int) -> li
 
 def suite_equaint(seed: int = 0) -> list[CheckOutcome]:
     """The zero-class collapse map passes I1 through I7 on every catalog entry."""
-    return _axiom_suite("equaint", ("I1", "I2", "I3", "I4", "I5", "I6", "I7"), seed)
+    return _axiom_suite("equaint", _EQUAINT, seed)
 
 
 def suite_prop(seed: int = 0) -> list[CheckOutcome]:
@@ -245,15 +246,12 @@ def suite_filterable(seed: int = 0) -> list[CheckOutcome]:
         members = all_congruences(s).congruences
         res = check_filterable(s, members)
         out.append(CheckOutcome("filterable", name, res.passed, res.witness, res.note))
+        if not res.passed:
+            out.append(CheckOutcome("filterable-interior", name, None, None,
+                                    "skip: family is not filterable"))
+            continue
         lat, im, _ = sublattice_interior(s, members)
-        report = check_axioms(lat, im)
-        bad = [ax for ax in ("I1", "I2", "I3", "I4", "I5", "I6", "I7")
-               if report.verdict(ax).passed is False]
-        out.append(CheckOutcome(
-            "filterable-interior", name, not bad,
-            None if not bad else report.verdict(bad[0]).witness,
-            None if not bad else f"failing axiom {bad[0]}",
-        ))
+        out.append(_axiom_outcome("filterable-interior", name, check_axioms(lat, im), _EQUAINT))
     return out
 
 

@@ -18,8 +18,8 @@ share one enumeration and one cap. ``tests/oracles.py`` enumerates the
 relations independently.
 
 The 0-class of a congruence is the downset of the least member t of its
-closed set T; the least congruence with that 0-class has T = up(t) and the
-greatest (``tau``) has T = closure({t, top}).
+closed set T (``_closed_of``; ``_congruence_of`` inverts it); the least with
+that 0-class has T = up(t) and the greatest (``tau``) T = closure({t, top}).
 
 Validity is decided by union-find: an input is valid iff it equals what
 its own pairs generate. A partition is a congruence iff generating from its
@@ -82,11 +82,6 @@ class Congruence:
             if ri == r:
                 mask |= 1 << i
         return mask
-
-    @property
-    def pair_mask(self) -> int:
-        """Bit x * n + y set iff x ~ y; theta refines phi iff theta's mask lies inside phi's."""
-        return sum(b << self.n * x for x, b in enumerate(self._block_masks))
 
     def refines(self, other: "Congruence") -> bool:
         """self <= other in the congruence order."""
@@ -282,6 +277,11 @@ def _congruence_of(s: OpSemilattice, t: int) -> Congruence:
     """The congruence whose largest block members are the closed set t."""
     first: dict[int, int] = {}
     return Congruence(tuple(first.setdefault(u & t, x) for x, u in enumerate(s.up)))
+
+
+def _closed_of(s: OpSemilattice, theta: Congruence) -> int:
+    """The closed set of theta: every x whose block meets up(x) only in x."""
+    return sum(1 << x for x, (b, u) in enumerate(zip(theta._block_masks, s.up)) if b & u == 1 << x)
 
 
 def all_congruences(s: OpSemilattice) -> CongruenceLattice:

@@ -11,9 +11,9 @@ Three strands share this module:
   ``sub_closed_lattice``, ``quasiorder_from_sublattice``);
 * filterable sublattices of the congruence lattice and the interior map
   they induce (``check_filterable``, ``sublattice_interior``). Both read
-  the family through ``_sublattice``, which validates it as a sublattice
-  of Con (closed under congruence meet and join) before either looks at
-  the zero-class collapse.
+  the family through ``_sublattice``, which validates its members as
+  congruences and checks, on their closed sets, that it is a sublattice
+  of Con before either looks at the zero-class collapse.
 
 The families of the first two strands are one ``closed_sets`` walk,
 ``_closed_family``: the meet-closed subsets of the ideal lattice that hold
@@ -33,12 +33,11 @@ from typing import Iterable
 
 from .congruence import (
     Congruence,
+    _closed_of,
     all_congruences,
     congruence_generated,
-    eta,
     join_congruences,
     make_congruence,
-    meet_congruences,
 )
 from .errors import InvariantViolation, UnknownLabel
 from .interior import AxiomReport, CheckResult, InteriorMap, Verdict
@@ -346,28 +345,30 @@ def check_sub_duality(carrier: OpSemilattice, family: Iterable[int]) -> CheckRes
     return CheckResult("sub-duality", True, None, f"family size {len(members)}")
 
 
-def _sublattice(s: OpSemilattice, family: Iterable) -> tuple[tuple[Congruence, ...], list[int | None]]:
-    """A family of reduct congruences read as a sublattice of Con, with its collapse map.
+def _sublattice(
+    s: OpSemilattice, family: Iterable
+) -> tuple[tuple[Congruence, ...], list[int], list[int | None]]:
+    """A family of reduct congruences read as a sublattice of Con, by closed sets T.
 
-    Members are Congruence objects (length-checked), rep vectors or block
-    lists; duplicates are dropped and the rest sorted coarsest-last, by
-    (-block_count, rep). Raises InvariantViolation unless the family is
-    closed under congruence meet and join. ``collapse[i]`` is the index of
-    the congruence generated by member i's zero class, None off the family.
+    Members (Congruence objects, rep vectors or block lists) are validated as
+    reduct congruences, deduplicated and sorted coarsest-last by (-block_count,
+    rep). Raises InvariantViolation unless the family is closed under meet
+    (meet-closure of T_a | T_b) and join (T_a & T_b). ``collapse[i]`` indexes
+    eta of member i, T = up(t) for the top t of its 0-class; None off the family.
     """
     reduct = s.reduct()
-    parsed = [t if isinstance(t, Congruence) else make_congruence(reduct, t) for t in family]
-    if any(t.n != s.n for t in parsed):
-        raise InvariantViolation("rep vector has wrong length")
+    parsed = [make_congruence(reduct, t.rep if isinstance(t, Congruence) else t) for t in family]
     members = tuple(sorted({t.rep: t for t in parsed}.values(), key=lambda t: (-t.block_count, t.rep)))
-    index = {t.rep: i for i, t in enumerate(members)}
-    for i, a in enumerate(members):
-        for b in members[i:]:
-            if meet_congruences(a, b).rep not in index:
+    closed = [_closed_of(reduct, t) for t in members]
+    index = {c: i for i, c in enumerate(closed)}
+    for i, a in enumerate(closed):
+        for b in closed[i:]:
+            if closure(s.lattice.meet_table, a | b, todo=b & ~a) not in index:
                 raise InvariantViolation("family is not closed under congruence meet")
-            if join_congruences(reduct, a, b).rep not in index:
+            if a & b not in index:
                 raise InvariantViolation("family is not closed under congruence join")
-    return members, [index.get(eta(reduct, t.zero_class_mask(reduct)).rep) for t in members]
+    tops = [(c & t.zero_class_mask(reduct)).bit_length() - 1 for t, c in zip(members, closed)]
+    return members, closed, [index.get(reduct.up[t]) for t in tops]
 
 
 def check_filterable(s: OpSemilattice, family: Iterable) -> CheckResult:
@@ -378,7 +379,7 @@ def check_filterable(s: OpSemilattice, family: Iterable) -> CheckResult:
     coarsest-last, whose collapse leaves the family. The family must be
     closed under pairwise meet and join of congruences.
     """
-    members, collapse = _sublattice(s, family)
+    members, _, collapse = _sublattice(s, family)
     if None in collapse:
         theta = members[collapse.index(None)]
         return CheckResult("filterable", False, {"theta": theta.block_string(s.reduct())},
@@ -395,9 +396,9 @@ def sublattice_interior(
     reduct congruence generated by member i's zero class, which must lie in
     the family (raise otherwise).
     """
-    members, h = _sublattice(s, family)
+    members, closed, h = _sublattice(s, family)
     if None in h:
         raise InvariantViolation("family is not filterable; no induced interior map")
-    reduct = s.reduct()
-    lat = lattice_of([t.block_string(reduct) for t in members], [t.pair_mask for t in members])
+    reduct, full = s.reduct(), (1 << s.n) - 1
+    lat = lattice_of([t.block_string(reduct) for t in members], [full & ~c for c in closed])
     return lat, InteriorMap(lat, tuple(h)), members

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from eqlat import cli, interior
+from eqlat import checks, cli, interior
 from eqlat.checks import (
     SUITES,
     _axiom_outcome,
@@ -15,7 +16,7 @@ from eqlat.checks import (
     run_suite,
 )
 from eqlat.cli import main
-from eqlat.congruence import all_congruences
+from eqlat.congruence import all_congruences, make_congruence
 from eqlat.corpus import boolean
 from eqlat.errors import ParamOutOfRange
 from eqlat.interior import check_axioms, natural_eta
@@ -177,6 +178,24 @@ def test_cli_verify_runs_the_filterable_suite(capsys):
     assert json.loads(lines[-1]) == {
         "suite": "filterable", "total": 751, "failed": 0, "skipped": 0, "verdict": "pass",
     }
+
+
+def test_cli_verify_filterable_reports_a_family_that_is_not_filterable(monkeypatch, capsys):
+    # [0][p q r pq pr qr 1] has 0-class {0}, whose collapse is the identity.
+    b3 = boolean(3).structure
+    s = b3.with_operators([("id", tuple(range(8)))])
+    family = [make_congruence(b3, [[0], list(range(1, 8))]), make_congruence(b3, [list(range(8))])]
+    monkeypatch.setattr(checks, "catalog_for_acceptance", lambda seed=0: [("B3+id", s)])
+    monkeypatch.setattr(checks, "all_congruences", lambda _: SimpleNamespace(congruences=family))
+    assert main(["verify", "filterable"]) == 1
+    rows = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+    assert rows[1:3] == [
+        {"check": "filterable", "structure": "B3+id", "verdict": "fail",
+         "witness": {"theta": "[0][p q r pq pr qr 1]"}, "note": "zero-class collapse leaves the family"},
+        {"check": "filterable-interior", "structure": "B3+id", "verdict": "skip",
+         "note": "skip: family is not filterable"},
+    ]
+    assert rows[3] == {"suite": "filterable", "total": 3, "failed": 1, "skipped": 1, "verdict": "fail"}
 
 
 def test_cli_verify_rejects_unknown_suite(capsys):

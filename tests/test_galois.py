@@ -1,13 +1,22 @@
 from __future__ import annotations
 
+import random
+import re
 from dataclasses import replace
 
 import pytest
 
 import oracles
 from eqlat import galois
-from eqlat.congruence import Congruence, all_congruences, make_congruence
-from eqlat.corpus import boolean, chain, omega
+from eqlat.congruence import (
+    Congruence,
+    all_congruences,
+    eta,
+    join_congruences,
+    make_congruence,
+    meet_congruences,
+)
+from eqlat.corpus import boolean, chain, enumerate_semilattices, omega
 from eqlat.errors import InvariantViolation, UnknownLabel
 from eqlat.galois import (
     AlgebraicSubsetFamily,
@@ -25,6 +34,8 @@ from eqlat.galois import (
     sublattice_interior,
     verify_consl,
 )
+from eqlat.interior import InteriorMap
+from eqlat.order import FinitePoset, as_lattice
 
 
 def test_ideal_lattice_of_boolean_two_is_a_diamond():
@@ -233,6 +244,68 @@ def test_induced_interior_on_the_reconstruction(k_entry):
 def test_filterable_rejects_a_congruence_of_the_wrong_length(b2):
     with pytest.raises(InvariantViolation, match="rep vector has wrong length"):
         check_filterable(b2, [Congruence((0, 1, 2))])
+
+
+def test_family_members_are_validated_as_congruences(b2):
+    # [0][p q][1] is a partition, but p ~ q forces p = p + p ~ q + p = 1.
+    family = [Congruence((0, 1, 2, 3)), Congruence((0, 1, 1, 3)), Congruence((0, 0, 0, 0))]
+    for build in (check_filterable, sublattice_interior):
+        with pytest.raises(InvariantViolation, match=r"not a congruence: \('p', '1'\) is forced"):
+            build(b2, family)
+
+
+def _reference_sublattice(s, family):
+    """Closure by union-find and collapse by ``eta``: (first error, members, collapse)."""
+    members = sorted({t.rep: t for t in family}.values(), key=lambda t: (-t.block_count, t.rep))
+    index = {t.rep: i for i, t in enumerate(members)}
+    for i, a in enumerate(members):
+        for b in members[i:]:
+            if meet_congruences(a, b).rep not in index:
+                return "family is not closed under congruence meet", members, None
+            if join_congruences(s, a, b).rep not in index:
+                return "family is not closed under congruence join", members, None
+    return None, members, [index.get(eta(s, t).rep) for t in members]
+
+
+def test_closed_set_reading_matches_union_find_on_random_subfamilies():
+    rng = random.Random(0)
+    outcomes = set()
+    for s in enumerate_semilattices(5):
+        cons = all_congruences(s).congruences
+        for _ in range(30):
+            family = rng.sample(cons, min(len(cons), rng.randint(1, 5)))
+            error, members, collapse = _reference_sublattice(s, family)
+            if error is not None:
+                outcomes.add("error")
+                for build in (check_filterable, sublattice_interior):
+                    with pytest.raises(InvariantViolation) as info:
+                        build(s, family)
+                    assert str(info.value) == error
+                continue
+            result = check_filterable(s, family)
+            if None in collapse:
+                outcomes.add("fail")
+                assert (result.passed, result.note) == (False, "zero-class collapse leaves the family")
+                assert result.witness == {"theta": members[collapse.index(None)].block_string(s)}
+                continue
+            assert (result.passed, result.witness, result.note) == (True, None, f"members={len(members)}")
+            # The collapse need not be an interior map (a family without the
+            # top congruence fails I4); then both builds raise alike.
+            up = tuple(sum(1 << j for j, b in enumerate(members) if a.refines(b)) for a in members)
+            ref = as_lattice(FinitePoset(tuple(t.block_string(s) for t in members), up))
+            try:
+                InteriorMap(ref, tuple(collapse))
+            except InvariantViolation as exc:
+                outcomes.add("no interior map")
+                with pytest.raises(InvariantViolation, match=re.escape(str(exc))):
+                    sublattice_interior(s, family)
+                continue
+            outcomes.add("pass")
+            lat, im, sorted_members = sublattice_interior(s, family)
+            assert sorted_members == tuple(members) and im.h == tuple(collapse)
+            assert all(lat.leq(i, j) == a.refines(b)
+                       for i, a in enumerate(members) for j, b in enumerate(members))
+    assert outcomes == {"error", "fail", "no interior map", "pass"}
 
 
 @pytest.mark.parametrize("rows", [(1 | 1 << 9, 2, 4, 8), (-1, 2, 4, 8)])
