@@ -32,6 +32,7 @@ from .congruence import (
 )
 from .corpus import (
     Catalog,
+    CheckResult,
     Claim,
     CorpusEntry,
     boolean,
@@ -77,7 +78,6 @@ from .galois import (
 )
 from .interior import (
     AxiomReport,
-    CheckResult,
     InteriorMap,
     Verdict,
     check_axioms,

@@ -119,7 +119,7 @@ def _implication_instances():
 @cache
 def _dependence_reports():
     return [
-        (name, check_coatom_dependence(lat, im, i9=report.verdict("I9")))
+        (name, check_coatom_dependence(lat, im))
         for name, lname, lat, im, report in _implication_instances()
     ]
 

@@ -31,9 +31,10 @@ in index order, where the input and its regeneration differ.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NoReturn, Sequence
+from typing import NoReturn
 
 from .errors import BudgetExceeded, InvariantViolation
 from .order import FiniteLattice, closed_sets, closure, iter_bits, lattice_of, popcount
@@ -253,18 +254,21 @@ class CongruenceLattice:
         return json.dumps(data, indent=2)
 
 
-def _closure_system(s: OpSemilattice, within: int | None = None) -> tuple[list[list[int]], list[int]]:
+def _closure_system(
+    s: OpSemilattice, within: int | None = None
+) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
     """The meet table and, per element t, the mask of each f*(t) = join{x : f(x) <= t}.
 
     {x : f(x) <= t} is a join-closed downset holding 0, so it is down(f*(t)).
-    Given ``within``, the mask of an up-set closed under meets and residuals,
-    only its members get a meet row and residuals; closures of its subsets
-    never leave it.
+    The meet table is the carrier lattice's, which decorations of one carrier
+    share. Given ``within``, the mask of an up-set closed under meets and
+    residuals, only its members get residuals; closures of its subsets never
+    leave it.
     """
     n, down = s.n, s.down
     within = (1 << n) - 1 if within is None else within
     at = {d: x for x, d in enumerate(down)}
-    meet = [[at[a & d] for d in down] if within >> x & 1 else [] for x, a in enumerate(down)]
+    meet = s.lattice.meet_table
     rows = [0] * n
     for _, images in s.operators:
         for t in iter_bits(within):

@@ -40,7 +40,7 @@ from .congruence import (
     make_congruence,
 )
 from .errors import InvariantViolation, UnknownLabel
-from .interior import AxiomReport, CheckResult, InteriorMap, Verdict
+from .interior import AxiomReport, InteriorMap, Verdict
 from .order import FiniteLattice, closed_sets, closure, iter_bits, lattice_of, popcount, set_label
 from .semilattice import IdealSet, OpSemilattice, ideals
 
@@ -120,7 +120,7 @@ def galois_rho(s: OpSemilattice, family: Iterable) -> Congruence:
     return make_congruence(s.reduct(), list(sig.values()))
 
 
-def verify_consl(s: OpSemilattice) -> CheckResult:
+def verify_consl(s: OpSemilattice) -> Verdict:
     """Confirm the congruence/ideal-family duality on one semilattice.
 
     Builds every congruence of the reduct and every meet-closed top-containing
@@ -136,8 +136,8 @@ def verify_consl(s: OpSemilattice) -> CheckResult:
     for theta in conl.congruences:
         for (a, b), principal in covers:
             if not theta.relates(a, b) and join_congruences(reduct, theta, principal).rep not in reps:
-                return CheckResult("consl", False, {"theta": theta.block_string(reduct)},
-                                   "a join with a cover principal is missing")
+                return Verdict(False, {"theta": theta.block_string(reduct)},
+                               "a join with a cover principal is missing")
     il = ideal_lattice(reduct)
     ideal_masks = [i.mask for i in ideals(reduct)]
     index_of_ideal = {m: k for k, m in enumerate(ideal_masks)}
@@ -153,31 +153,29 @@ def verify_consl(s: OpSemilattice) -> CheckResult:
     member_set = set(sp.members)
     for theta, img in zip(conl.congruences, images):
         if img not in member_set:
-            return CheckResult("consl", False, {"theta": theta.block_string(reduct)},
-                               "image is not an algebraic subset")
+            return Verdict(False, {"theta": theta.block_string(reduct)},
+                           "image is not an algebraic subset")
     if len(set(images)) != len(images) or len(images) != len(sp.members):
-        return CheckResult(
-            "consl", False, None,
-            f"not a bijection: {len(set(images))} images vs {len(sp.members)} subsets",
-        )
+        return Verdict(False, None,
+                       f"not a bijection: {len(set(images))} images vs {len(sp.members)} subsets")
     for theta, img in zip(conl.congruences, images):
         back = galois_rho(reduct, [ideal_masks[k] for k in iter_bits(img)])
         if back != theta:
-            return CheckResult("consl", False, {"theta": theta.block_string(reduct)},
-                               "round trip through ideals does not return")
+            return Verdict(False, {"theta": theta.block_string(reduct)},
+                           "round trip through ideals does not return")
     for fam in sp.members:
         theta = galois_rho(reduct, [ideal_masks[k] for k in iter_bits(fam)])
         if h_as_family_mask(theta) != fam:
-            return CheckResult("consl", False, {"family": set_label(il.labels, fam)},
-                               "round trip through congruences does not return")
+            return Verdict(False, {"family": set_label(il.labels, fam)},
+                           "round trip through congruences does not return")
     for i, a in enumerate(conl.congruences):
         for j, b in enumerate(conl.congruences):
             if conl.lattice.leq(i, j) and (images[j] & ~images[i]) != 0:
-                return CheckResult("consl", False,
-                                   {"theta": a.block_string(reduct), "phi": b.block_string(reduct)},
-                                   "containment is not reversed")
-    return CheckResult("consl", True, None,
-                       f"|Con| = {len(conl.congruences)} = |families| = {len(sp.members)}")
+                return Verdict(False,
+                               {"theta": a.block_string(reduct), "phi": b.block_string(reduct)},
+                               "containment is not reversed")
+    return Verdict(True, None,
+                   f"|Con| = {len(conl.congruences)} = |families| = {len(sp.members)}")
 
 
 @dataclass(frozen=True)
@@ -325,7 +323,7 @@ def quasiorder_from_sublattice(carrier: OpSemilattice, family: Iterable[int]) ->
     return QuasiOrder(s, tuple(rows))
 
 
-def check_sub_duality(carrier: OpSemilattice, family: Iterable[int]) -> CheckResult:
+def check_sub_duality(carrier: OpSemilattice, family: Iterable[int]) -> Verdict:
     """Round trip a subalgebra sublattice through its induced quasiorder.
 
     The induced relation must satisfy all four quasiorder conditions and its
@@ -336,13 +334,13 @@ def check_sub_duality(carrier: OpSemilattice, family: Iterable[int]) -> CheckRes
     report = check_distributive_quasiorder(q)
     bad = report.failing()
     if bad:
-        return CheckResult("sub-duality", False, {"conditions": ",".join(bad)},
-                           "induced quasiorder fails required conditions")
+        return Verdict(False, {"conditions": ",".join(bad)},
+                       "induced quasiorder fails required conditions")
     back = _closed_sub_members(q)
     if back != members:
-        return CheckResult("sub-duality", False, None,
-                           f"round trip returns {len(back)} members, expected {len(members)}")
-    return CheckResult("sub-duality", True, None, f"family size {len(members)}")
+        return Verdict(False, None,
+                       f"round trip returns {len(back)} members, expected {len(members)}")
+    return Verdict(True, None, f"family size {len(members)}")
 
 
 def _sublattice(
@@ -371,7 +369,7 @@ def _sublattice(
     return members, closed, [index.get(reduct.up[t]) for t in tops]
 
 
-def check_filterable(s: OpSemilattice, family: Iterable) -> CheckResult:
+def check_filterable(s: OpSemilattice, family: Iterable) -> Verdict:
     """Is this sublattice of reduct congruences closed under zero-class collapse?
 
     Pass when, for every member, the reduct congruence generated by the
@@ -382,9 +380,9 @@ def check_filterable(s: OpSemilattice, family: Iterable) -> CheckResult:
     members, _, collapse = _sublattice(s, family)
     if None in collapse:
         theta = members[collapse.index(None)]
-        return CheckResult("filterable", False, {"theta": theta.block_string(s.reduct())},
-                           "zero-class collapse leaves the family")
-    return CheckResult("filterable", True, None, f"members={len(members)}")
+        return Verdict(False, {"theta": theta.block_string(s.reduct())},
+                       "zero-class collapse leaves the family")
+    return Verdict(True, None, f"members={len(members)}")
 
 
 def sublattice_interior(

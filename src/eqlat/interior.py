@@ -34,14 +34,19 @@ fibers, with the first witness of the full pair scans; I6 per image value
 by the congruence lemma of ``_is_distributive``, scanning rows of the meet
 and join tables only for the witness of the first value that fails.
 dagger and ddagger scan those rows.
+
+A map is one record, ``_MapData``, of which ``InteriorMap`` is the validated
+kind: tau, its rows and each axiom's verdict are computed on the record the
+first time something reads them and kept there, so the battery, the
+interior-map search and the coatom checks never compute one twice.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceeded, InvariantViolation
 from .order import FiniteLattice, iter_bits, popcount
@@ -98,30 +103,11 @@ class AxiomReport:
         return json.dumps(self.as_dict(), indent=2)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """Verdict of a single named structural check."""
-
-    name: str
-    passed: bool
-    witness: dict[str, str] | None = None
-    note: str | None = None
-
-    def as_dict(self) -> dict:
-        out: dict = {"check": self.name, "passed": self.passed}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.note is not None:
-            out["note"] = self.note
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
-
-
 def normalize_map(l: FiniteLattice, h) -> tuple[int, ...]:
-    """Coerce an InteriorMap, index sequence, or label mapping to an index tuple."""
+    """Coerce an InteriorMap on ``l``, index sequence, or label mapping to an index tuple."""
     if isinstance(h, InteriorMap):
+        if h.lattice != l:
+            raise InvariantViolation("interior map belongs to a different lattice")
         return h.h
     if isinstance(h, Mapping):
         idx = l.poset.index
@@ -153,27 +139,44 @@ def _lab(l: FiniteLattice, i: int) -> str:
 
 @dataclass(frozen=True)
 class _MapData:
-    """A map on a lattice with the data the battery derives from it, built on first use."""
+    """A map on a lattice with tau, tau's rows and the axiom verdicts, each kept from first use."""
 
-    l: FiniteLattice
+    lattice: FiniteLattice
     h: tuple[int, ...]
 
     @cached_property
     def tau(self) -> tuple[int, ...]:
-        return tau_of_map(self.l, self.h)
+        return tau_of_map(self.lattice, self.h)
 
     @cached_property
     def tau_ge(self) -> tuple[int, ...]:
         """tau_ge[e] is the mask of every c with e <= tau(c)."""
-        rows = [0] * self.l.n
+        rows = [0] * self.lattice.n
         for c, t in enumerate(self.tau):
-            for e in iter_bits(self.l.down[t]):
+            for e in iter_bits(self.lattice.down[t]):
                 rows[e] |= 1 << c
         return tuple(rows)
 
+    @cached_property
+    def _verdicts(self) -> dict[str, Verdict]:
+        return {}
+
+    def verdict(self, name: str) -> Verdict:
+        """The named axiom's verdict on this map, computed on the first call."""
+        if name not in self._verdicts:
+            self._verdicts[name] = _AXIOMS[name](self)
+        return self._verdicts[name]
+
+    def holds(self, name: str) -> bool:
+        """Whether the named axiom passes; an I9 skip on its state cap raises BudgetExceeded."""
+        passed = self.verdict(name).passed
+        if passed is None:
+            raise BudgetExceeded("I9 family states", _I9_STATE_CAP)
+        return passed
+
 
 def _fail_i1(m):
-    l, h, up = m.l, m.h, m.l.up
+    l, h, up = m.lattice, m.h, m.lattice.up
     for x in range(len(h)):
         if not up[h[x]] >> x & 1:
             return {"x": _lab(l, x)}
@@ -181,7 +184,7 @@ def _fail_i1(m):
 
 
 def _fail_i2(m):
-    l, h, up = m.l, m.h, m.l.up
+    l, h, up = m.lattice, m.h, m.lattice.up
     # Monotone on the cover pairs means monotone; only a failure needs the
     # full scan, which finds the first witness in index order.
     if all(up[h[lo]] >> h[hi] & 1 for lo, hi in l.poset.covers):
@@ -194,7 +197,7 @@ def _fail_i2(m):
 
 
 def _fail_i3(m):
-    l, h = m.l, m.h
+    l, h = m.lattice, m.h
     for x in range(l.n):
         if h[h[x]] != h[x]:
             return {"x": _lab(l, x)}
@@ -202,14 +205,14 @@ def _fail_i3(m):
 
 
 def _fail_i4(m):
-    l, h = m.l, m.h
+    l, h = m.lattice, m.h
     if h[l.top] != l.top:
         return {"x": _lab(l, l.top)}
     return None
 
 
 def _fail_i5(m):
-    l, h, join = m.l, m.h, m.l.join_table
+    l, h, join = m.lattice, m.h, m.lattice.join_table
     # Only pairs inside one fiber can fail; walking each x's fiber above x
     # meets the failing pairs in the same index order as a full pair scan.
     fibers: dict[int, list[int]] = {}
@@ -224,7 +227,7 @@ def _fail_i5(m):
 
 
 def _fail_i6(m):
-    l, h, join, meet = m.l, m.h, m.l.join_table, m.l.meet_table
+    l, h, join, meet = m.lattice, m.h, m.lattice.join_table, m.lattice.meet_table
     for v in sorted(set(h)):
         if _is_distributive(l, v):
             continue
@@ -240,7 +243,7 @@ def _fail_i6(m):
 
 
 def _fail_i7(m):
-    l, h = m.l, m.h
+    l, h = m.lattice, m.h
     image = sorted(set(h))
     img_set = set(image)
     for u in image:
@@ -251,7 +254,7 @@ def _fail_i7(m):
 
 
 def _fail_dagger(m):
-    l, h, tau, tau_ge, up = m.l, m.h, m.tau, m.tau_ge, m.l.up
+    l, h, tau, tau_ge, up = m.lattice, m.h, m.tau, m.tau_ge, m.lattice.up
     join, meet = l.join_table, l.meet_table
     for xv in range(l.n):
         hypo_c = tau_ge[tau[xv]]
@@ -273,7 +276,7 @@ def _fail_dagger(m):
 
 
 def _fail_ddagger(m):
-    l, h, tau, up = m.l, m.h, m.tau, m.l.up
+    l, h, tau, up = m.lattice, m.h, m.tau, m.lattice.up
     join, meet = l.join_table, l.meet_table
     for xv in range(l.n):
         mx, tx = meet[xv], tau[xv]
@@ -295,7 +298,7 @@ def _i9_violation(m, state, by_down):
     Entry x of the state is the element whose downset is bits n*x to
     n*x + n - 1; only the entries the test reaches are decoded.
     """
-    l, h, up, join = m.l, m.h, m.l.up, m.l.join_table
+    l, h, up, join = m.lattice, m.h, m.lattice.up, m.lattice.join_table
     n, full = l.n, (1 << l.n) - 1
     hypo_c = m.tau_ge[by_down[state >> n * l.top & full]]
     if hypo_c:
@@ -322,7 +325,7 @@ def _check_i9(m) -> Verdict:
     level by level in order of family size, so the first failing state comes
     with a family of minimum size.
     """
-    l, tau, meet, down = m.l, m.tau, m.l.meet_table, m.l.down
+    l, tau, meet, down = m.lattice, m.tau, m.lattice.meet_table, m.lattice.down
     n = l.n
     by_down = {d: i for i, d in enumerate(down)}
     gens = [sum(down[tau[meet[x][e]]] << n * x for x in range(n)) for e in range(n)]
@@ -382,45 +385,35 @@ _DECIDED_BY_SEARCH = frozenset(_BASIC_AXIOMS + ("I5", "I6", "I7", "I8"))
 
 
 def check_axioms(l: FiniteLattice, h) -> AxiomReport:
-    """Evaluate the full battery on an arbitrary unary map."""
-    m = _MapData(l, normalize_map(l, h))
-    return AxiomReport(tuple((name, check(m)) for name, check in _AXIOMS.items()))
+    """Evaluate the full battery on an arbitrary unary map.
+
+    An InteriorMap on ``l`` is its own record: the verdicts it holds are
+    read, and the ones computed here stay on it.
+    """
+    hv = normalize_map(l, h)
+    m = h if isinstance(h, InteriorMap) else _MapData(l, hv)
+    return AxiomReport(tuple((name, m.verdict(name)) for name in AXIOM_NAMES))
 
 
 @dataclass(frozen=True)
-class InteriorMap:
+class InteriorMap(_MapData):
     """A unary map passing I1 to I4, with its derived tau and interval blocks."""
-
-    lattice: FiniteLattice
-    h: tuple[int, ...]
 
     def __post_init__(self) -> None:
         n, hv = self.lattice.n, self.h
         if len(hv) != n or any(not (0 <= v < n) for v in hv):
             raise InvariantViolation("map is not a total map on the carrier")
         for name in _BASIC_AXIOMS:
-            v = _AXIOMS[name](self._data)
+            v = self.verdict(name)
             if not v.passed:
                 raise InvariantViolation(f"interior map violates {name} at {v.witness}")
-
-    @cached_property
-    def _data(self) -> _MapData:
-        return _MapData(self.lattice, self.h)
-
-    @property
-    def n(self) -> int:
-        return self.lattice.n
 
     def apply(self, x: int) -> int:
         return self.h[x]
 
     @property
-    def tau(self) -> tuple[int, ...]:
-        return self._data.tau
-
-    @cached_property
     def satisfies_i5(self) -> bool:
-        return _AXIOMS["I5"](self._data).passed
+        return self.verdict("I5").passed
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, int], ...]:
@@ -432,9 +425,6 @@ class InteriorMap:
     def as_label_map(self) -> dict[str, str]:
         labs = self.lattice.labels
         return {labs[x]: labs[v] for x, v in enumerate(self.h)}
-
-    def to_json(self) -> str:
-        return json.dumps({"map": self.as_label_map()}, indent=2)
 
 
 def natural_eta(s, conl) -> InteriorMap:
@@ -570,11 +560,12 @@ def enumerate_eios(
     for the join-closed image sets holding the top, so I1 to I4 must be in
     the selection. ``_search_maps`` finds them by a depth-first search,
     pruned on I5 and with only distributive image points under I6; the
-    other selected axioms (I9, dagger, ddagger) are checked on its leaves.
-    Maps come in the order of their image masks. Raises BudgetExceeded
-    when the search visits more than ``max_nodes`` (default
-    ``_EIO_NODE_CAP``) nodes, before any map is built, or when I9 is
-    selected and skipped on its state cap for some candidate.
+    other selected axioms (I9, dagger, ddagger) are checked on the
+    InteriorMap of each of its leaves, which keeps their verdicts. Maps come
+    in the order of their image masks. Raises BudgetExceeded when the search
+    visits more than ``max_nodes`` (default ``_EIO_NODE_CAP``) nodes, before
+    any map is built, or when I9 is selected and skipped on its state cap
+    for some candidate.
     """
     ax = frozenset(axioms) if axioms is not None else DEFAULT_EIO_AXIOMS
     unknown = ax - set(AXIOM_NAMES)
@@ -582,23 +573,13 @@ def enumerate_eios(
         raise InvariantViolation(f"unknown axiom names: {sorted(unknown)}")
     if not set(_BASIC_AXIOMS) <= ax:
         raise InvariantViolation("image-based enumeration requires axioms I1 through I4")
-    checks = [check for name, check in _AXIOMS.items() if name in ax - _DECIDED_BY_SEARCH]
+    extra = [name for name in AXIOM_NAMES if name in ax - _DECIDED_BY_SEARCH]
     cap = _EIO_NODE_CAP if max_nodes is None else max_nodes
-    maps = []
-    for h in _search_maps(l, "I5" in ax, "I6" in ax, cap):
-        m = _MapData(l, h)
-        for check in checks:
-            v = check(m)
-            if v.passed is None:
-                raise BudgetExceeded("I9 family states", _I9_STATE_CAP)
-            if not v.passed:
-                break
-        else:
-            maps.append(InteriorMap(l, h))
-    return tuple(maps)
+    maps = (InteriorMap(l, h) for h in _search_maps(l, "I5" in ax, "I6" in ax, cap))
+    return tuple(im for im in maps if all(im.holds(name) for name in extra))
 
 
-def check_bicoatomic(l: FiniteLattice) -> CheckResult:
+def check_bicoatomic(l: FiniteLattice) -> Verdict:
     """Every u, v below the top with u ^ v < p for a coatom p refine to a coatom meet."""
     coat = l.coatoms
     for p in coat:
@@ -613,13 +594,11 @@ def check_bicoatomic(l: FiniteLattice) -> CheckResult:
                     continue
                 if not any(l.leq(u, c) and l.leq(v, d) and l.leq(l.meet(c, d), p)
                            for c in coat for d in coat):
-                    return CheckResult(
-                        "bicoatomic", False, {"p": _lab(l, p), "u": _lab(l, u), "v": _lab(l, v)}
-                    )
-    return CheckResult("bicoatomic", True, None)
+                    return Verdict(False, {"p": _lab(l, p), "u": _lab(l, u), "v": _lab(l, v)})
+    return Verdict(True)
 
 
-def check_four_coatom(l: FiniteLattice, im: InteriorMap) -> CheckResult:
+def check_four_coatom(l: FiniteLattice, im: InteriorMap) -> Verdict:
     """Coatom quadruple implication driven by the interior map.
 
     For coatoms a, b, c, d with the filter above a ^ d of size four,
@@ -643,17 +622,13 @@ def check_four_coatom(l: FiniteLattice, im: InteriorMap) -> CheckResult:
                     if h[c] != h[l.meet(a, b)]:
                         continue
                     if h[c] != h[l.meet(b, d)]:
-                        return CheckResult(
-                            "four-coatom",
-                            False,
-                            {"a": _lab(l, a), "b": _lab(l, b), "c": _lab(l, c), "d": _lab(l, d)},
+                        return Verdict(
+                            False, {"a": _lab(l, a), "b": _lab(l, b), "c": _lab(l, c), "d": _lab(l, d)}
                         )
-    return CheckResult("four-coatom", True)
+    return Verdict(True)
 
 
-def check_coatom_dependence(
-    l: FiniteLattice, im: InteriorMap, i9: Verdict | None = None
-) -> AxiomReport:
+def check_coatom_dependence(l: FiniteLattice, im: InteriorMap) -> AxiomReport:
     """The coatom dependence battery: june2, june1, june5, june6.
 
     A triple of pairwise distinct coatoms (x, z, a) is in scope when
@@ -661,8 +636,8 @@ def check_coatom_dependence(
     h(x) v (meet of all in-scope z for x) = top; june5 the same per fixed a;
     june6 scans for a family with meet of the a's not below x but meet of
     the z's below x. june5/june6 presuppose I9, so they are skipped (verdict
-    None) when I9 fails or is itself skipped. ``i9`` is the I9 verdict of
-    ``im`` when the caller already has it; otherwise it is computed here.
+    None) when I9 fails or is itself skipped. The I9 verdict is read from
+    ``im``, so a map whose battery has run does not run I9 again.
     """
     if im.lattice != l:
         raise InvariantViolation("interior map belongs to a different lattice")
@@ -698,8 +673,7 @@ def check_coatom_dependence(
             break
     entries.append(("june1", Verdict(witness is None, witness, f"maximal families={checked}")))
 
-    if i9 is None:
-        i9 = _AXIOMS["I9"](im._data)
+    i9 = im.verdict("I9")
     if not i9.passed:
         reason = "I9 hypothesis not established" if i9.passed is False else f"I9 not decided ({i9.note})"
         skip = Verdict(None, None, f"skipped: {reason}")

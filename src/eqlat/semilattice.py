@@ -136,12 +136,14 @@ class OpSemilattice:
     def with_operators(self, operators: Sequence[tuple[str, Sequence[int]]]) -> "OpSemilattice":
         """The same carrier with these operators; only the operators are checked.
 
-        The copy shares the carrier's cached order data (``_CARRIER_DATA``)
-        and nothing else, so no operator-dependent value carries over.
+        The copy shares the carrier's order data (``_CARRIER_DATA``), built
+        here on first use, and nothing else, so every decoration of one carrier
+        reads the same lattice tables and no operator-dependent value carries
+        over.
         """
         out = object.__new__(OpSemilattice)
         ops = tuple((name, tuple(images)) for name, images in operators)
-        shared = {k: v for k, v in self.__dict__.items() if k in _CARRIER_DATA}
+        shared = {k: getattr(self, k) for k in _CARRIER_DATA}
         out.__dict__.update(shared, labels=self.labels, join_t=self.join_t, zero=self.zero,
                             operators=ops)
         out._check_operators()

@@ -35,7 +35,7 @@ from eqlat.galois import (
     verify_consl,
 )
 from eqlat.interior import InteriorMap
-from eqlat.order import FinitePoset, as_lattice
+from eqlat.order import FinitePoset, as_lattice, dual
 
 
 def test_ideal_lattice_of_boolean_two_is_a_diamond():
@@ -119,6 +119,71 @@ def test_verify_consl_needs_con_closed_under_cover_principal_joins(monkeypatch):
     assert not result.passed
     assert result.note == "a join with a cover principal is missing"
     assert result.witness == {"theta": "[0][p 1][q]"}
+
+
+_IDENTITY_B2 = Congruence((0, 1, 2, 3))
+
+
+@pytest.mark.parametrize("name, fake, witness, note", [
+    # Every congruence's family misses the improper ideal.
+    ("galois_h", lambda real: lambda s, t: real(s, t)[:-1],
+     {"theta": "[0][p][q][1]"}, "image is not an algebraic subset"),
+    # Every congruence gets the identity's family.
+    ("galois_h", lambda real: lambda s, t: real(s, _IDENTITY_B2),
+     None, "not a bijection: 1 images vs 7 subsets"),
+    ("galois_rho", lambda real: lambda s, family: _IDENTITY_B2,
+     {"theta": "[0][p 1][q]"}, "round trip through ideals does not return"),
+])
+def test_verify_consl_reports_a_wrong_galois_map(monkeypatch, name, fake, witness, note):
+    monkeypatch.setattr(galois, name, fake(getattr(galois, name)))
+    result = verify_consl(boolean(2).structure)
+    assert (result.passed, result.witness, result.note) == (False, witness, note)
+
+
+def test_verify_consl_reports_a_family_that_does_not_return(monkeypatch):
+    # galois_h is right for the seven images and wrong on the way back.
+    real, calls = galois.galois_h, []
+
+    def late_wrong(s, theta):
+        calls.append(theta)
+        return real(s, theta if len(calls) <= 7 else _IDENTITY_B2)
+
+    monkeypatch.setattr(galois, "galois_h", late_wrong)
+    result = verify_consl(boolean(2).structure)
+    assert (result.passed, result.witness, result.note) == (
+        False, {"family": "{{0,p,q,1}}"}, "round trip through congruences does not return"
+    )
+
+
+def test_verify_consl_reports_an_order_that_is_not_reversed(monkeypatch):
+    s = boolean(2).structure
+    conl = all_congruences(s)
+    flipped = replace(conl, lattice=dual(conl.lattice))
+    monkeypatch.setattr(galois, "all_congruences", lambda _: flipped)
+    result = verify_consl(s)
+    assert (result.passed, result.witness, result.note) == (
+        False, {"theta": "[0][p 1][q]", "phi": "[0][p][q][1]"}, "containment is not reversed"
+    )
+
+
+def test_check_sub_duality_reports_a_wrong_induced_quasiorder(monkeypatch):
+    carrier = boolean(2).structure
+    subs = list(galois._closed_sub_members(quasiorder_from_pairs(carrier, [])))
+    full = (1 << carrier.n) - 1
+    total = QuasiOrder(carrier, (full,) * carrier.n)
+    monkeypatch.setattr(galois, "quasiorder_from_sublattice", lambda c, f: total)
+    result = check_sub_duality(carrier, subs)
+    assert (result.passed, result.witness, result.note) == (
+        False, {"conditions": "2"}, "induced quasiorder fails required conditions"
+    )
+    # The quasiorder of all seven subalgebras, for a family of six.
+    all_seven = quasiorder_from_sublattice(carrier, subs)
+    monkeypatch.setattr(galois, "quasiorder_from_sublattice", lambda c, f: all_seven)
+    p_only = (1 << carrier.zero) | (1 << carrier.index["p"])
+    result = check_sub_duality(carrier, [m for m in subs if m != p_only])
+    assert (result.passed, result.witness, result.note) == (
+        False, None, "round trip returns 7 members, expected 6"
+    )
 
 
 def test_subalgebra_family_of_boolean_two():

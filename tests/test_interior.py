@@ -12,7 +12,7 @@ import oracles
 from eqlat import checks, congruence, interior
 from eqlat.congruence import all_congruences, congruence_generated, eta, tau
 from eqlat.corpus import (
-    boolean, chain, enumerate_semilattices, k_lattice, m2, m_infinity, omega, p1,
+    boolean, chain, enumerate_semilattices, k_lattice, m2, m_infinity, named_by_size, omega, p1,
 )
 from eqlat.errors import BudgetExceeded, InvariantViolation, SearchBudgetExceeded
 from eqlat.interior import (
@@ -200,7 +200,7 @@ def test_enumeration_budget_trips_before_any_map_is_built(monkeypatch):
     def no_maps(*args):
         raise AssertionError("a candidate map was built")
 
-    monkeypatch.setattr(interior, "_MapData", no_maps)
+    monkeypatch.setattr(interior, "InteriorMap", no_maps)
     l = boolean(3).structure.lattice
     for axioms in (None, _BASIC):
         with pytest.raises(SearchBudgetExceeded, match="exceed cap 5"):
@@ -485,7 +485,7 @@ def test_i9_past_its_state_cap_is_a_skip_everywhere(monkeypatch):
         raise AssertionError("I9 ran again")
 
     monkeypatch.setitem(interior._AXIOMS, "I9", no_second_run)
-    assert check_coatom_dependence(l, im, i9=verdict) == dep
+    assert check_coatom_dependence(l, im) == dep
 
 
 def test_four_coatom_requires_matching_carrier():
@@ -494,6 +494,49 @@ def test_four_coatom_requires_matching_carrier():
     im = enumerate_eios(l)[0]
     with pytest.raises(InvariantViolation):
         check_four_coatom(other, im)
+
+
+def test_an_interior_map_of_another_lattice_is_rejected():
+    im = enumerate_eios(boolean(2).structure.lattice)[0]
+    # chain(3) has as many elements as boolean(2); boolean(3) has more.
+    for other in (chain(3).structure.lattice, boolean(3).structure.lattice):
+        for read in (check_axioms, normalize_map):
+            with pytest.raises(InvariantViolation, match="belongs to a different lattice"):
+                read(other, im)
+
+
+_LATTICE_NAMED = {name: s.lattice for name, s in named_by_size(enumerate_semilattices(6), "L")}
+_SKIPPED_ON_I9 = (None, None, "skipped: I9 hypothesis not established")
+
+
+@pytest.mark.parametrize("name, h, expected", [
+    ("L5-0", (0, 1, 2, 3, 0), {
+        "june2": (False, {"x": "e2", "z": "e4", "a": "e3", "part": "eta(a) <= x^z"}, "instances=6"),
+        "june1": (False, {"x": "e2", "zs": "e3,e4"}, "maximal families=1"),
+        "june5": _SKIPPED_ON_I9,
+        "june6": _SKIPPED_ON_I9,
+    }),
+    ("L6-0", (0, 1, 2, 3, 4, 5), {
+        "june2": (False, {"x": "e2", "z": "e3", "a": "e4", "part": "eta(a) <= x^z"}, "instances=24"),
+        "june1": (False, {"x": "e2", "zs": "e3,e4,e5"}, "maximal families=1"),
+        "june5": (False, {"x": "e2", "a": "e3", "zs": "e4,e5"}, "maximal families=1"),
+        "june6": (False, {"x": "e2", "m": "e3", "zs": "e4,e5"}, "family scan over meet lower bounds"),
+    }),
+])
+def test_coatom_dependence_failures_are_pinned(name, h, expected):
+    l = _LATTICE_NAMED[name]
+    im = InteriorMap(l, h)
+    assert im in enumerate_eios(l, axioms=_BASIC + ("I5",))
+    report = check_coatom_dependence(l, im)
+    assert {key: (v.passed, v.witness, v.note) for key, v in report.entries} == expected
+
+
+def test_four_coatom_failure_is_pinned():
+    l = _LATTICE_NAMED["L6-4"]
+    im = InteriorMap(l, (0, 1, 0, 3, 4, 0))
+    assert im in enumerate_eios(l, axioms=_BASIC)
+    v = check_four_coatom(l, im)
+    assert (v.passed, v.witness, v.note) == (False, {"a": "e3", "b": "e4", "c": "e2", "d": "e4"}, None)
 
 
 def test_report_serialization_round_trips():
