@@ -90,12 +90,14 @@ def catalog_for_acceptance(seed: int = 0) -> list[tuple[str, object]]:
 
 @cache
 def _natural_reports(seed: int):
-    """check_axioms on the zero-class collapse map of each catalog congruence lattice."""
+    """(name, check_axioms report) of the zero-class collapse map of each catalog Con lattice.
+
+    Only the rows are kept, so the Con lattices and maps can be freed.
+    """
     rows = []
     for name, s in catalog_for_acceptance(seed):
         conl = all_congruences(s)
-        im = natural_eta(s, conl)
-        rows.append((name, conl, im, check_axioms(conl.lattice, im)))
+        rows.append((name, check_axioms(conl.lattice, natural_eta(s, conl))))
     return rows
 
 
@@ -149,7 +151,7 @@ def _axiom_outcome(check_name: str, structure: str, report, axiom_names) -> Chec
 def _axiom_suite(check_name: str, axiom_names: tuple[str, ...], seed: int) -> list[CheckOutcome]:
     return [
         _axiom_outcome(check_name, name, report, axiom_names)
-        for name, conl, im, report in _natural_reports(seed)
+        for name, report in _natural_reports(seed)
     ]
 
 

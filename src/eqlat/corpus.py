@@ -89,14 +89,18 @@ def _as_finite_lattice(structure) -> FiniteLattice:
 
 
 def _once(memo: dict, key: str, build):
-    """``build()`` on the first call for ``key``; its result, or its budget error, after."""
+    """``build()`` on the first call for ``key``; its result, or its budget error, after.
+
+    The memo keeps a budget error without its traceback, which would keep
+    the failed search's frames alive, and each call raises a fresh copy.
+    """
     if key not in memo:
         try:
             memo[key] = build()
         except BudgetExceeded as exc:
-            memo[key] = exc
-    if isinstance(memo[key], Exception):
-        raise memo[key]
+            memo[key] = BudgetExceeded(exc.what, exc.cap)
+    if isinstance(memo[key], BudgetExceeded):
+        raise BudgetExceeded(memo[key].what, memo[key].cap)
     return memo[key]
 
 

@@ -19,21 +19,24 @@ lattice. tau is always derived from h by fiber joins:
 * I9  for every nonempty family z_1..z_k and all x, c:
       h(x) <= c and meet tau(z_i) <= tau(c)
       imply h(h(x) v meet tau(x ^ z_i)) <= c
-      (decided exactly over the meet-closure of per-family states, each
-      packed as one int of per-entry downsets so that a meet is one AND;
-      a closure past its fixed cap is reported as a skip, never as a pass)
+      (decided exactly over the meet-closure of the distinct generators
+      x -> tau(x ^ e), each state packed as one int of per-entry downsets so
+      that a meet is one AND; under I2 a state tests only the slots x where
+      every generator of its family can fail; a closure past its fixed cap
+      is reported as a skip, never as a pass)
 * dagger   tau(x) <= tau(c) and h(z) <= c imply h(h(z) v tau(x ^ z)) <= c
 * ddagger  h(h(z) v tau(x ^ z)) <= h(z) v tau(x)
 
 Maps passing I1 to I8 are enumerated by a depth-first search over a linear
 extension that decides which elements enter the image. I5 prunes it where
 an element joins two maximal members of one fiber, read off per-value fiber
-masks; with I6 only distributive elements enter. It counts its nodes
-against a cap. In the battery, I2 is decided on cover pairs and I5 inside
-fibers, with the first witness of the full pair scans; I6 per image value
-by the congruence lemma of ``_is_distributive``, scanning rows of the meet
-and join tables only for the witness of the first value that fails.
-dagger and ddagger scan those rows.
+masks into an int mask of tied values; a placement that keeps h(u) leaves
+the masks as they are. With I6 only distributive elements enter. It counts
+its nodes against a cap. In the battery, I2 is decided on cover pairs and
+I5 inside fibers, with the first witness of the full pair scans; I6 per
+image value by the congruence lemma of ``_is_distributive``, scanning rows
+of the meet and join tables only for the witness of the first value that
+fails. dagger and ddagger scan those rows.
 
 A map is one record, ``_MapData``, of which ``InteriorMap`` is the validated
 kind: tau, its rows and each axiom's verdict are computed on the record the
@@ -150,12 +153,12 @@ class _MapData:
 
     @cached_property
     def tau_ge(self) -> tuple[int, ...]:
-        """tau_ge[e] is the mask of every c with e <= tau(c)."""
-        rows = [0] * self.lattice.n
+        """tau_ge[e] is the mask of every c with e <= tau(c): the union of the tau-fibers above e."""
+        fibers: dict[int, int] = {}
         for c, t in enumerate(self.tau):
-            for e in iter_bits(self.lattice.down[t]):
-                rows[e] |= 1 << c
-        return tuple(rows)
+            fibers[t] = fibers.get(t, 0) | 1 << c
+        up = self.lattice.up
+        return tuple(sum(cs for t, cs in fibers.items() if up[e] >> t & 1) for e in range(len(up)))
 
     @cached_property
     def _verdicts(self) -> dict[str, Verdict]:
@@ -292,49 +295,44 @@ def _fail_ddagger(m):
 _I9_STATE_CAP = 1 << 14
 
 
-def _i9_violation(m, state, by_down):
-    """(x, c) violating I9 for a family with this packed state, or None.
-
-    Entry x of the state is the element whose downset is bits n*x to
-    n*x + n - 1; only the entries the test reaches are decoded.
-    """
-    l, h, up, join = m.lattice, m.h, m.lattice.up, m.lattice.join_table
-    n, full = l.n, (1 << l.n) - 1
-    hypo_c = m.tau_ge[by_down[state >> n * l.top & full]]
-    if hypo_c:
-        for x in range(n):
-            hx = h[x]
-            below = up[hx] & hypo_c
-            if below:
-                fails = below & ~up[h[join[hx][by_down[state >> n * x & full]]]]
-                if fails:
-                    return x, (fails & -fails).bit_length() - 1
-    return None
-
-
 def _check_i9(m) -> Verdict:
     """I9 over every nonempty family, testing each distinct family state once.
 
     A family z_1..z_k enters I9 only through its state
     s[x] = meet_i tau(x ^ z_i), whose entry at top is meet_i tau(z_i). The
     state is the componentwise meet of the generators g_e[x] = tau(x ^ e)
-    of its members, so the states are the meet-closure of the n generators.
-    A state is packed as one int, the downset of s[x] in bits n*x onwards;
-    downsets of meets are intersections, so the componentwise meet is one
-    AND of two ints, and a state takes n^2 / 8 bytes. The closure is walked
-    level by level in order of family size, so the first failing state comes
-    with a family of minimum size.
+    of its members, so the states are the meet-closure of the distinct
+    generators; an e whose generator equals an earlier one's adds no state
+    and is dropped. A state is packed as one int, the downset of s[x] in
+    bits n*x onwards; downsets of meets are intersections, so the
+    componentwise meet is one AND of two ints, and a state takes n^2 / 8
+    bytes. Slot x fails only when h(h(x) v s[x]) is not below h(x); for a
+    monotone h (I2) that shrinks with s[x], so each generator carries the
+    mask of the slots where it can fail, and a state tests only the AND of
+    its family's masks (every slot when I2 fails), in ascending x, decoding
+    only the entries it tests. The closure is walked level by level in order
+    of family size, so the first failing state comes with a family of
+    minimum size.
     """
-    l, tau, meet, down = m.lattice, m.tau, m.lattice.meet_table, m.lattice.down
-    n = l.n
-    by_down = {d: i for i, d in enumerate(down)}
-    gens = [sum(down[tau[meet[x][e]]] << n * x for x in range(n)) for e in range(n)]
+    l, h, tau, up, join = m.lattice, m.h, m.tau, m.lattice.up, m.lattice.join_table
+    n, down, full = l.n, l.down, (1 << l.n) - 1
+    by_down, tau_ge = {d: i for i, d in enumerate(down)}, m.tau_ge
+    monotone = m.verdict("I2").passed
+    gens: dict[int, tuple[int, int]] = {}  # packed generator: (its first e, its slot mask)
+    for e in range(n):
+        g = list(map(tau.__getitem__, l.meet_table[e]))  # g[x] = tau(x ^ e)
+        packed = 0
+        for gx in reversed(g):
+            packed = packed << n | down[gx]
+        if packed not in gens:
+            gens[packed] = (e, sum(1 << x for x in range(n)
+                                   if not (monotone and up[h[join[h[x]][g[x]]]] >> h[x] & 1)))
     seen: set[int] = set()
-    level = [((1 << n * n) - 1, ())]
+    level = [((1 << n * n) - 1, full, ())]
     while level:
         next_level = []
-        for state, family in level:
-            for e, g in enumerate(gens):
+        for state, slots, family in level:
+            for g, (e, g_slots) in gens.items():
                 new = state & g
                 if new in seen:
                     continue
@@ -342,13 +340,20 @@ def _check_i9(m) -> Verdict:
                 if len(seen) > _I9_STATE_CAP:
                     note = f"skipped: {len(seen)} family states exceed cap {_I9_STATE_CAP}"
                     return Verdict(None, None, note)
-                zs = tuple(sorted(family + (e,)))
-                bad = _i9_violation(m, new, by_down)
-                if bad is not None:
-                    x, c = bad
-                    zs_labels = ",".join(_lab(l, z) for z in zs)
-                    return Verdict(False, {"x": _lab(l, x), "c": _lab(l, c), "zs": zs_labels})
-                next_level.append((new, zs))
+                zs, new_slots = family + (e,), slots & g_slots
+                hypo_c = tau_ge[by_down[new >> n * l.top & full]]
+                test = new_slots if hypo_c else 0
+                while test:
+                    low = test & -test
+                    test ^= low
+                    x = low.bit_length() - 1
+                    below = up[h[x]] & hypo_c
+                    fails = below and below & ~up[h[join[h[x]][by_down[new >> n * x & full]]]]
+                    if fails:
+                        c = (fails & -fails).bit_length() - 1
+                        zs_labels = ",".join(_lab(l, z) for z in sorted(zs))
+                        return Verdict(False, {"x": _lab(l, x), "c": _lab(l, c), "zs": zs_labels})
+                next_level.append((new, new_slots, zs))
         level = next_level
     return Verdict(True, None, f"exact: {len(seen)} family states")
 
@@ -487,22 +492,27 @@ def _search_maps(l: FiniteLattice, i5: bool, i6: bool, cap: int) -> list[tuple[i
     x is tested as it is placed: a tie h(y) = h(z) = w on incomparable y, z
     with y v z = x must have h(x) = w, and as w <= y < x that means w = v.
     ``fiber[w]`` masks by extension position the elements h sends to w;
-    bits of unplaced elements are stale, and no mask below x holds them. As
-    I5 held at every earlier placement, w's fiber below x is join-closed
-    below x, so it has such a pair iff it is not below its last element. A
-    tie needs w, y and z, so only fibers of three or more below v are
-    tested (an empty one tests 0). A branch reaches the last element
-    exactly when its map passes. The root and every placement are search
-    nodes; more than ``cap`` of them raise BudgetExceeded.
+    bits of unplaced elements are stale, and no mask below x holds them.
+    ``fiber[h[u]]`` always holds u's bit, so a placement that keeps h[u]
+    changes no mask. As I5 held at every earlier placement, w's fiber below
+    x is join-closed below x, so it has such a pair iff it is not below its
+    last element. A tie needs w, y and z, so only fibers of three or more
+    below v are tested (an empty one tests 0), and the tied values are
+    collected in an int mask. A branch reaches the last element exactly
+    when its map passes. The root and every placement are search nodes;
+    more than ``cap`` of them raise BudgetExceeded.
     """
     n, join, down, top = l.n, l.join_table, l.down, l.top
     free = _distributive_elements(l) if i6 else (1 << n) - 1
     order = sorted(range(n), key=lambda x: down[x].bit_count())
     pos = {x: k for k, x in enumerate(order)}
     pdown = [sum(1 << pos[y] for y in iter_bits(down[x])) for x in order]
+    lower: list[list[int]] = [[] for _ in range(n)]
+    for lo, hi in l.poset.covers:
+        lower[hi].append(lo)
     steps = []
     for k, x in enumerate(order):
-        covers = [lo for lo, hi in l.poset.covers if hi == x] or [x]
+        covers = lower[x] or [x]
         # Positions below x; 0 where no I5 tie can arise at x.
         below = pdown[k] ^ 1 << k if i5 and len(covers) > 1 else 0
         steps.append((x, covers[0], covers[1:], below))
@@ -520,7 +530,7 @@ def _search_maps(l: FiniteLattice, i5: bool, i6: bool, cap: int) -> list[tuple[i
             raise BudgetExceeded("search nodes", cap)
         if k:
             u = order[k - 1]
-            if i5:
+            if i5 and h[u] != val:
                 fiber[h[u]] &= ~(1 << k - 1)
                 fiber[val] |= 1 << k - 1
                 if fiber[h[u]].bit_count() < 3:
@@ -535,17 +545,23 @@ def _search_maps(l: FiniteLattice, i5: bool, i6: bool, cap: int) -> list[tuple[i
         v = h[first]
         for c in rest:
             v = join[v][h[c]]
-        tied = below and {
-            w for w in iter_bits(crowded & down[v])
-            if (s := fiber[w] & below) & ~pdown[s.bit_length() - 1]
-        }
+        tied = 0  # mask of the values w with a tie below x
+        ws = crowded & down[v] if below else 0
+        while ws:
+            low = ws & -ws
+            ws ^= low
+            s = fiber[low.bit_length() - 1] & below
+            if s & ~pdown[s.bit_length() - 1]:
+                tied |= low
         if v == x or x == top:
-            options = () if tied else (x,)
-        elif tied:
-            options = (v,) if tied == {v} else ()
-        else:
-            options = (v, x) if free >> x & 1 else (v,)
-        stack.extend((k + 1, o) for o in options)
+            if not tied:
+                stack.append((k + 1, x))
+        elif not tied:
+            stack.append((k + 1, v))
+            if free >> x & 1:
+                stack.append((k + 1, x))
+        elif tied == 1 << v:
+            stack.append((k + 1, v))
     return [h for _, h in sorted(found)]
 
 

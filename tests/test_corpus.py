@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import traceback
 from collections import Counter
 
 import pytest
@@ -221,6 +222,21 @@ def test_run_claims_builds_each_search_once(monkeypatch):
     assert len(eios) == 1
     assert len(notes) == 2 and notes[0] == notes[1]
     assert notes[0].startswith("evidence search skipped: more than 1 search nodes")
+
+
+def test_a_memoized_budget_error_keeps_no_traceback():
+    def build():
+        raise BudgetExceeded("search nodes", 7)
+
+    memo: dict = {}
+    raised = []
+    for _ in range(3):
+        with pytest.raises(BudgetExceeded) as exc:
+            corpus._once(memo, "eios", build)
+        raised.append(exc.value)
+    assert memo["eios"].__traceback__ is None
+    assert {str(e) for e in raised} == {"more than 7 search nodes exceed cap 7"}
+    assert len({len(traceback.extract_tb(e.__traceback__)) for e in raised}) == 1
 
 
 def test_truncation_element_counts():

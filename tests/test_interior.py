@@ -6,7 +6,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import oracles
 from eqlat import checks, congruence, interior
@@ -140,6 +140,16 @@ def test_search_node_counts_are_pinned(entry, nodes):
     enumerate_eios(l, max_nodes=nodes)
     with pytest.raises(SearchBudgetExceeded):
         enumerate_eios(l, max_nodes=nodes - 1)
+
+
+# sha256 of json.dumps of the label maps of enumerate_eios(m2(4)), in order.
+M2_4_LABEL_MAPS_DIGEST = "b95aee92e1a5918d0a01839fbb0b9637dcffd6a5330b0145ffbfb01b40389fdc"
+
+
+def test_search_maps_of_m2_4_are_pinned():
+    maps = [im.as_label_map() for im in enumerate_eios(m2(4).structure)]
+    assert len(maps) == 485
+    assert hashlib.sha256(json.dumps(maps).encode()).hexdigest() == M2_4_LABEL_MAPS_DIGEST
 
 
 def _glued_chains(k):
@@ -305,15 +315,16 @@ def test_natural_map_tau_matches_congruence_tau(small_semilattices):
 
 
 def test_natural_map_is_eta_on_the_acceptance_catalog():
-    for _, conl, im, _ in checks._natural_reports(0):
-        s = conl.semilattice
+    for _, s in checks.catalog_for_acceptance(0):
+        conl = all_congruences(s)
+        im = natural_eta(s, conl)
         for i, theta in enumerate(conl.congruences):
             assert im.apply(i) == conl.index_of(eta(s, theta))
 
 
 def test_distributive_elements_match_the_pair_scan():
     lattices = [s.lattice for s in enumerate_semilattices(7)] + [boolean(3).structure.lattice]
-    lattices += [conl.lattice for _, conl, _, _ in checks._natural_reports(0)]
+    lattices += [all_congruences(s).lattice for _, s in checks.catalog_for_acceptance(0)]
     truncations = [m_infinity(k) for k in range(2, 6)] + [m2(k) for k in range(1, 5)]
     truncations += [p1(k) for k in range(1, 4)] + [k_lattice()]
     lattices += [getattr(e.structure, "lattice", e.structure) for e in truncations]
@@ -406,6 +417,35 @@ def test_i9_matches_the_oracle_on_small_maps(tiny_semilattices):
 
 
 _LATTICES_UP_TO_6 = [s.lattice for s in enumerate_semilattices(6)]
+_LATTICES_UP_TO_5 = [l for l in _LATTICES_UP_TO_6 if l.n <= 5]
+_LATTICE_AND_MAP = st.sampled_from(_LATTICES_UP_TO_5).flatmap(
+    lambda l: st.tuples(st.just(l), st.tuples(*[st.integers(0, l.n - 1)] * l.n))
+)
+# 0 < e4 < e2, e3 < e1. The map below fails I2 and I9, and its failing slot
+# x = e2 is one that slot masks applied as if I2 held would skip.
+_E_LATTICE = next(l for l in _LATTICES_UP_TO_5 if l.up == (0b11111, 0b10, 0b110, 0b1010, 0b11110))
+
+
+@given(_LATTICE_AND_MAP)
+@example((_E_LATTICE, (0, 1, 0, 4, 4)))
+def test_i9_matches_the_oracle_on_drawn_arbitrary_maps(case):
+    # Non-monotone maps included: the per-slot pruning of the I9 walk holds
+    # only under I2, so a map failing I2 must have every slot tested.
+    l, h = case
+    _assert_i9_matches_oracle(l, h)
+
+
+def test_i9_verdicts_of_the_first_maps_of_m2_4_are_pinned():
+    maps = enumerate_eios(m2(4).structure)[:10]
+    notes = [im.verdict("I9").note for im in maps[:9]]
+    assert notes == [f"exact: {k} family states" for k in (89, 89, 85, 89, 89, 85, 89, 91, 91)]
+    assert all(im.verdict("I9").passed for im in maps[:9])
+    assert maps[9].verdict("I9") == Verdict(False, {"x": "{m1,m3}", "c": "{m1}", "zs": "{m1,m2}"})
+
+
+def test_i9_failure_on_p1_2_is_pinned():
+    im = enumerate_eios(p1(2).structure)[1]
+    assert im.verdict("I9") == Verdict(False, {"x": "{b1}", "c": "{b0}", "zs": "{a0,b0}"})
 
 
 @given(st.data())
