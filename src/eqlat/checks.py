@@ -23,7 +23,7 @@ from .corpus import (
     omega,
 )
 from .errors import ParamOutOfRange
-from .galois import check_filterable, sublattice_interior, verify_consl
+from .galois import _filterable_interior, check_filterable, verify_consl
 from .interior import (
     check_axioms,
     check_bicoatomic,
@@ -245,14 +245,13 @@ def suite_filterable(seed: int = 0) -> list[CheckOutcome]:
     for name, s in catalog_for_acceptance(seed):
         if not getattr(s, "operators", ()):
             continue
-        members = all_congruences(s).congruences
-        res = check_filterable(s, members)
+        res, induced = _filterable_interior(s, all_congruences(s).congruences)
         out.append(CheckOutcome("filterable", name, res.passed, res.witness, res.note))
-        if not res.passed:
+        if induced is None:
             out.append(CheckOutcome("filterable-interior", name, None, None,
                                     "skip: family is not filterable"))
             continue
-        lat, im, _ = sublattice_interior(s, members)
+        lat, im, _ = induced
         out.append(_axiom_outcome("filterable-interior", name, check_axioms(lat, im), _EQUAINT))
     return out
 

@@ -306,15 +306,15 @@ def all_congruences(s: OpSemilattice) -> CongruenceLattice:
         found = closed_sets(meet, 1 << s.top, rows=rows, cap=_CON_CAP)
     except BudgetExceeded:
         raise BudgetExceeded("congruences", _CON_CAP) from None
-    keyed = sorted((-popcount(t), _congruence_of(s, t).rep, t) for t in found)
-    ordered = tuple(Congruence(rep) for _, rep, _ in keyed)
+    keyed = sorted((-popcount(t), c.rep, t, c) for t in found for c in [_congruence_of(s, t)])
+    ordered = tuple(c for *_, c in keyed)
     reps = {c.rep for c in ordered}
     for a, b in s.poset.covers:
         if congruence_generated(s, [(a, b)]).rep not in reps:
             raise InvariantViolation(f"Cg({s.labels[a]!r}, {s.labels[b]!r}) was not enumerated")
-    closed = tuple(t for *_, t in keyed)
+    closed = tuple(t for _, _, t, _ in keyed)
     full = (1 << s.n) - 1
-    lattice = lattice_of([c.block_string(s) for c in ordered], [full & ~t for t in closed])
+    lattice = lattice_of(lambda: [c.block_string(s) for c in ordered], [full & ~t for t in closed])
     return CongruenceLattice(s, ordered, lattice, closed)
 
 

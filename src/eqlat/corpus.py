@@ -265,7 +265,7 @@ def _sub_dual_lattice(labels: Sequence[str], meet) -> FiniteLattice:
     full = (1 << len(labels)) - 1
     table = [[meet(i, j) for j in range(len(labels))] for i in range(len(labels))]
     subs = sorted(closed_sets(table), key=lambda m: (popcount(m), m))
-    return lattice_of([set_label(labels, m) for m in subs], [full & ~m for m in subs])
+    return lattice_of(lambda: [set_label(labels, m) for m in subs], [full & ~m for m in subs])
 
 
 _TRUNCATION_EVIDENCE = (
@@ -390,7 +390,7 @@ def k_lattice() -> CorpusEntry:
     if set(role) != {t.rep for t in ordered}:
         raise InvariantViolation("unexpected closure: not the nine expected congruences")
     labels = tuple(role[t.rep] for t in ordered)
-    lat2 = lattice_of(labels, lat.down)
+    lat2 = lattice_of(lambda: labels, lat.down)
     im2 = InteriorMap(lat2, im.h)
 
     threshold_map = {

@@ -10,10 +10,10 @@ Three strands share this module:
   their lattices of closed subalgebras (``QuasiOrder``,
   ``sub_closed_lattice``, ``quasiorder_from_sublattice``);
 * filterable sublattices of the congruence lattice and the interior map
-  they induce (``check_filterable``, ``sublattice_interior``). Both read
-  the family through ``_sublattice``, which validates its members as
-  congruences and checks, on their closed sets, that it is a sublattice
-  of Con before either looks at the zero-class collapse.
+  they induce (``check_filterable``, ``sublattice_interior``, or both from
+  ``_filterable_interior``). Each reads the family once, through ``_sublattice``,
+  which validates its members as congruences and checks, on their closed sets,
+  that it is a sublattice of Con before it looks at the zero-class collapse.
 
 The families of the first two strands are one ``closed_sets`` walk,
 ``_closed_family``: the meet-closed subsets of the ideal lattice that hold
@@ -52,7 +52,7 @@ _SUBSET_CAP = 1 << 22
 def ideal_lattice(s: OpSemilattice) -> FiniteLattice:
     """All ideals of the semilattice reduct, ordered by containment."""
     masks = [i.mask for i in ideals(s)]
-    return lattice_of([set_label(s.labels, m) for m in masks], masks)
+    return lattice_of(lambda: [set_label(s.labels, m) for m in masks], masks)
 
 
 @dataclass(frozen=True)
@@ -284,7 +284,7 @@ def _closed_sub_members(q: QuasiOrder) -> tuple[int, ...]:
 def sub_closed_lattice(q: QuasiOrder) -> FiniteLattice:
     """The containment lattice of relation-closed meet-subsemilattices with unit."""
     members = _closed_sub_members(q)
-    return lattice_of([set_label(q.carrier.labels, m) for m in members], members)
+    return lattice_of(lambda: [set_label(q.carrier.labels, m) for m in members], members)
 
 
 def quasiorder_from_sublattice(carrier: OpSemilattice, family: Iterable[int]) -> QuasiOrder:
@@ -345,14 +345,15 @@ def check_sub_duality(carrier: OpSemilattice, family: Iterable[int]) -> Verdict:
 
 def _sublattice(
     s: OpSemilattice, family: Iterable
-) -> tuple[tuple[Congruence, ...], list[int], list[int | None]]:
+) -> tuple[tuple[Congruence, ...], list[int], list[int | None], Verdict]:
     """A family of reduct congruences read as a sublattice of Con, by closed sets T.
 
     Members (Congruence objects, rep vectors or block lists) are validated as
     reduct congruences, deduplicated and sorted coarsest-last by (-block_count,
     rep). Raises InvariantViolation unless the family is closed under meet
     (meet-closure of T_a | T_b) and join (T_a & T_b). ``collapse[i]`` indexes
-    eta of member i, T = up(t) for the top t of its 0-class; None off the family.
+    eta of member i, T = up(t) for the top t of its 0-class; None off the
+    family. The verdict is ``check_filterable``'s.
     """
     reduct = s.reduct()
     parsed = [make_congruence(reduct, t.rep if isinstance(t, Congruence) else t) for t in family]
@@ -366,7 +367,12 @@ def _sublattice(
             if a & b not in index:
                 raise InvariantViolation("family is not closed under congruence join")
     tops = [(c & t.zero_class_mask(reduct)).bit_length() - 1 for t, c in zip(members, closed)]
-    return members, closed, [index.get(reduct.up[t]) for t in tops]
+    collapse = [index.get(reduct.up[t]) for t in tops]
+    if None in collapse:
+        theta = members[collapse.index(None)]
+        return members, closed, collapse, Verdict(
+            False, {"theta": theta.block_string(reduct)}, "zero-class collapse leaves the family")
+    return members, closed, collapse, Verdict(True, None, f"members={len(members)}")
 
 
 def check_filterable(s: OpSemilattice, family: Iterable) -> Verdict:
@@ -377,12 +383,16 @@ def check_filterable(s: OpSemilattice, family: Iterable) -> Verdict:
     coarsest-last, whose collapse leaves the family. The family must be
     closed under pairwise meet and join of congruences.
     """
-    members, _, collapse = _sublattice(s, family)
-    if None in collapse:
-        theta = members[collapse.index(None)]
-        return Verdict(False, {"theta": theta.block_string(s.reduct())},
-                       "zero-class collapse leaves the family")
-    return Verdict(True, None, f"members={len(members)}")
+    return _sublattice(s, family)[3]
+
+
+def _filterable_interior(s: OpSemilattice, family: Iterable) -> tuple[Verdict, tuple | None]:
+    """``check_filterable``'s verdict and, if it passes, ``sublattice_interior``, from one read."""
+    members, closed, collapse, verdict = _sublattice(s, family)
+    if not verdict.passed:
+        return verdict, None
+    lat = lattice_of(lambda: [t.block_string(s) for t in members], [~c & (1 << s.n) - 1 for c in closed])
+    return verdict, (lat, InteriorMap(lat, tuple(collapse)), members)
 
 
 def sublattice_interior(
@@ -394,9 +404,7 @@ def sublattice_interior(
     reduct congruence generated by member i's zero class, which must lie in
     the family (raise otherwise).
     """
-    members, closed, h = _sublattice(s, family)
-    if None in h:
+    induced = _filterable_interior(s, family)[1]
+    if induced is None:
         raise InvariantViolation("family is not filterable; no induced interior map")
-    reduct, full = s.reduct(), (1 << s.n) - 1
-    lat = lattice_of([t.block_string(reduct) for t in members], [full & ~c for c in closed])
-    return lat, InteriorMap(lat, tuple(h)), members
+    return induced

@@ -13,9 +13,9 @@ Conventions
 * ``closure`` closes a mask under a binary operation table; ``closed_sets``
   enumerates every closed mask (Close-by-One) and serves every subset search,
   the congruence lattice included
-* ``lattice_of`` turns masks ordered by containment into a lattice and is the
-  one way the package builds a lattice from its own masks; ``as_lattice``
-  reads posets from outside (``FinitePoset``, ``build_poset``, JSON)
+* ``lattice_of`` is the one way the package builds a lattice from its own
+  masks, ordered by containment, its labels built when first read;
+  ``as_lattice`` reads posets from outside (``FinitePoset``, ``build_poset``, JSON)
 * ``canonical_key`` is the one isomorphism test: equal keys, isomorphic
   join-semilattices with zero
 """
@@ -27,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceeded, CycleError, InvariantViolation, NotALattice, UnknownLabel
 
@@ -113,11 +113,20 @@ def set_label(labels: Sequence[str], mask: int) -> str:
     return "{" + ",".join(labels[i] for i in iter_bits(mask)) + "}"
 
 
+class _LabelsOnFirstRead:
+    """Builds the labels that ``lattice_of`` was given as a function, the first time they are read."""
+
+    def __get__(self, poset, owner=None):
+        if poset is None:  # read on the class: the dataclass field gets no default
+            raise AttributeError("labels")
+        return poset.__dict__.setdefault("labels", tuple(poset.__dict__.pop("_labels_of")()))
+
+
 @dataclass(frozen=True)
 class FinitePoset:
     """A finite partial order: labels plus an up-set bitmask per element."""
 
-    labels: tuple[str, ...]
+    labels: tuple[str, ...] = _LabelsOnFirstRead()
     up: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -143,7 +152,7 @@ class FinitePoset:
 
     @property
     def n(self) -> int:
-        return len(self.labels)
+        return len(self.up)
 
     @cached_property
     def down(self) -> tuple[int, ...]:
@@ -275,24 +284,39 @@ def as_lattice(poset: FinitePoset) -> FiniteLattice:
     lookup from downset mask to element replaces a search. Joins work the
     same way over ``up``.
     """
-    labels, up, down = poset.labels, poset.up, poset.down
+    up, down = poset.up, poset.down
     by_down = {m: i for i, m in enumerate(down)}
     by_up = {m: i for i, m in enumerate(up)}
-    meet = tuple(tuple(by_down.get(a & b) for b in down) for a in down)
-    join = tuple(tuple(by_up.get(a & b) for b in up) for a in up)
+    meet = tuple(tuple(map(by_down.get, map(a.__and__, down))) for a in down)
+    join = tuple(tuple(map(by_up.get, map(a.__and__, up))) for a in up)
     if any(None in row for row in meet + join):
         for i, j in itertools.product(range(poset.n), repeat=2):
             for kind, table in (("meet", meet), ("join", join)):
                 if table[i][j] is None:
-                    raise NotALattice(f"no {kind} for {labels[i]!r}, {labels[j]!r}")
+                    raise NotALattice(f"no {kind} for {poset.labels[i]!r}, {poset.labels[j]!r}")
     full = (1 << poset.n) - 1
     return FiniteLattice(poset, meet, join, by_up[full], by_down[full])
 
 
-def lattice_of(labels: Sequence[str], masks: Sequence[int]) -> FiniteLattice:
-    """The lattice of ``masks`` ordered by containment, element i being masks[i]."""
-    up = tuple(sum(1 << j for j, b in enumerate(masks) if not a & ~b) for a in masks)
-    return as_lattice(FinitePoset(tuple(labels), up))
+def lattice_of(labels: Callable[[], Sequence[str]], masks: Sequence[int]) -> FiniteLattice:
+    """The lattice of ``masks`` ordered by containment, element i being masks[i].
+
+    Containment is a partial order once the masks are distinct, so the poset
+    skips ``FinitePoset``'s full check. ``labels`` builds one distinct label
+    per mask; it runs the first time something reads them.
+    """
+    masks, n = tuple(masks), len(masks)
+    if not n or len(set(masks)) != n:
+        raise InvariantViolation("masks must be distinct, and at least one")
+    up, down = [0] * n, [0] * n
+    for i, a in enumerate(masks):
+        for j, b in enumerate(masks):
+            if not a & ~b:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    poset = object.__new__(FinitePoset)
+    poset.__dict__.update(_labels_of=labels, up=tuple(up), down=tuple(down))
+    return as_lattice(poset)
 
 
 def lattice_from_covers(labels: Sequence[str], covers: Iterable[tuple[str, str]]) -> FiniteLattice:
@@ -316,13 +340,13 @@ def complete_sublattice_closure(lat: FiniteLattice, seeds: Iterable[int]) -> Fin
         grown = closure(lat.join_table, closure(lat.meet_table, members))
         if grown == members:
             kept = list(iter_bits(members))
-            return lattice_of([lat.labels[x] for x in kept], [lat.down[x] for x in kept])
+            return lattice_of(lambda: [lat.labels[x] for x in kept], [lat.down[x] for x in kept])
         members = grown
 
 
 def dual(lat: FiniteLattice) -> FiniteLattice:
     """The order-dual lattice: same labels, reversed order, tables swapped."""
-    return lattice_of(lat.labels, lat.up)
+    return lattice_of(lambda: lat.labels, lat.up)
 
 
 def _is_label(x) -> bool:

@@ -77,6 +77,28 @@ def refines(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(b[x] == b[y] for x in range(len(a)) for y in range(len(a)) if a[x] == a[y])
 
 
+def partition_join(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The finest partition coarser than a and b: blocks of chains of a- or b-related steps."""
+    n = len(a)
+    out = []
+    for x in range(n):
+        block, frontier = {x}, [x]
+        while frontier:
+            y = frontier.pop()
+            for z in range(n):
+                if z not in block and (a[y] == a[z] or b[y] == b[z]):
+                    block.add(z)
+                    frontier.append(z)
+        out.append(min(block))
+    return tuple(out)
+
+
+def partition_meet(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The common refinement of a and b: x and y share a block iff both relate them."""
+    n = len(a)
+    return tuple(min(y for y in range(n) if a[y] == a[x] and b[y] == b[x]) for x in range(n))
+
+
 def oracle_eta_tau(s: OpSemilattice, ideal_mask: int):
     """The least and greatest congruence whose zero class is exactly the ideal."""
     matching = [
@@ -345,6 +367,20 @@ def oracle_distributive_elements(l: FiniteLattice) -> int:
                for y in range(l.n) for z in range(l.n)):
             mask |= 1 << d
     return mask
+
+
+def oracle_first_dagger_failure(l: FiniteLattice, h) -> dict[str, str] | None:
+    """First (x, c, z) in index order with tau(x) <= tau(c), h(z) <= c and
+    h(h(z) v tau(x ^ z)) not <= c, named zeta, gamma, chi; None if none."""
+    tau = _fiber_tau(l, h)
+    for x in range(l.n):
+        for c in range(l.n):
+            if not l.leq(tau[x], tau[c]):
+                continue
+            for z in range(l.n):
+                if l.leq(h[z], c) and not l.leq(h[l.join(h[z], tau[l.meet(x, z)])], c):
+                    return {"zeta": l.labels[z], "gamma": l.labels[c], "chi": l.labels[x]}
+    return None
 
 
 def oracle_first_ddagger_failure(l: FiniteLattice, h) -> dict[str, str] | None:

@@ -35,6 +35,7 @@ from eqlat.congruence import (
 )
 from eqlat.corpus import boolean, chain, enumerate_semilattices, omega
 from eqlat.errors import BudgetExceeded, InvariantViolation
+from eqlat.interior import check_axioms, natural_eta
 from eqlat.semilattice import IdealSet, all_endomorphisms, ideal, ideals
 
 SMALL_CARRIERS = enumerate_semilattices(5)
@@ -423,6 +424,38 @@ def test_engine_matches_the_oracle_on_every_small_decoration():
         _assert_engine_matches_oracle(s)
         count += 1
     assert count == 308 + 697
+
+
+def test_con_lattice_order_and_tables_match_the_partition_oracle():
+    # lattice_of reads Con's order off the closed sets without re-checking
+    # it; this sweep guards that path beyond the pinned digests.
+    count = 0
+    for s in _decorations(5, 1):
+        conl = all_congruences(s)
+        lat, reps = conl.lattice, [c.rep for c in conl.congruences]
+        assert set(reps) == oracles.oracle_congruences(s)
+        for i, a in enumerate(reps):
+            for j, b in enumerate(reps):
+                assert lat.leq(i, j) == oracles.refines(a, b)
+                assert reps[lat.join(i, j)] == oracles.partition_join(a, b)
+                assert reps[lat.meet(i, j)] == oracles.partition_meet(a, b)
+        count += 1
+    assert count == 308
+
+
+def test_con_labels_are_built_only_when_read(monkeypatch):
+    calls = []
+    block_string = Congruence.block_string
+    monkeypatch.setattr(Congruence, "block_string",
+                        lambda theta, s: calls.append(theta) or block_string(theta, s))
+    for _, s in catalog_for_acceptance(0)[::40]:
+        conl = all_congruences(s)
+        assert check_axioms(conl.lattice, natural_eta(s, conl)).passed
+        assert calls == []
+        assert conl.lattice.labels == tuple(block_string(c, s) for c in conl.congruences)
+        assert calls == list(conl.congruences)
+        assert conl.lattice.labels == conl.lattice.poset.labels and len(calls) == conl.n
+        calls.clear()
 
 
 @given(st.data())

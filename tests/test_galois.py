@@ -21,6 +21,7 @@ from eqlat.errors import InvariantViolation, UnknownLabel
 from eqlat.galois import (
     AlgebraicSubsetFamily,
     QuasiOrder,
+    _filterable_interior,
     algebraic_subsets,
     check_distributive_quasiorder,
     check_filterable,
@@ -342,7 +343,7 @@ def test_closed_set_reading_matches_union_find_on_random_subfamilies():
             error, members, collapse = _reference_sublattice(s, family)
             if error is not None:
                 outcomes.add("error")
-                for build in (check_filterable, sublattice_interior):
+                for build in (check_filterable, sublattice_interior, _filterable_interior):
                     with pytest.raises(InvariantViolation) as info:
                         build(s, family)
                     assert str(info.value) == error
@@ -352,6 +353,7 @@ def test_closed_set_reading_matches_union_find_on_random_subfamilies():
                 outcomes.add("fail")
                 assert (result.passed, result.note) == (False, "zero-class collapse leaves the family")
                 assert result.witness == {"theta": members[collapse.index(None)].block_string(s)}
+                assert _filterable_interior(s, family) == (result, None)
                 continue
             assert (result.passed, result.witness, result.note) == (True, None, f"members={len(members)}")
             # The collapse need not be an interior map (a family without the
@@ -362,14 +364,17 @@ def test_closed_set_reading_matches_union_find_on_random_subfamilies():
                 InteriorMap(ref, tuple(collapse))
             except InvariantViolation as exc:
                 outcomes.add("no interior map")
-                with pytest.raises(InvariantViolation, match=re.escape(str(exc))):
-                    sublattice_interior(s, family)
+                for build in (sublattice_interior, _filterable_interior):
+                    with pytest.raises(InvariantViolation, match=re.escape(str(exc))):
+                        build(s, family)
                 continue
             outcomes.add("pass")
             lat, im, sorted_members = sublattice_interior(s, family)
             assert sorted_members == tuple(members) and im.h == tuple(collapse)
             assert all(lat.leq(i, j) == a.refines(b)
                        for i, a in enumerate(members) for j, b in enumerate(members))
+            assert lat.labels == ref.labels and lat == ref
+            assert _filterable_interior(s, family) == (result, (lat, im, sorted_members))
     assert outcomes == {"error", "fail", "no interior map", "pass"}
 
 

@@ -460,6 +460,7 @@ def _assert_witnesses_match_the_plain_scans(l, h):
     for name, oracle in (("I2", oracles.oracle_first_i2_failure),
                          ("I5", oracles.oracle_first_i5_failure),
                          ("I6", oracles.oracle_first_i6_failure),
+                         ("dagger", oracles.oracle_first_dagger_failure),
                          ("ddagger", oracles.oracle_first_ddagger_failure)):
         witness = oracle(l, h)
         assert report.verdict(name) == Verdict(witness is None, witness), (name, h)
@@ -467,13 +468,14 @@ def _assert_witnesses_match_the_plain_scans(l, h):
 
 
 def test_witnesses_match_the_plain_scans_on_image_maps():
-    # Image-induced maps are monotone, so I2 passes; I5, I6 and ddagger go both ways.
+    # Image-induced maps are monotone, so I2 passes; the other four go both ways.
     outcomes = set()
+    names = ("I5", "I6", "dagger", "ddagger")
     for l in _LATTICES_UP_TO_6:
         for im in enumerate_eios(l, ("I1", "I2", "I3", "I4")):
             report = _assert_witnesses_match_the_plain_scans(l, im.h)
-            outcomes.update((name, report.verdict(name).passed) for name in ("I5", "I6", "ddagger"))
-    assert outcomes == {(name, ok) for name in ("I5", "I6", "ddagger") for ok in (True, False)}
+            outcomes.update((name, report.verdict(name).passed) for name in names)
+    assert outcomes == {(name, ok) for name in names for ok in (True, False)}
 
 
 @given(st.data())

@@ -19,6 +19,7 @@ from eqlat.order import (
     dot_hasse,
     dual,
     lattice_from_covers,
+    lattice_of,
     poset_from_json,
 )
 
@@ -69,6 +70,34 @@ def test_as_lattice_rejects_non_lattice():
     for labels, covers, message in cases:
         with pytest.raises(NotALattice, match=f"^{message}$"):
             as_lattice(build_poset(labels, covers))
+
+
+def test_lattice_of_keeps_its_typed_errors():
+    with pytest.raises(InvariantViolation, match="masks must be distinct"):
+        lattice_of(lambda: ("a", "b", "c"), (0b00, 0b01, 0b01))
+    with pytest.raises(InvariantViolation, match="masks must be distinct, and at least one"):
+        lattice_of(lambda: (), ())
+    with pytest.raises(NotALattice, match="^no meet for 'a', 'b'$"):
+        lattice_of(lambda: ("a", "b", "c"), (0b01, 0b10, 0b11))
+    with pytest.raises(NotALattice, match="^no join for 'a', 'b'$"):
+        lattice_of(lambda: ("a", "b", "c"), (0b01, 0b10, 0b00))
+
+
+def test_lattice_of_builds_labels_once_and_only_when_read():
+    calls = []
+
+    def labels():
+        calls.append(1)
+        return ["0", "p", "q", "1"]
+
+    l = lattice_of(labels, (0b00, 0b01, 0b10, 0b11))
+    assert (l.meet(1, 2), l.join(1, 2), l.bottom, l.top, l.poset.covers) == (0, 3, 0, 3, (
+        (0, 1), (0, 2), (1, 3), (2, 3)))
+    assert calls == []
+    assert l.labels == ("0", "p", "q", "1") and l.poset.index == {"0": 0, "p": 1, "q": 2, "1": 3}
+    assert l == diamond() and calls == [1]
+    with pytest.raises(AttributeError):
+        l.poset.missing
 
 
 def test_diamond_tables():
