@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from functools import cache
 
-from .congruence import all_congruences, is_simple
+from .congruence import _simple_over, all_congruences
 from .corpus import (
     boolean,
     enumerate_semilattices,
@@ -260,11 +260,11 @@ def suite_simple_scan(seed: int = 0) -> list[CheckOutcome]:
     """Semilattices with one operator and only two congruences have two elements."""
     out = []
     for name, s in named_by_size(enumerate_semilattices(_SCAN_MAX_ELEMENTS)):
-        endos = all_endomorphisms(s)
+        carrier_con, endos = all_congruences(s), all_endomorphisms(s)
         simple = 0
         witness = None
         for f in endos:
-            if is_simple(s.with_operators([("f", f)])):
+            if _simple_over(carrier_con, s.with_operators([("f", f)]).operators):
                 simple += 1
                 if s.n != 2 and witness is None:
                     witness = {"operator": ",".join(s.labels[v] for v in f)}

@@ -318,21 +318,30 @@ def all_congruences(s: OpSemilattice) -> CongruenceLattice:
     return CongruenceLattice(s, ordered, lattice, closed)
 
 
-def is_simple(s: OpSemilattice) -> bool:
-    """Whether Con(s) has exactly two elements, decided without building it.
+def _simple_over(carrier_con: CongruenceLattice, operators) -> bool:
+    """Whether the carrier of ``carrier_con`` with these operators has exactly two congruences.
 
-    True iff n >= 2 and every cover pair generates the all-in-one congruence;
-    the scan stops at the first cover pair that does not. Proof: a cover
-    principal other than the all-in-one congruence is a third congruence.
-    Conversely, a congruence theta other than the identity relates some
-    x != y, hence x < x + y or y < x + y; say a < b, both related by theta.
-    Then theta relates all of [a, b], so it relates a cover pair a < c <= b,
-    and theta contains Cg(a, c), which is everything.
+    Con(S, F) is the part of Con(S) compatible with each f in F; theta is
+    compatible with f iff f(x) ~ f(rep[x]) for every x. The identity and the
+    all-in-one congruence always are, and differ iff n >= 2, so Con(S, F) has
+    two elements iff n >= 2 and no proper congruence (Con indices 1 .. m - 2)
+    is compatible. The scan stops at the first that is.
     """
-    everything = (0,) * s.n
-    return s.n >= 2 and all(
-        congruence_generated(s, [p]).rep == everything for p in s.poset.covers
-    )
+    ops = [images for _, images in operators]
+    for theta in carrier_con.congruences[1:-1]:
+        rep = theta.rep
+        if not any(rep[fx] != rep[f[r]] for f in ops for fx, r in zip(f, rep)):
+            return False
+    return carrier_con.semilattice.n >= 2
+
+
+def is_simple(s: OpSemilattice) -> bool:
+    """Whether Con(s) has exactly two elements, read off the carrier's Con.
+
+    The identity and the all-in-one congruence are compatible with every
+    operator, so s is simple iff n >= 2 and no proper one is (``_simple_over``).
+    """
+    return _simple_over(all_congruences(s.reduct()), s.operators)
 
 
 def _closed_ideal_top(s: OpSemilattice, theta) -> int:

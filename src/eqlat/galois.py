@@ -104,20 +104,24 @@ def _ideal_mask_of(item) -> int:
 def galois_h(s: OpSemilattice, theta: Congruence) -> tuple[IdealSet, ...]:
     """The family of theta-closed ideals, ordered by (size, membership mask).
 
-    An ideal is a union of blocks iff each x lies in it exactly when its rep does.
+    An ideal is a union of blocks iff it is the union of the blocks of the reps it holds.
     """
+    blocks, reps = theta._block_masks, sum(1 << r for r in set(theta.rep))
     return tuple(i for i in ideals(s)
-                 if all(i.mask >> x & 1 == i.mask >> r & 1 for x, r in enumerate(theta.rep)))
+                 if sum(map(blocks.__getitem__, iter_bits(i.mask & reps))) == i.mask)
 
 
 def galois_rho(s: OpSemilattice, family: Iterable) -> Congruence:
-    """Equal-membership congruence: x and y lie in the same family members."""
-    masks = [_ideal_mask_of(i) for i in family]
-    sig: dict[tuple[int, ...], list[int]] = {}
-    for x in range(s.n):
-        key = tuple(k for k, m in enumerate(masks) if (m >> x) & 1)
-        sig.setdefault(key, []).append(x)
-    return make_congruence(s.reduct(), list(sig.values()))
+    """Equal-membership congruence: x and y lie in the same family members.
+
+    Bit k of ``sig[x]`` is set iff x lies in member k; one pass over the
+    members' bits fills them all. Equal signatures form a block.
+    """
+    sig, first, full = [0] * s.n, {}, (1 << s.n) - 1
+    for k, i in enumerate(family):
+        for x in iter_bits(_ideal_mask_of(i) & full):
+            sig[x] |= 1 << k
+    return make_congruence(s.reduct(), [first.setdefault(key, x) for x, key in enumerate(sig)])
 
 
 def verify_consl(s: OpSemilattice) -> Verdict:
@@ -168,11 +172,11 @@ def verify_consl(s: OpSemilattice) -> Verdict:
         if h_as_family_mask(theta) != fam:
             return Verdict(False, {"family": set_label(il.labels, fam)},
                            "round trip through congruences does not return")
-    for i, a in enumerate(conl.congruences):
-        for j, b in enumerate(conl.congruences):
-            if conl.lattice.leq(i, j) and (images[j] & ~images[i]) != 0:
-                return Verdict(False,
-                               {"theta": a.block_string(reduct), "phi": b.block_string(reduct)},
+    for i, above in enumerate(conl.lattice.up):
+        for j in iter_bits(above):
+            if images[j] & ~images[i]:
+                return Verdict(False, {"theta": conl.congruences[i].block_string(reduct),
+                                       "phi": conl.congruences[j].block_string(reduct)},
                                "containment is not reversed")
     return Verdict(True, None,
                    f"|Con| = {len(conl.congruences)} = |families| = {len(sp.members)}")

@@ -303,17 +303,20 @@ def lattice_of(labels: Callable[[], Sequence[str]], masks: Sequence[int]) -> Fin
 
     Containment is a partial order once the masks are distinct, so the poset
     skips ``FinitePoset``'s full check. ``labels`` builds one distinct label
-    per mask; it runs the first time something reads them.
+    per mask; it runs the first time something reads them. Column k holds the
+    masks with bit k: up[i] meets the columns of masks[i]'s bits, down[i] avoids the rest.
     """
     masks, n = tuple(masks), len(masks)
     if not n or len(set(masks)) != n:
         raise InvariantViolation("masks must be distinct, and at least one")
-    up, down = [0] * n, [0] * n
-    for i, a in enumerate(masks):
-        for j, b in enumerate(masks):
-            if not a & ~b:
-                up[i] |= 1 << j
-                down[j] |= 1 << i
+    up, down = [(1 << n) - 1] * n, [(1 << n) - 1] * n
+    for k in range(max(masks).bit_length()):
+        column = sum(1 << i for i, a in enumerate(masks) if a >> k & 1)
+        for i, a in enumerate(masks):
+            if a >> k & 1:
+                up[i] &= column
+            else:
+                down[i] &= ~column
     poset = object.__new__(FinitePoset)
     poset.__dict__.update(_labels_of=labels, up=tuple(up), down=tuple(down))
     return as_lattice(poset)

@@ -341,15 +341,17 @@ def all_endomorphisms(s: OpSemilattice) -> tuple[tuple[int, ...], ...]:
     A backtracking search over a linear extension. Zero maps to zero; a
     join-irreducible x with lower cover c may go anywhere above f(c); any
     other x is the join of its lower covers, so f(x) is forced to the join of
-    f over them. Placing x checks f(a) + f(b) = f(x) for every pair a < b
-    with a + b = x, so each pair is checked once, when its join is placed,
-    and a branch reaches the last element exactly when f is an endomorphism.
+    f over them. Either way the placed prefix is monotone, so f(a) + f(b) =
+    f(x) holds when a <= b = x. Placing x checks each incomparable pair a, b
+    with a + b = x (a join-irreducible x has none), so each pair is checked
+    once, when its join is placed, and a branch reaches the last element
+    exactly when f is an endomorphism.
     """
     n, jt, up = s.n, s.join_t, s.up
     steps = []
     for x in sorted(range(n), key=lambda x: popcount(s.down[x]))[1:]:
         covers = [c for c, y in s.poset.covers if y == x]
-        pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if jt[a][b] == x]
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if jt[a][b] == x not in (a, b)]
         steps.append((x, covers, pairs))
     f = [s.zero] * n
     found = []

@@ -99,11 +99,14 @@ def partition_meet(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(min(y for y in range(n) if a[y] == a[x] and b[y] == b[x]) for x in range(n))
 
 
-def oracle_eta_tau(s: OpSemilattice, ideal_mask: int):
-    """The least and greatest congruence whose zero class is exactly the ideal."""
-    matching = [
-        rep for rep in oracle_congruences(s) if zero_class_mask(s, rep) == ideal_mask
-    ]
+def oracle_eta_tau(s: OpSemilattice, ideal_mask: int, universe=None):
+    """The least and greatest congruence whose zero class is exactly the ideal.
+
+    ``universe`` is ``oracle_congruences(s)``, computed here when not given.
+    """
+    if universe is None:
+        universe = oracle_congruences(s)
+    matching = [rep for rep in universe if zero_class_mask(s, rep) == ideal_mask]
     least = [r for r in matching if all(refines(r, o) for o in matching)]
     greatest = [r for r in matching if all(refines(o, r) for o in matching)]
     assert len(least) == 1 and len(greatest) == 1, "zero-class interval is not an interval"
@@ -215,6 +218,23 @@ def oracle_ideals(s: OpSemilattice, f_closed_only: bool = False) -> set[int]:
         if ok:
             out.add(mask)
     return out
+
+
+def oracle_galois_h(s: OpSemilattice, rep: tuple[int, ...]) -> set[int]:
+    """The ideals that every block of the partition ``rep`` lies inside or outside."""
+    blocks = [{x for x in range(s.n) if rep[x] == r} for r in set(rep)]
+    out = set()
+    for mask in oracle_ideals(s):
+        members = set(iter_bits(mask))
+        if all(block <= members or not block & members for block in blocks):
+            out.add(mask)
+    return out
+
+
+def oracle_galois_rho(n: int, family: list[int]) -> tuple[int, ...]:
+    """The partition of range(n) by the set of family members containing each element."""
+    key = [frozenset(k for k, m in enumerate(family) if (m >> x) & 1) for x in range(n)]
+    return tuple(min(y for y in range(n) if key[y] == key[x]) for x in range(n))
 
 
 def oracle_algebraic_subsets(l: FiniteLattice) -> set[int]:

@@ -15,7 +15,7 @@ import pytest
 
 import eqlat
 from eqlat import congruence, corpus, galois, interior, order, semilattice
-from eqlat.congruence import all_congruences, all_don, all_eon
+from eqlat.congruence import all_congruences, all_don, all_eon, is_simple
 from eqlat.corpus import boolean, chain, m2, omega, run_claims
 from eqlat.errors import BudgetExceeded, SearchBudgetExceeded
 from eqlat.galois import algebraic_subsets, ideal_lattice, quasiorder_from_pairs
@@ -44,6 +44,9 @@ CAPPED_SEARCHES = [
                  id="all_don"),
     pytest.param(congruence, "_CON_CAP", lambda: all_eon(chain(2).structure), 4, "congruences",
                  id="all_eon"),
+    # is_simple reads the carrier's Con, so it inherits the cap too.
+    pytest.param(congruence, "_CON_CAP", lambda: is_simple(omega(2).structure), 4, "congruences",
+                 id="is_simple"),
     pytest.param(semilattice, "_MONOID_CAP", lambda: operator_monoid(omega(3).structure), 4,
                  "monoid maps", id="operator_monoid"),
     pytest.param(galois, "_SUBSET_CAP", lambda: algebraic_subsets(ideal_lattice(_B2)), 7,

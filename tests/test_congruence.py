@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from eqlat import congruence, order
-from eqlat.checks import catalog_for_acceptance
+from eqlat.checks import catalog_for_acceptance, suite_simple_scan
 from eqlat.congruence import (
     Congruence,
     OrderedRelation,
@@ -33,7 +34,7 @@ from eqlat.congruence import (
     validate_don,
     validate_eon,
 )
-from eqlat.corpus import boolean, chain, enumerate_semilattices, omega
+from eqlat.corpus import boolean, chain, enumerate_semilattices, named_by_size, omega
 from eqlat.errors import BudgetExceeded, InvariantViolation
 from eqlat.interior import check_axioms, natural_eta
 from eqlat.semilattice import IdealSet, all_endomorphisms, ideal, ideals
@@ -524,7 +525,56 @@ def test_con_enumeration_work_is_bounded(monkeypatch):
     assert 0 < len(closures) <= 1 + size * s.n
 
 
-def test_is_simple_stops_at_the_first_proper_cover_principal(monkeypatch):
-    calls = _count_calls(monkeypatch)
-    assert not is_simple(chain(3).structure)
-    assert len(calls) == 1
+def test_is_simple_stops_at_the_first_compatible_proper_congruence(monkeypatch):
+    # Con(chain(3)) holds six proper congruences, indices 1-6. Under
+    # f = (0, 2, 3, 3) the first two are not f-compatible and [0][1][2 3] is.
+    s = chain(3).structure
+    conl, read = all_congruences(s), []
+
+    class Spy:
+        def __init__(self, i, theta):
+            self.i, self.theta = i, theta
+
+        @property
+        def rep(self):
+            read.append(self.i)
+            return self.theta.rep
+
+    spied = replace(conl, congruences=tuple(Spy(i, t) for i, t in enumerate(conl.congruences)))
+    monkeypatch.setattr(congruence, "all_congruences", lambda _: spied)
+    assert conl.congruences[3].rep == (0, 1, 2, 2)
+    assert not is_simple(s.with_operators([("f", (0, 2, 3, 3))]))
+    assert read == [1, 2, 3]
+    read.clear()
+    assert not is_simple(s)
+    assert read == [1]
+
+
+def test_simple_scan_path_matches_the_cover_pair_criterion():
+    # simple-scan asks _simple_over about each endomorphism with the carrier's
+    # Con built once. The reference decides each decoration by union-find:
+    # simple iff n >= 2 and every cover pair generates the all-in-one congruence.
+    notes = {o.structure: o.note for o in suite_simple_scan()}
+    count = 0
+    for name, s in named_by_size(enumerate_semilattices(6)):
+        carrier_con, simple = all_congruences(s), 0
+        for f in all_endomorphisms(s):
+            d = s.with_operators([("f", f)])
+            expected = s.n >= 2 and all(
+                congruence_generated(d, [p]).rep == (0,) * s.n for p in s.poset.covers)
+            assert congruence._simple_over(carrier_con, d.operators) == is_simple(d) == expected
+            simple += expected
+            count += 1
+        assert notes[name].endswith(f"simple instances={simple}")
+    assert count == 2526
+
+
+def test_eta_and_tau_match_the_oracle_on_every_small_one_operator_structure():
+    # Every operator-closed ideal is the 0-class of some congruence.
+    count = 0
+    for s in _decorations(5, 1):
+        universe = oracles.oracle_congruences(s)
+        for mask in {oracles.zero_class_mask(s, rep) for rep in universe}:
+            assert (eta(s, mask).rep, tau(s, mask).rep) == oracles.oracle_eta_tau(s, mask, universe)
+        count += 1
+    assert count == 308

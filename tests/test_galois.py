@@ -36,7 +36,8 @@ from eqlat.galois import (
     verify_consl,
 )
 from eqlat.interior import InteriorMap
-from eqlat.order import FinitePoset, as_lattice, dual
+from eqlat.order import FinitePoset, as_lattice, dual, iter_bits
+from eqlat.semilattice import ideals
 
 
 def test_ideal_lattice_of_boolean_two_is_a_diamond():
@@ -86,6 +87,22 @@ def test_galois_is_order_reversing():
             fb = {i.mask for i in galois_h(s, b)}
             if a.refines(b):
                 assert fb <= fa
+
+
+def test_galois_maps_match_the_literal_oracles():
+    # Every congruence and every algebraic family of the carriers up to 5 elements.
+    congruences = families = 0
+    for s in enumerate_semilattices(5):
+        for rep in oracles.oracle_congruences(s):
+            got = [i.mask for i in galois_h(s, Congruence(rep))]
+            assert got == sorted(oracles.oracle_galois_h(s, rep), key=lambda m: (m.bit_count(), m))
+            congruences += 1
+        masks = [i.mask for i in ideals(s)]
+        for fam in algebraic_subsets(ideal_lattice(s)).members:
+            family = [masks[k] for k in iter_bits(fam)]
+            assert galois_rho(s, family).rep == oracles.oracle_galois_rho(s.n, family)
+            families += 1
+    assert congruences == families == 91
 
 
 def test_verify_consl_reports_the_bijection():
