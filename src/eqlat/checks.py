@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from functools import cache
 
-from .congruence import _simple_over, all_congruences
+from .congruence import _closure_system, _con_lattice, _simple_over, _zero_class_maps, all_congruences
 from .corpus import (
     boolean,
     enumerate_semilattices,
@@ -25,12 +25,12 @@ from .corpus import (
 from .errors import ParamOutOfRange
 from .galois import _filterable_interior, check_filterable, verify_consl
 from .interior import (
+    _natural_eta,
     check_axioms,
     check_bicoatomic,
     check_coatom_dependence,
     check_four_coatom,
     enumerate_eios,
-    natural_eta,
 )
 from .semilattice import all_endomorphisms
 
@@ -92,12 +92,16 @@ def catalog_for_acceptance(seed: int = 0) -> list[tuple[str, object]]:
 def _natural_reports(seed: int):
     """(name, check_axioms report) of the zero-class collapse map of each catalog Con lattice.
 
-    Only the rows are kept, so the Con lattices and maps can be freed.
+    Con lattices with equal up rows share tables, and maps with equal (up
+    rows, eta) share tau and the battery's verdicts, so each is computed once
+    per key; witnesses are labelled per entry. Only the rows are kept.
     """
-    rows = []
+    tables, stores, rows = {}, {}, []
     for name, s in catalog_for_acceptance(seed):
-        conl = all_congruences(s)
-        rows.append((name, check_axioms(conl.lattice, natural_eta(s, conl))))
+        system = _closure_system(s)
+        conl = _con_lattice(s, system, tables)
+        im = _natural_eta(conl.lattice, _zero_class_maps(conl, system), stores)
+        rows.append((name, check_axioms(conl.lattice, im)))
     return rows
 
 
@@ -264,7 +268,7 @@ def suite_simple_scan(seed: int = 0) -> list[CheckOutcome]:
         simple = 0
         witness = None
         for f in endos:
-            if _simple_over(carrier_con, s.with_operators([("f", f)]).operators):
+            if _simple_over(carrier_con.congruences, s.with_operators([("f", f)]).operators):
                 simple += 1
                 if s.n != 2 and witness is None:
                     witness = {"operator": ",".join(s.labels[v] for v in f)}

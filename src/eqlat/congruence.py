@@ -37,7 +37,7 @@ from functools import cached_property
 from typing import NoReturn
 
 from .errors import BudgetExceeded, InvariantViolation
-from .order import FiniteLattice, closed_sets, closure, iter_bits, lattice_of, popcount
+from .order import FiniteLattice, _lattice_of, closed_sets, closure, iter_bits, popcount
 from .semilattice import IdealSet, OpSemilattice, ideal
 
 # One cap for the congruence family, shared by its three views (Con, Don, Eon).
@@ -301,47 +301,56 @@ def all_congruences(s: OpSemilattice) -> CongruenceLattice:
     must be among them. Raises BudgetExceeded exactly when there are more
     than ``_CON_CAP``.
     """
-    meet, rows = _closure_system(s)
+    return _con_lattice(s, _closure_system(s), {})
+
+
+def _sorted_congruences(s: OpSemilattice, system=None) -> tuple[tuple[Congruence, ...], tuple[int, ...]]:
+    """``all_congruences``' congruences and closed sets on ``system`` (``_closure_system(s)``)."""
+    meet, rows = system or _closure_system(s)
     try:
         found = closed_sets(meet, 1 << s.top, rows=rows, cap=_CON_CAP)
     except BudgetExceeded:
         raise BudgetExceeded("congruences", _CON_CAP) from None
     keyed = sorted((-popcount(t), c.rep, t, c) for t in found for c in [_congruence_of(s, t)])
-    ordered = tuple(c for *_, c in keyed)
-    reps = {c.rep for c in ordered}
+    reps = {rep for _, rep, _, _ in keyed}
     for a, b in s.poset.covers:
         if congruence_generated(s, [(a, b)]).rep not in reps:
             raise InvariantViolation(f"Cg({s.labels[a]!r}, {s.labels[b]!r}) was not enumerated")
-    closed = tuple(t for _, _, t, _ in keyed)
+    return tuple(c for *_, c in keyed), tuple(t for _, _, t, _ in keyed)
+
+
+def _con_lattice(s: OpSemilattice, system, tables: dict) -> CongruenceLattice:
+    """``all_congruences`` on ``system``, Con's tables shared through ``tables`` (``order._lattice_of``)."""
+    ordered, closed = _sorted_congruences(s, system)
     full = (1 << s.n) - 1
-    lattice = lattice_of(lambda: [c.block_string(s) for c in ordered], [full & ~t for t in closed])
+    lattice = _lattice_of(lambda: [c.block_string(s) for c in ordered], [full & ~t for t in closed], tables)
     return CongruenceLattice(s, ordered, lattice, closed)
 
 
-def _simple_over(carrier_con: CongruenceLattice, operators) -> bool:
-    """Whether the carrier of ``carrier_con`` with these operators has exactly two congruences.
+def _simple_over(congruences: Sequence[Congruence], operators) -> bool:
+    """Whether a carrier with Con ``congruences`` (in index order) and these operators is simple.
 
     Con(S, F) is the part of Con(S) compatible with each f in F; theta is
     compatible with f iff f(x) ~ f(rep[x]) for every x. The identity and the
     all-in-one congruence always are, and differ iff n >= 2, so Con(S, F) has
-    two elements iff n >= 2 and no proper congruence (Con indices 1 .. m - 2)
+    two elements iff m >= 2 and no proper congruence (Con indices 1 .. m - 2)
     is compatible. The scan stops at the first that is.
     """
     ops = [images for _, images in operators]
-    for theta in carrier_con.congruences[1:-1]:
+    for theta in congruences[1:-1]:
         rep = theta.rep
         if not any(rep[fx] != rep[f[r]] for f in ops for fx, r in zip(f, rep)):
             return False
-    return carrier_con.semilattice.n >= 2
+    return len(congruences) > 1
 
 
 def is_simple(s: OpSemilattice) -> bool:
-    """Whether Con(s) has exactly two elements, read off the carrier's Con.
+    """Whether Con(s) has exactly two elements, read off the carrier's congruences.
 
     The identity and the all-in-one congruence are compatible with every
     operator, so s is simple iff n >= 2 and no proper one is (``_simple_over``).
     """
-    return _simple_over(all_congruences(s.reduct()), s.operators)
+    return _simple_over(_sorted_congruences(s.reduct())[0], s.operators)
 
 
 def _closed_ideal_top(s: OpSemilattice, theta) -> int:
@@ -395,15 +404,15 @@ def tau(s: OpSemilattice, theta) -> Congruence:
     return _congruence_of(s, closure(meet, 1 << t | 1 << s.top, rows))
 
 
-def _zero_class_maps(conl: CongruenceLattice) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _zero_class_maps(conl: CongruenceLattice, system) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """For each index i of Con, the indices of eta and of tau of congruence i.
 
     The 0-class of congruence i is down(m) for the least member m of its
     closed set; eta's closed set is up(m) and tau's the closure of {m, top}
-    (see ``tau``), taken once per 0-class from one closure system.
+    (see ``tau``), taken once per 0-class from ``system``, ``_closure_system(s)``.
     """
     s, position = conl.semilattice, {t: i for i, t in enumerate(conl.closed)}
-    meet, rows = _closure_system(s)
+    meet, rows = system
     try:
         least = [next(x for x in iter_bits(t) if not t & ~s.up[x]) for t in conl.closed]
         tau_at = {m: position[closure(meet, 1 << m | 1 << s.top, rows)] for m in set(least)}

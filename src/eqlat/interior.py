@@ -41,14 +41,17 @@ fails. dagger and ddagger scan those rows.
 A map is one record, ``_MapData``, of which ``InteriorMap`` is the validated
 kind: tau, its rows and each axiom's verdict are computed on the record the
 first time something reads them and kept there, so the battery, the
-interior-map search and the coatom checks never compute one twice.
+interior-map search and the coatom checks never compute one twice. A
+verdict keeps its witness as element indices and becomes a label dict only
+when read (``verdict``, and so ``AxiomReport``, suite rows, JSON and the
+CLI), so records of structures with equal up rows and h share what they keep.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import BudgetExceeded, InvariantViolation
@@ -61,10 +64,10 @@ _EIO_NODE_CAP = 1 << 20
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of one check: passed True/False, or None when skipped."""
+    """Outcome of one check: passed True/False, or None when skipped; a record keeps index witnesses."""
 
     passed: bool | None
-    witness: dict[str, str] | None = None
+    witness: dict | None = None
     note: str | None = None
 
     def as_dict(self) -> dict:
@@ -142,14 +145,24 @@ def _lab(l: FiniteLattice, i: int) -> str:
 
 @dataclass(frozen=True)
 class _MapData:
-    """A map on a lattice with tau, tau's rows and the axiom verdicts, each kept from first use."""
+    """A map on a lattice with tau, tau's rows and the axiom verdicts, each kept from first use.
+
+    tau and the verdicts are kept in ``_store``, witnesses as indices, so they
+    depend on the lattice's up rows and h alone: records with equal up rows
+    and h may share one store, and ``verdict`` labels a witness when read.
+    tau_ge is read only while a verdict is computed, so it stays per record.
+    """
 
     lattice: FiniteLattice
     h: tuple[int, ...]
+    _store: dict = field(default_factory=dict, repr=False, compare=False)
 
-    @cached_property
+    @property
     def tau(self) -> tuple[int, ...]:
-        return tau_of_map(self.lattice, self.h)
+        store = self._store
+        if "tau" not in store:
+            store["tau"] = tau_of_map(self.lattice, self.h)
+        return store["tau"]
 
     @cached_property
     def tau_ge(self) -> tuple[int, ...]:
@@ -160,15 +173,17 @@ class _MapData:
         up = self.lattice.up
         return tuple(sum(cs for t, cs in fibers.items() if up[e] >> t & 1) for e in range(len(up)))
 
-    @cached_property
-    def _verdicts(self) -> dict[str, Verdict]:
-        return {}
-
     def verdict(self, name: str) -> Verdict:
-        """The named axiom's verdict on this map, computed on the first call."""
-        if name not in self._verdicts:
-            self._verdicts[name] = _AXIOMS[name](self)
-        return self._verdicts[name]
+        """The named axiom's verdict on this map, computed on the first call, its witness read in labels."""
+        store = self._store
+        if name not in store:
+            store[name] = _AXIOMS[name](self)
+        v = store[name]
+        if v.witness is None:
+            return v
+        labs = self.lattice.labels
+        return Verdict(v.passed, {k: ",".join(labs[j] for j in i) if isinstance(i, tuple) else labs[i]
+                                  for k, i in v.witness.items()}, v.note)
 
     def holds(self, name: str) -> bool:
         """Whether the named axiom passes; an I9 skip on its state cap raises BudgetExceeded."""
@@ -179,10 +194,10 @@ class _MapData:
 
 
 def _fail_i1(m):
-    l, h, up = m.lattice, m.h, m.lattice.up
+    h, up = m.h, m.lattice.up
     for x in range(len(h)):
         if not up[h[x]] >> x & 1:
-            return {"x": _lab(l, x)}
+            return {"x": x}
     return None
 
 
@@ -195,7 +210,7 @@ def _fail_i2(m):
     for x in range(l.n):
         for y in iter_bits(l.down[x]):
             if not l.leq(h[y], h[x]):
-                return {"x": _lab(l, x), "y": _lab(l, y)}
+                return {"x": x, "y": y}
     return None
 
 
@@ -203,14 +218,14 @@ def _fail_i3(m):
     l, h = m.lattice, m.h
     for x in range(l.n):
         if h[h[x]] != h[x]:
-            return {"x": _lab(l, x)}
+            return {"x": x}
     return None
 
 
 def _fail_i4(m):
     l, h = m.lattice, m.h
     if h[l.top] != l.top:
-        return {"x": _lab(l, l.top)}
+        return {"x": l.top}
     return None
 
 
@@ -225,7 +240,7 @@ def _fail_i5(m):
         fiber = fibers[v]
         for y in fiber[fiber.index(x) + 1:]:
             if h[join[x][y]] != v:
-                return {"x": _lab(l, x), "y": _lab(l, y)}
+                return {"x": x, "y": y}
     return None
 
 
@@ -241,7 +256,7 @@ def _fail_i6(m):
             right = list(map(meet[jv[y]].__getitem__, jv))
             if left != right:
                 z = next(z for z in range(l.n) if left[z] != right[z])
-                return {"x": _lab(l, x), "y": _lab(l, y), "z": _lab(l, z)}
+                return {"x": x, "y": y, "z": z}
     return None
 
 
@@ -252,7 +267,7 @@ def _fail_i7(m):
     for u in image:
         for v in image:
             if l.join(u, v) not in img_set:
-                return {"x": _lab(l, u), "y": _lab(l, v)}
+                return {"x": u, "y": v}
     return None
 
 
@@ -274,7 +289,7 @@ def _fail_dagger(m):
                     best = (c0, zv)
         if best is not None:
             c0, zv = best
-            return {"zeta": _lab(l, zv), "gamma": _lab(l, c0), "chi": _lab(l, xv)}
+            return {"zeta": zv, "gamma": c0, "chi": xv}
     return None
 
 
@@ -286,7 +301,7 @@ def _fail_ddagger(m):
         for zv in range(l.n):
             jz = join[h[zv]]
             if not up[h[jz[tau[mx[zv]]]]] >> jz[tx] & 1:
-                return {"x": _lab(l, xv), "z": _lab(l, zv)}
+                return {"x": xv, "z": zv}
     return None
 
 
@@ -351,8 +366,7 @@ def _check_i9(m) -> Verdict:
                     fails = below and below & ~up[h[join[h[x]][by_down[new >> n * x & full]]]]
                     if fails:
                         c = (fails & -fails).bit_length() - 1
-                        zs_labels = ",".join(_lab(l, z) for z in sorted(zs))
-                        return Verdict(False, {"x": _lab(l, x), "c": _lab(l, c), "zs": zs_labels})
+                        return Verdict(False, {"x": x, "c": c, "zs": tuple(sorted(zs))})
                 next_level.append((new, new_slots, zs))
         level = next_level
     return Verdict(True, None, f"exact: {len(seen)} family states")
@@ -439,14 +453,19 @@ def natural_eta(s, conl) -> InteriorMap:
     sets of Con (``congruence._zero_class_maps``); the tau derived from the
     fibers of eta is verified to agree with the companion.
     """
-    from .congruence import _zero_class_maps
+    from .congruence import _closure_system, _zero_class_maps
 
     if conl.semilattice != s:
         raise InvariantViolation("congruence lattice does not belong to this semilattice")
-    h, tau_of = _zero_class_maps(conl)
-    im = InteriorMap(conl.lattice, h)
-    for i, t in enumerate(tau_of):
-        if im.tau[i] != t:
+    return _natural_eta(conl.lattice, _zero_class_maps(conl, _closure_system(s)), {})
+
+
+def _natural_eta(l: FiniteLattice, maps, stores: dict) -> InteriorMap:
+    """``natural_eta`` on Con's ``_zero_class_maps``; maps with equal (up rows, eta) share one store."""
+    h, tau_of = maps
+    im = InteriorMap(l, h, stores.setdefault((l.up, h), {}))
+    for i, (t, expected) in enumerate(zip(im.tau, tau_of)):
+        if t != expected:
             raise InvariantViolation(
                 f"derived tau disagrees with the greatest-congruence construction at index {i}"
             )

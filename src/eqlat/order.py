@@ -306,6 +306,11 @@ def lattice_of(labels: Callable[[], Sequence[str]], masks: Sequence[int]) -> Fin
     per mask; it runs the first time something reads them. Column k holds the
     masks with bit k: up[i] meets the columns of masks[i]'s bits, down[i] avoids the rest.
     """
+    return _lattice_of(labels, masks, {})
+
+
+def _lattice_of(labels: Callable[[], Sequence[str]], masks: Sequence[int], tables: dict) -> FiniteLattice:
+    """``lattice_of``; lattices with equal up rows share the tables kept in ``tables`` (never a lattice)."""
     masks, n = tuple(masks), len(masks)
     if not n or len(set(masks)) != n:
         raise InvariantViolation("masks must be distinct, and at least one")
@@ -319,7 +324,11 @@ def lattice_of(labels: Callable[[], Sequence[str]], masks: Sequence[int]) -> Fin
                 down[i] &= ~column
     poset = object.__new__(FinitePoset)
     poset.__dict__.update(_labels_of=labels, up=tuple(up), down=tuple(down))
-    return as_lattice(poset)
+    if poset.up in tables:
+        return FiniteLattice(poset, *tables[poset.up])
+    lat = as_lattice(poset)
+    tables[poset.up] = lat.meet_table, lat.join_table, lat.bottom, lat.top
+    return lat
 
 
 def lattice_from_covers(labels: Sequence[str], covers: Iterable[tuple[str, str]]) -> FiniteLattice:

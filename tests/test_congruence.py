@@ -2,14 +2,13 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from eqlat import congruence, order
+from eqlat import checks, congruence, order
 from eqlat.checks import catalog_for_acceptance, suite_simple_scan
 from eqlat.congruence import (
     Congruence,
@@ -449,6 +448,8 @@ def test_con_labels_are_built_only_when_read(monkeypatch):
     block_string = Congruence.block_string
     monkeypatch.setattr(Congruence, "block_string",
                         lambda theta, s: calls.append(theta) or block_string(theta, s))
+    # Every natural-map verdict passes, so no report reads a label.
+    assert len(checks._natural_reports.__wrapped__(0)) == 401 and calls == []
     for _, s in catalog_for_acceptance(0)[::40]:
         conl = all_congruences(s)
         assert check_axioms(conl.lattice, natural_eta(s, conl)).passed
@@ -540,14 +541,27 @@ def test_is_simple_stops_at_the_first_compatible_proper_congruence(monkeypatch):
             read.append(self.i)
             return self.theta.rep
 
-    spied = replace(conl, congruences=tuple(Spy(i, t) for i, t in enumerate(conl.congruences)))
-    monkeypatch.setattr(congruence, "all_congruences", lambda _: spied)
+    spied = tuple(Spy(i, t) for i, t in enumerate(conl.congruences))
+    monkeypatch.setattr(congruence, "_sorted_congruences", lambda *_: (spied, conl.closed))
     assert conl.congruences[3].rep == (0, 1, 2, 2)
     assert not is_simple(s.with_operators([("f", (0, 2, 3, 3))]))
     assert read == [1, 2, 3]
     read.clear()
     assert not is_simple(s)
     assert read == [1]
+
+
+def test_is_simple_builds_no_congruence_lattice(monkeypatch):
+    # _simple_over reads Con's congruences only; chain(8) has 256 of them.
+    def refuse(poset):
+        raise AssertionError("is_simple built a lattice")
+
+    monkeypatch.setattr(order, "as_lattice", refuse)
+    assert not is_simple(chain(8).structure)
+    assert not is_simple(omega(8).structure)
+    assert is_simple(chain(1).structure)
+    with pytest.raises(AssertionError, match="built a lattice"):
+        all_congruences(chain(8).structure)
 
 
 def test_simple_scan_path_matches_the_cover_pair_criterion():
@@ -562,7 +576,7 @@ def test_simple_scan_path_matches_the_cover_pair_criterion():
             d = s.with_operators([("f", f)])
             expected = s.n >= 2 and all(
                 congruence_generated(d, [p]).rep == (0,) * s.n for p in s.poset.covers)
-            assert congruence._simple_over(carrier_con, d.operators) == is_simple(d) == expected
+            assert congruence._simple_over(carrier_con.congruences, d.operators) == is_simple(d) == expected
             simple += expected
             count += 1
         assert notes[name].endswith(f"simple instances={simple}")

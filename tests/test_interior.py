@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import oracles
-from eqlat import checks, congruence, interior
+from eqlat import checks, congruence, interior, order
 from eqlat.congruence import all_congruences, congruence_generated, eta, tau
 from eqlat.corpus import (
     boolean, chain, enumerate_semilattices, k_lattice, m2, m_infinity, named_by_size, omega, p1,
@@ -27,7 +27,7 @@ from eqlat.interior import (
     normalize_map,
     tau_of_map,
 )
-from eqlat.order import FinitePoset, as_lattice, iter_bits, lattice_from_covers
+from eqlat.order import FinitePoset, as_lattice, iter_bits, lattice_from_covers, lattice_of
 
 
 def m3():
@@ -346,6 +346,38 @@ def test_natural_map_builds_the_closure_system_once(monkeypatch):
     monkeypatch.setattr(congruence, "_closure_system", counting)
     natural_eta(s, conl)
     assert calls == [s]
+
+
+def test_a_shared_store_labels_each_witness_in_its_own_lattice():
+    # M3 twice, with equal up rows and different labels: one store holds the
+    # index verdicts, and each report reads them in its own labels.
+    h, stores = (0, 1, 2, 0, 4), {}
+    lattices = [lattice_of(lambda labels=labels: labels, [0, 1, 2, 4, 7]) for labels in ("0abc1", "zpqrt")]
+    maps = [interior._natural_eta(l, (h, tau_of_map(l, h)), stores) for l in lattices]
+    assert len(stores) == 1 and maps[0]._store is maps[1]._store
+    reports = [check_axioms(l, im).as_dict() for l, im in zip(lattices, maps)]
+    assert [r["I6"]["witness"] for r in reports] == [
+        {"x": "a", "y": "b", "z": "c"}, {"x": "p", "y": "q", "z": "r"}]
+    assert [r["I9"]["witness"] for r in reports] == [
+        {"x": "b", "c": "b", "zs": "0,a"}, {"x": "q", "c": "q", "zs": "z,p"}]
+    assert [name for name, v in reports[1].items() if not v["passed"]] == ["I6", "I9"]
+
+
+def test_natural_reports_run_one_battery_per_order_and_map(monkeypatch):
+    # 401 catalog entries; 218 distinct Con orders (up rows) and 274 distinct
+    # (up rows, eta) at seed 0, 205 and 256 at seed 1.
+    for seed, batteries, orders in ((0, 274, 218), (1, 256, 205)):
+        checks.catalog_for_acceptance(seed)
+        i9, built = [], []
+        check_i9, build = interior._AXIOMS["I9"], order.as_lattice
+        monkeypatch.setitem(interior._AXIOMS, "I9", lambda m: i9.append(1) or check_i9(m))
+        monkeypatch.setattr(order, "as_lattice", lambda p: built.append(1) or build(p))
+        rows = checks._natural_reports.__wrapped__(seed)
+        monkeypatch.undo()
+        assert (len(rows), len(i9), len(built)) == (401, batteries, orders)
+        # Each entry on its own, with no store or tables shared.
+        assert rows == [(name, check_axioms(c.lattice, natural_eta(s, c)))
+                        for name, s in checks.catalog_for_acceptance(seed) for c in [all_congruences(s)]]
 
 
 # {p, q, 1} has no least member; {0, p, q} has 0 least, but up(0) is no longer listed.
