@@ -13,7 +13,8 @@ import json
 from dataclasses import dataclass
 from functools import cache
 
-from .congruence import _closure_system, _con_lattice, _simple_over, _zero_class_maps, all_congruences
+from .congruence import _closure_system, _con_lattice, _decorated_congruences, _simple_over, _zero_class_maps
+from .congruence import all_congruences
 from .corpus import (
     boolean,
     enumerate_semilattices,
@@ -92,15 +93,17 @@ def catalog_for_acceptance(seed: int = 0) -> list[tuple[str, object]]:
 def _natural_reports(seed: int):
     """(name, check_axioms report) of the zero-class collapse map of each catalog Con lattice.
 
-    Con lattices with equal up rows share tables, and maps with equal (up
-    rows, eta) share tau and the battery's verdicts, so each is computed once
-    per key; witnesses are labelled per entry. Only the rows are kept.
+    Con is read off the carrier's, walked once per join table. Con lattices
+    with equal up rows share tables, and maps with equal (up rows, eta) share
+    tau and the battery's verdicts, so each is computed once per key;
+    witnesses are labelled per entry. Only the rows are kept.
     """
-    tables, stores, rows = {}, {}, []
+    tables, stores, carriers, rows = {}, {}, {}, []
     for name, s in catalog_for_acceptance(seed):
         system = _closure_system(s)
-        conl = _con_lattice(s, system, tables)
-        im = _natural_eta(conl.lattice, _zero_class_maps(conl, system), stores)
+        found, least = _decorated_congruences(s, system[1], carriers)
+        conl = _con_lattice(s, found, tables)
+        im = _natural_eta(conl.lattice, _zero_class_maps(conl, system, least), stores)
         rows.append((name, check_axioms(conl.lattice, im)))
     return rows
 

@@ -34,6 +34,7 @@ import json
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import NoReturn
 
 from .errors import BudgetExceeded, InvariantViolation
@@ -301,27 +302,58 @@ def all_congruences(s: OpSemilattice) -> CongruenceLattice:
     must be among them. Raises BudgetExceeded exactly when there are more
     than ``_CON_CAP``.
     """
-    return _con_lattice(s, _closure_system(s), {})
+    return _con_lattice(s, _sorted_congruences(s), {})
 
 
-def _sorted_congruences(s: OpSemilattice, system=None) -> tuple[tuple[Congruence, ...], tuple[int, ...]]:
-    """``all_congruences``' congruences and closed sets on ``system`` (``_closure_system(s)``)."""
-    meet, rows = system or _closure_system(s)
+def _sorted_congruences(s: OpSemilattice) -> tuple[tuple[Congruence, ...], tuple[int, ...]]:
+    """``all_congruences``' congruences and closed sets, before Con's lattice is built."""
+    meet, rows = _closure_system(s)
     try:
         found = closed_sets(meet, 1 << s.top, rows=rows, cap=_CON_CAP)
     except BudgetExceeded:
         raise BudgetExceeded("congruences", _CON_CAP) from None
     keyed = sorted((-popcount(t), c.rep, t, c) for t in found for c in [_congruence_of(s, t)])
-    reps = {rep for _, rep, _, _ in keyed}
+    return _cross_checked(s, tuple(c for *_, c in keyed), tuple(t for _, _, t, _ in keyed))
+
+
+def _cross_checked(s: OpSemilattice, congruences: tuple, closed: tuple) -> tuple[tuple, tuple]:
+    """(congruences, closed), once the union-find engine finds every cover principal among them."""
+    reps = {c.rep for c in congruences}
     for a, b in s.poset.covers:
         if congruence_generated(s, [(a, b)]).rep not in reps:
             raise InvariantViolation(f"Cg({s.labels[a]!r}, {s.labels[b]!r}) was not enumerated")
-    return tuple(c for *_, c in keyed), tuple(t for _, _, t, _ in keyed)
+    return congruences, closed
 
 
-def _con_lattice(s: OpSemilattice, system, tables: dict) -> CongruenceLattice:
-    """``all_congruences`` on ``system``, Con's tables shared through ``tables`` (``order._lattice_of``)."""
-    ordered, closed = _sorted_congruences(s, system)
+def _decorated_congruences(s: OpSemilattice, rows: Sequence[int], carriers: dict):
+    """``_sorted_congruences(s)`` and each closed set's least member, read off the carrier's Con.
+
+    The closed sets of s are its carrier's that are also closed under the
+    residual rows ``rows`` (``_closure_system(s)[1]``); the sort key depends
+    on T alone, so they keep their order. ``carriers`` keeps, per join table,
+    the carrier's congruences, closed sets, least members and columns ``has``
+    (the indices whose T holds x): T_i is dropped iff has[t] & ~has[u] has
+    bit i for some u in rows[t].
+    """
+    carrier = carriers.get(s.join_t)
+    if carrier is None:
+        ordered, closed = _sorted_congruences(s.reduct())
+        has = [sum(1 << i for i, t in enumerate(closed) if t >> x & 1) for x in range(s.n)]
+        carrier = carriers[s.join_t] = ordered, closed, _least_members(s, closed), has
+    ordered, closed, least, has = carrier
+    drop = 0
+    for t, r in enumerate(rows):
+        for u in iter_bits(r):
+            drop |= has[t] & ~has[u]
+    if drop:
+        kept = [not drop >> i & 1 for i in range(len(closed))]
+        ordered, closed, least = (tuple(compress(c, kept)) for c in (ordered, closed, least))
+    return _cross_checked(s, ordered, closed), least
+
+
+def _con_lattice(s: OpSemilattice, found, tables: dict) -> CongruenceLattice:
+    """Con on ``found``, its (congruences, closed sets); tables shared through ``tables`` (``_lattice_of``)."""
+    ordered, closed = found
     full = (1 << s.n) - 1
     lattice = _lattice_of(lambda: [c.block_string(s) for c in ordered], [full & ~t for t in closed], tables)
     return CongruenceLattice(s, ordered, lattice, closed)
@@ -404,17 +436,23 @@ def tau(s: OpSemilattice, theta) -> Congruence:
     return _congruence_of(s, closure(meet, 1 << t | 1 << s.top, rows))
 
 
-def _zero_class_maps(conl: CongruenceLattice, system) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _least_members(s: OpSemilattice, closed: Iterable[int]) -> list[int]:
+    """The least member of each closed set: the one it lies above (StopIteration if none)."""
+    return [next(x for x in iter_bits(t) if not t & ~s.up[x]) for t in closed]
+
+
+def _zero_class_maps(conl: CongruenceLattice, system, least=None) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """For each index i of Con, the indices of eta and of tau of congruence i.
 
     The 0-class of congruence i is down(m) for the least member m of its
-    closed set; eta's closed set is up(m) and tau's the closure of {m, top}
-    (see ``tau``), taken once per 0-class from ``system``, ``_closure_system(s)``.
+    closed set (``least``, else ``_least_members``); eta's closed set is up(m)
+    and tau's the closure of {m, top} (see ``tau``), taken once per 0-class
+    from ``system``, ``_closure_system(s)``.
     """
     s, position = conl.semilattice, {t: i for i, t in enumerate(conl.closed)}
     meet, rows = system
     try:
-        least = [next(x for x in iter_bits(t) if not t & ~s.up[x]) for t in conl.closed]
+        least = _least_members(s, conl.closed) if least is None else least
         tau_at = {m: position[closure(meet, 1 << m | 1 << s.top, rows)] for m in set(least)}
         return tuple(position[s.up[m]] for m in least), tuple(tau_at[m] for m in least)
     except (StopIteration, KeyError):

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import eqlat
-from eqlat import congruence, corpus, galois, interior, order, semilattice
+from eqlat import checks, congruence, corpus, galois, interior, order, semilattice
 from eqlat.congruence import all_congruences, all_don, all_eon, is_simple
 from eqlat.corpus import boolean, chain, m2, omega, run_claims
 from eqlat.errors import BudgetExceeded, SearchBudgetExceeded
@@ -44,6 +44,10 @@ CAPPED_SEARCHES = [
                  id="all_don"),
     pytest.param(congruence, "_CON_CAP", lambda: all_eon(chain(2).structure), 4, "congruences",
                  id="all_eon"),
+    # The natural-map batch walks each carrier's Con, the largest omega(6)'s
+    # 7-element chain (2^6), and filters it per decoration.
+    pytest.param(congruence, "_CON_CAP", lambda: checks._natural_reports.__wrapped__(0), 64,
+                 "congruences", id="natural_reports"),
     # is_simple reads the carrier's Con, so it inherits the cap too.
     pytest.param(congruence, "_CON_CAP", lambda: is_simple(omega(2).structure), 4, "congruences",
                  id="is_simple"),

@@ -61,11 +61,16 @@ def _oracle_join(universe, a, b):
     return least[0]
 
 
-def _assert_engine_matches_oracle(s):
+def _assert_engine_matches_oracle(s, carriers=None):
     universe = oracles.oracle_congruences(s)
     conl = all_congruences(s)
     assert [c.rep for c in conl.congruences] == _oracle_order(universe)
     assert is_simple(s) == (len(universe) == 2)
+    # The batch path: the carrier's Con filtered by the residual rows.
+    rows = congruence._closure_system(s)[1]
+    (cons, closed), _ = congruence._decorated_congruences(s, rows, {} if carriers is None else carriers)
+    assert [c.rep for c in cons] == _oracle_order(universe)
+    assert closed == conl.closed
 
 
 def _cover_pairs(s):
@@ -418,12 +423,31 @@ def test_congruence_relation_properties(small_semilattices, data):
 def test_engine_matches_the_oracle_on_every_small_decoration():
     # Every single operator up to 5 elements (the 1-element carrier included),
     # and every ordered operator pair up to 4 elements. Only operators reach
-    # the residual rows of the closed-set walk.
-    count = 0
+    # the residual rows of the closed-set walk, and of the batch path's filter.
+    count, carriers = 0, {}
     for s in itertools.chain(_decorations(5, 1), _decorations(4, 2)):
-        _assert_engine_matches_oracle(s)
+        _assert_engine_matches_oracle(s, carriers)
         count += 1
     assert count == 308 + 697
+    assert len(carriers) == len(SMALL_CARRIERS)
+
+
+def test_batch_con_equals_the_direct_walk_on_the_catalog():
+    # _natural_reports reads each entry's Con off its carrier's; the direct
+    # walk of all_congruences and the per-entry least members must agree,
+    # index order, eta and tau included.
+    for seed in (0, 1, 2):
+        carriers = {}
+        for _, s in catalog_for_acceptance(seed):
+            system = congruence._closure_system(s)
+            found, least = congruence._decorated_congruences(s, system[1], carriers)
+            conl = all_congruences(s)
+            assert found == (conl.congruences, conl.closed)
+            maps = congruence._zero_class_maps(conl, system, least)
+            assert maps == congruence._zero_class_maps(conl, system)
+            assert maps[0] == tuple(conl.index_of(eta(s, c)) for c in conl.congruences)
+            assert maps[1] == tuple(conl.index_of(tau(s, c)) for c in conl.congruences)
+        assert len(carriers) == 31
 
 
 def test_con_lattice_order_and_tables_match_the_partition_oracle():
@@ -505,9 +529,9 @@ def _count_calls(monkeypatch, name: str = "_extend", module=congruence) -> list:
     calls: list = []
     real = getattr(module, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counting)
     return calls
@@ -524,6 +548,18 @@ def test_con_enumeration_work_is_bounded(monkeypatch):
     assert len(all_congruences(s).congruences) == size
     assert len(calls) == len(_cover_pairs(s))
     assert 0 < len(closures) <= 1 + size * s.n
+
+
+def test_natural_reports_walk_each_carrier_once(monkeypatch):
+    # The 401 seed-0 entries share 31 carrier join tables: one closed-set
+    # walk and one _congruence_of per carrier congruence (597), where a walk
+    # per entry made 401 and 4,368.
+    walks = _count_calls(monkeypatch, "closed_sets")
+    built = _count_calls(monkeypatch, "_congruence_of")
+    assert len(checks._natural_reports.__wrapped__(0)) == 401
+    assert (len(walks), len(built)) == (31, 597)
+    # 31 walks over 31 distinct carrier meet tables: each carrier once.
+    assert {w[0] for w in walks} == {s.lattice.meet_table for _, s in catalog_for_acceptance(0)}
 
 
 def test_is_simple_stops_at_the_first_compatible_proper_congruence(monkeypatch):
