@@ -24,7 +24,7 @@ from .corpus import (
     omega,
 )
 from .errors import ParamOutOfRange
-from .galois import _filterable_interior, check_filterable, verify_consl
+from .galois import _filterable_interior, _verify_consl, check_filterable
 from .interior import (
     _natural_eta,
     check_axioms,
@@ -133,11 +133,21 @@ def _dependence_reports():
     ]
 
 
+@cache
+def _scan_carriers():
+    """(name, carrier, Con) per bare semilattice up to ``_SCAN_MAX_ELEMENTS`` elements.
+
+    Con is walked once per carrier; simple-scan, coatomistic and consl read it.
+    """
+    return [(name, s, all_congruences(s))
+            for name, s in named_by_size(enumerate_semilattices(_SCAN_MAX_ELEMENTS))]
+
+
 def suite_consl(seed: int = 0) -> list[CheckOutcome]:
     """Congruence/ideal-family duality on every bare semilattice up to six elements."""
     out = []
-    for name, s in named_by_size(enumerate_semilattices(6)):
-        res = verify_consl(s)
+    for name, s, conl in _scan_carriers():
+        res = _verify_consl(s, conl)
         out.append(CheckOutcome("consl", name, res.passed, res.witness, res.note))
     return out
 
@@ -266,12 +276,12 @@ def suite_filterable(seed: int = 0) -> list[CheckOutcome]:
 def suite_simple_scan(seed: int = 0) -> list[CheckOutcome]:
     """Semilattices with one operator and only two congruences have two elements."""
     out = []
-    for name, s in named_by_size(enumerate_semilattices(_SCAN_MAX_ELEMENTS)):
-        carrier_con, endos = all_congruences(s), all_endomorphisms(s)
+    for name, s, conl in _scan_carriers():
+        endos = all_endomorphisms(s)
         simple = 0
         witness = None
         for f in endos:
-            if _simple_over(carrier_con.congruences, s.with_operators([("f", f)]).operators):
+            if _simple_over(conl.congruences, s.with_operators([("f", f)]).operators):
                 simple += 1
                 if s.n != 2 and witness is None:
                     witness = {"operator": ",".join(s.labels[v] for v in f)}
@@ -285,8 +295,7 @@ def suite_simple_scan(seed: int = 0) -> list[CheckOutcome]:
 def suite_coatomistic(seed: int = 0) -> list[CheckOutcome]:
     """Every element of an operator-free congruence lattice is a meet of coatoms."""
     out = []
-    for name, s in named_by_size(enumerate_semilattices(_SCAN_MAX_ELEMENTS)):
-        conl = all_congruences(s)
+    for name, s, conl in _scan_carriers():
         lat = conl.lattice
         witness = None
         for v in range(lat.n):

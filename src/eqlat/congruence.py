@@ -260,11 +260,11 @@ def _closure_system(
 ) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
     """The meet table and, per element t, the mask of each f*(t) = join{x : f(x) <= t}.
 
-    {x : f(x) <= t} is a join-closed downset holding 0, so it is down(f*(t)).
-    The meet table is the carrier lattice's, which decorations of one carrier
-    share. Given ``within``, the mask of an up-set closed under meets and
-    residuals, only its members get residuals; closures of its subsets never
-    leave it.
+    {x : f(x) <= t} is a join-closed downset holding 0, so it is down(f*(t)),
+    the union of the preimages f^-1(v) over v in down(t). The meet table is
+    the carrier lattice's, which decorations of one carrier share. Given
+    ``within``, the mask of an up-set closed under meets and residuals, only
+    its members get residuals; closures of its subsets never leave it.
     """
     n, down = s.n, s.down
     within = (1 << n) - 1 if within is None else within
@@ -272,9 +272,11 @@ def _closure_system(
     meet = s.lattice.meet_table
     rows = [0] * n
     for _, images in s.operators:
+        pre = [0] * n
+        for x, v in enumerate(images):
+            pre[v] |= 1 << x
         for t in iter_bits(within):
-            lower = down[t]
-            rows[t] |= 1 << at[sum(1 << x for x in range(n) if lower >> images[x] & 1)]
+            rows[t] |= 1 << at[sum(map(pre.__getitem__, iter_bits(down[t])))]
     return meet, rows
 
 
@@ -333,7 +335,8 @@ def _decorated_congruences(s: OpSemilattice, rows: Sequence[int], carriers: dict
     on T alone, so they keep their order. ``carriers`` keeps, per join table,
     the carrier's congruences, closed sets, least members and columns ``has``
     (the indices whose T holds x): T_i is dropped iff has[t] & ~has[u] has
-    bit i for some u in rows[t].
+    bit i for some u in rows[t]. A bare s is its own carrier, whose walk has
+    already been cross-checked, so only decorations are checked again.
     """
     carrier = carriers.get(s.join_t)
     if carrier is None:
@@ -348,7 +351,7 @@ def _decorated_congruences(s: OpSemilattice, rows: Sequence[int], carriers: dict
     if drop:
         kept = [not drop >> i & 1 for i in range(len(closed))]
         ordered, closed, least = (tuple(compress(c, kept)) for c in (ordered, closed, least))
-    return _cross_checked(s, ordered, closed), least
+    return (_cross_checked(s, ordered, closed) if s.operators else (ordered, closed)), least
 
 
 def _con_lattice(s: OpSemilattice, found, tables: dict) -> CongruenceLattice:

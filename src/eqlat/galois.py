@@ -33,6 +33,7 @@ from typing import Iterable
 
 from .congruence import (
     Congruence,
+    CongruenceLattice,
     _closed_of,
     all_congruences,
     congruence_generated,
@@ -132,9 +133,15 @@ def verify_consl(s: OpSemilattice) -> Verdict:
     order-reversing bijections. Both sides are ``closed_sets`` walks, so Con
     is first checked by union-find: it must hold theta v Cg(a, b) for each
     congruence theta and each cover pair a < b that theta does not relate.
+    The consl suite passes each carrier's Con, built once for the con-scan
+    suites, to the same check (``_verify_consl``); this entry point builds it.
     """
     reduct = s.reduct()
-    conl = all_congruences(reduct)
+    return _verify_consl(reduct, all_congruences(reduct))
+
+
+def _verify_consl(reduct: OpSemilattice, conl: CongruenceLattice) -> Verdict:
+    """``verify_consl`` on an operator-free semilattice whose Con is ``conl``."""
     reps = {t.rep for t in conl.congruences}
     covers = [(p, congruence_generated(reduct, [p])) for p in reduct.poset.covers]
     for theta in conl.congruences:

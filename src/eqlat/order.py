@@ -181,6 +181,16 @@ class FinitePoset:
                     out.append((i, j))
         return tuple(out)
 
+    @cached_property
+    def join_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Cover pairs, then incomparable pairs (i, j) with i < j.
+
+        A map preserving the joins of covers is monotone, so one preserving these preserves every join.
+        """
+        up = self.up
+        return self.covers + tuple((i, j) for i in range(self.n) for j in range(i + 1, self.n)
+                                   if not (up[i] >> j | up[j] >> i) & 1)
+
     def to_json(self) -> str:
         data = {
             "elements": list(self.labels),

@@ -80,6 +80,9 @@ class OpSemilattice:
                 raise InvariantViolation(f"operator {name!r} is not a map on the carrier")
             if images[self.zero] != self.zero:
                 raise ZeroNotPreserved(f"operator {name!r} moves zero")
+            # The poset's join pairs decide it; on a failure the row-major scan names the first pair.
+            if all(images[jt[i][j]] == jt[images[i]][images[j]] for i, j in self.poset.join_pairs):
+                continue
             for i in range(n):
                 for j in range(n):
                     if images[jt[i][j]] != jt[images[i]][images[j]]:
@@ -128,6 +131,10 @@ class OpSemilattice:
     @cached_property
     def index(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
+
+    @cached_property
+    def _ideals(self) -> tuple["IdealSet", ...]:
+        return tuple(IdealSet(m, self.n) for m in sorted(self.down, key=lambda m: (popcount(m), m)))
 
     def reduct(self) -> "OpSemilattice":
         """The same semilattice with all operators removed."""
@@ -317,14 +324,16 @@ def ideals(s: OpSemilattice, f_closed_only: bool = False) -> tuple[IdealSet, ...
     """All ideals, sorted by (size, mask).
 
     On a finite carrier every ideal is the principal downset of its join, so
-    the ideals are the n distinct downsets ``s.down[x]``. With
-    ``f_closed_only`` keep only ideals closed under every operator; operators
-    are monotone, so ``s.down[x]`` is closed iff it holds each f(x).
+    the ideals are the n distinct downsets ``s.down[x]``. They are sorted once
+    per structure, and every later call returns the same tuple (``IdealSet``
+    is frozen). With ``f_closed_only`` keep only ideals closed under every
+    operator; operators are monotone, so ``s.down[x]`` is closed iff it holds
+    each f(x).
     """
-    tops = [x for x in range(s.n)
-            if not f_closed_only or all(s.down[x] >> f[x] & 1 for _, f in s.operators)]
-    masks = sorted((s.down[x] for x in tops), key=lambda m: (popcount(m), m))
-    return tuple(IdealSet(m, s.n) for m in masks)
+    if not f_closed_only:
+        return s._ideals
+    closed = {s.down[x] for x in range(s.n) if all(s.down[x] >> f[x] & 1 for _, f in s.operators)}
+    return tuple(i for i in s._ideals if i.mask in closed)
 
 
 def join_irreducibles(s: OpSemilattice) -> tuple[int, ...]:

@@ -48,6 +48,10 @@ CAPPED_SEARCHES = [
     # 7-element chain (2^6), and filters it per decoration.
     pytest.param(congruence, "_CON_CAP", lambda: checks._natural_reports.__wrapped__(0), 64,
                  "congruences", id="natural_reports"),
+    # The con-scan suites share one Con per carrier up to six elements, the
+    # largest S6-14's, the 6-element chain's (2^5).
+    pytest.param(congruence, "_CON_CAP", lambda: checks._scan_carriers.__wrapped__(), 32,
+                 "congruences", id="scan_carriers"),
     # is_simple reads the carrier's Con, so it inherits the cap too.
     pytest.param(congruence, "_CON_CAP", lambda: is_simple(omega(2).structure), 4, "congruences",
                  id="is_simple"),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from eqlat import checks, congruence, order
+from eqlat import checks, congruence, corpus, galois, order
 from eqlat.checks import catalog_for_acceptance, suite_simple_scan
 from eqlat.congruence import (
     Congruence,
@@ -450,6 +451,29 @@ def test_batch_con_equals_the_direct_walk_on_the_catalog():
         assert len(carriers) == 31
 
 
+def _literal_residual_rows(s, within):
+    """Residual rows by a scan of every x per (operator, t): f*(t) = join{x : f(x) <= t}."""
+    rows = [0] * s.n
+    for _, images in s.operators:
+        for t in order.iter_bits(within):
+            rows[t] |= 1 << s.join_all(x for x in range(s.n) if s.leq(images[x], t))
+    return rows
+
+
+def test_residual_rows_match_a_literal_scan_on_the_catalog():
+    # _closure_system builds each row from preimage masks; it must equal the
+    # scan on every catalog entry, on the whole carrier and on each up(t).
+    count = 0
+    for seed in (0, 1, 2):
+        for _, s in catalog_for_acceptance(seed):
+            full = (1 << s.n) - 1
+            assert congruence._closure_system(s)[1] == _literal_residual_rows(s, full)
+            for t in range(s.n):
+                assert congruence._closure_system(s, s.up[t])[1] == _literal_residual_rows(s, s.up[t])
+            count += 1
+    assert count == 3 * 401
+
+
 def test_con_lattice_order_and_tables_match_the_partition_oracle():
     # lattice_of reads Con's order off the closed sets without re-checking
     # it; this sweep guards that path beyond the pinned digests.
@@ -553,13 +577,32 @@ def test_con_enumeration_work_is_bounded(monkeypatch):
 def test_natural_reports_walk_each_carrier_once(monkeypatch):
     # The 401 seed-0 entries share 31 carrier join tables: one closed-set
     # walk and one _congruence_of per carrier congruence (597), where a walk
-    # per entry made 401 and 4,368.
+    # per entry made 401 and 4,368. Cover principals are generated for each
+    # carrier walk and each decorated entry, not again for the 26 bare
+    # entries (2,403 with them).
     walks = _count_calls(monkeypatch, "closed_sets")
     built = _count_calls(monkeypatch, "_congruence_of")
+    generated = _count_calls(monkeypatch, "congruence_generated")
     assert len(checks._natural_reports.__wrapped__(0)) == 401
-    assert (len(walks), len(built)) == (31, 597)
+    assert (len(walks), len(built), len(generated)) == (31, 597, 2267)
     # 31 walks over 31 distinct carrier meet tables: each carrier once.
     assert {w[0] for w in walks} == {s.lattice.meet_table for _, s in catalog_for_acceptance(0)}
+
+
+def test_con_scan_suites_build_each_carrier_con_and_ideal_list_once(monkeypatch):
+    # simple-scan, coatomistic and consl share one Con per carrier (75 walks
+    # when each suite walked its own), and consl's 982 ideals calls return one
+    # sorted list per carrier (982 sorts when each call sorted). Fresh carriers
+    # and a fresh shared list, so nothing is cached from other tests.
+    fresh = corpus.enumerate_semilattices.__wrapped__(6)
+    monkeypatch.setattr(checks, "enumerate_semilattices", lambda _: fresh)
+    monkeypatch.setattr(checks, "_scan_carriers", functools.cache(checks._scan_carriers.__wrapped__))
+    walks = _count_calls(monkeypatch, "_sorted_congruences")
+    lists, ideals_of = [], galois.ideals
+    monkeypatch.setattr(galois, "ideals", lambda s: lists.append(ideals_of(s)) or lists[-1])
+    rows = [o for name in ("consl", "coatomistic", "simple-scan") for o in checks.run_suite(name)]
+    assert len(rows) == 75 and checks.all_passed(rows)
+    assert (len(walks), len(lists), len({id(found) for found in lists})) == (25, 982, 25)
 
 
 def test_is_simple_stops_at_the_first_compatible_proper_congruence(monkeypatch):

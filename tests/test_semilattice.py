@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -221,6 +222,36 @@ def test_decorations_still_check_their_operators():
     with pytest.raises(InvariantViolation, match="not a map on the carrier"):
         b2.with_operators([("f", (0, 1, 2))])
     assert b2.operators == ()
+
+
+def _first_failing_join(s, f):
+    """The row-major scan of all n^2 pairs: the first (x, y) with f(x + y) != f(x) + f(y)."""
+    return next(((x, y) for x in range(s.n) for y in range(s.n)
+                 if f[s.join(x, y)] != s.join(f[x], f[y])), None)
+
+
+def test_with_operators_accepts_exactly_the_oracle_endomorphisms():
+    # with_operators tests joins on cover and incomparable pairs only; every
+    # zero-fixing map it rejects must fail at the pair the full scan names.
+    accepted = rejected = 0
+    for s in enumerate_semilattices(4):
+        for t in (s, _reversed(s)):
+            maps = [f for f in itertools.product(range(t.n), repeat=t.n) if f[t.zero] == t.zero]
+            homs = []
+            for f in maps:
+                pair = _first_failing_join(t, f)
+                try:
+                    t.with_operators([("f", f)])
+                except NotJoinHomomorphism as exc:
+                    x, y = pair
+                    assert str(exc) == f"operator 'f' fails at ({t.labels[x]!r}, {t.labels[y]!r})"
+                    rejected += 1
+                else:
+                    assert pair is None
+                    homs.append(f)
+            assert homs == oracles.oracle_endomorphisms(t)
+            accepted += len(homs)
+    assert (accepted, rejected) == (90, 190)
 
 
 def test_decorations_share_only_carrier_data():
