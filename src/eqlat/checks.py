@@ -13,8 +13,7 @@ import json
 from dataclasses import dataclass
 from functools import cache
 
-from .congruence import _closure_system, _con_lattice, _decorated_congruences, _simple_over, _zero_class_maps
-from .congruence import all_congruences
+from .congruence import _Batch, _simple_over, all_congruences
 from .corpus import (
     boolean,
     enumerate_semilattices,
@@ -25,14 +24,8 @@ from .corpus import (
 )
 from .errors import ParamOutOfRange
 from .galois import _filterable_interior, _verify_consl, check_filterable
-from .interior import (
-    _natural_eta,
-    check_axioms,
-    check_bicoatomic,
-    check_coatom_dependence,
-    check_four_coatom,
-    enumerate_eios,
-)
+from .interior import check_axioms, check_bicoatomic, check_coatom_dependence, check_four_coatom
+from .interior import enumerate_eios
 from .semilattice import all_endomorphisms
 
 _SCAN_MAX_ELEMENTS = 6
@@ -93,19 +86,14 @@ def catalog_for_acceptance(seed: int = 0) -> list[tuple[str, object]]:
 def _natural_reports(seed: int):
     """(name, check_axioms report) of the zero-class collapse map of each catalog Con lattice.
 
-    Con is read off the carrier's, walked once per join table. Con lattices
-    with equal up rows share tables, and maps with equal (up rows, eta) share
-    tau and the battery's verdicts, so each is computed once per key;
-    witnesses are labelled per entry. Only the rows are kept.
+    One ``_Batch`` reads each Con off its carrier's, walked once per join
+    table. Con lattices with equal up rows share tables, and maps with equal
+    (up rows, eta) share tau and the battery's verdicts, so each is computed
+    once per key; witnesses are labelled per entry. Only the rows are kept.
     """
-    tables, stores, carriers, rows = {}, {}, {}, []
-    for name, s in catalog_for_acceptance(seed):
-        system = _closure_system(s)
-        found, least = _decorated_congruences(s, system[1], carriers)
-        conl = _con_lattice(s, found, tables)
-        im = _natural_eta(conl.lattice, _zero_class_maps(conl, system, least), stores)
-        rows.append((name, check_axioms(conl.lattice, im)))
-    return rows
+    batch = _Batch()
+    return [(name, check_axioms(conl.lattice, batch.natural_eta(conl)))
+            for name, s in catalog_for_acceptance(seed) for conl in [batch.con(s)]]
 
 
 @cache
@@ -281,7 +269,7 @@ def suite_simple_scan(seed: int = 0) -> list[CheckOutcome]:
         simple = 0
         witness = None
         for f in endos:
-            if _simple_over(conl.congruences, s.with_operators([("f", f)]).operators):
+            if _simple_over(conl.congruences, [("f", f)]):
                 simple += 1
                 if s.n != 2 and witness is None:
                     witness = {"operator": ",".join(s.labels[v] for v in f)}

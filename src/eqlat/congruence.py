@@ -21,6 +21,9 @@ The 0-class of a congruence is the downset of the least member t of its
 closed set T (``_closed_of``; ``_congruence_of`` inverts it); the least with
 that 0-class has T = up(t) and the greatest (``tau``) T = closure({t, top}).
 
+The structures of one suite call share Con work through a ``_Batch``: each
+Con(S, F) read off its carrier's walk, Con's tables and the battery stores.
+
 Validity is decided by union-find: an input is valid iff it equals what
 its own pairs generate. A partition is a congruence iff generating from its
 pairs returns it; a don or eon relation is valid iff it is the view of the
@@ -32,12 +35,13 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from typing import NoReturn
 
 from .errors import BudgetExceeded, InvariantViolation
+from .interior import InteriorMap
 from .order import FiniteLattice, _lattice_of, closed_sets, closure, iter_bits, popcount
 from .semilattice import IdealSet, OpSemilattice, ideal
 
@@ -222,12 +226,15 @@ class CongruenceLattice:
     identity congruence and the last index the all-in-one congruence. Labels in
     the lattice are the block strings. ``closed[i]`` is the mask of the largest
     block members of ``congruences[i]``, its closed set in ``all_congruences``.
+    The walk's least members and residual rows are kept for ``natural_eta``.
     """
 
     semilattice: OpSemilattice
     congruences: tuple[Congruence, ...]
     lattice: FiniteLattice
     closed: tuple[int, ...]
+    _least: tuple[int, ...] = field(repr=False, compare=False)
+    _rows: Sequence[int] = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -304,62 +311,102 @@ def all_congruences(s: OpSemilattice) -> CongruenceLattice:
     must be among them. Raises BudgetExceeded exactly when there are more
     than ``_CON_CAP``.
     """
-    return _con_lattice(s, _sorted_congruences(s), {})
+    return _Batch().lattice(s, *_walk(s))
 
 
-def _sorted_congruences(s: OpSemilattice) -> tuple[tuple[Congruence, ...], tuple[int, ...]]:
-    """``all_congruences``' congruences and closed sets, before Con's lattice is built."""
+def _walk(s: OpSemilattice):
+    """``all_congruences``' congruences, closed sets, least members and residual rows, in index order.
+
+    A closed set is closed under meets, so its least member is the one it lies above.
+    """
     meet, rows = _closure_system(s)
     try:
         found = closed_sets(meet, 1 << s.top, rows=rows, cap=_CON_CAP)
     except BudgetExceeded:
         raise BudgetExceeded("congruences", _CON_CAP) from None
     keyed = sorted((-popcount(t), c.rep, t, c) for t in found for c in [_congruence_of(s, t)])
-    return _cross_checked(s, tuple(c for *_, c in keyed), tuple(t for _, _, t, _ in keyed))
+    closed = tuple(t for _, _, t, _ in keyed)
+    least = tuple(next(x for x in iter_bits(t) if not t & ~s.up[x]) for t in closed)
+    return _cross_checked(s, tuple(c for *_, c in keyed)), closed, least, rows
 
 
-def _cross_checked(s: OpSemilattice, congruences: tuple, closed: tuple) -> tuple[tuple, tuple]:
-    """(congruences, closed), once the union-find engine finds every cover principal among them."""
+def _cross_checked(s: OpSemilattice, congruences: tuple) -> tuple:
+    """``congruences``, once the union-find engine finds every cover principal among them."""
     reps = {c.rep for c in congruences}
     for a, b in s.poset.covers:
         if congruence_generated(s, [(a, b)]).rep not in reps:
             raise InvariantViolation(f"Cg({s.labels[a]!r}, {s.labels[b]!r}) was not enumerated")
-    return congruences, closed
+    return congruences
 
 
-def _decorated_congruences(s: OpSemilattice, rows: Sequence[int], carriers: dict):
-    """``_sorted_congruences(s)`` and each closed set's least member, read off the carrier's Con.
+class _Batch:
+    """The Con work that the structures of one suite call share; nothing keeps it after the call.
 
-    The closed sets of s are its carrier's that are also closed under the
-    residual rows ``rows`` (``_closure_system(s)[1]``); the sort key depends
-    on T alone, so they keep their order. ``carriers`` keeps, per join table,
-    the carrier's congruences, closed sets, least members and columns ``has``
-    (the indices whose T holds x): T_i is dropped iff has[t] & ~has[u] has
-    bit i for some u in rows[t]. A bare s is its own carrier, whose walk has
-    already been cross-checked, so only decorations are checked again.
+    ``carriers`` keeps, per join table, the carrier's ``_walk`` and columns
+    ``has`` (the indices whose T holds x); ``tables`` the Con tables per up
+    rows (``order._lattice_of``); ``stores`` one battery store per (up rows,
+    eta), which each ``InteriorMap`` on that key fills.
     """
-    carrier = carriers.get(s.join_t)
-    if carrier is None:
-        ordered, closed = _sorted_congruences(s.reduct())
-        has = [sum(1 << i for i, t in enumerate(closed) if t >> x & 1) for x in range(s.n)]
-        carrier = carriers[s.join_t] = ordered, closed, _least_members(s, closed), has
-    ordered, closed, least, has = carrier
-    drop = 0
-    for t, r in enumerate(rows):
-        for u in iter_bits(r):
-            drop |= has[t] & ~has[u]
-    if drop:
-        kept = [not drop >> i & 1 for i in range(len(closed))]
-        ordered, closed, least = (tuple(compress(c, kept)) for c in (ordered, closed, least))
-    return (_cross_checked(s, ordered, closed) if s.operators else (ordered, closed)), least
 
+    def __init__(self) -> None:
+        self.carriers, self.tables, self.stores = {}, {}, {}
 
-def _con_lattice(s: OpSemilattice, found, tables: dict) -> CongruenceLattice:
-    """Con on ``found``, its (congruences, closed sets); tables shared through ``tables`` (``_lattice_of``)."""
-    ordered, closed = found
-    full = (1 << s.n) - 1
-    lattice = _lattice_of(lambda: [c.block_string(s) for c in ordered], [full & ~t for t in closed], tables)
-    return CongruenceLattice(s, ordered, lattice, closed)
+    def con(self, s: OpSemilattice) -> CongruenceLattice:
+        """Con(s), read off its carrier's walk.
+
+        The closed sets of s are its carrier's that are also closed under the
+        residual rows of s; the sort key depends on T alone, so they keep
+        their order, congruences and least members. T_i is dropped iff
+        has[t] & ~has[u] has bit i for some u in rows[t]. A bare s is its own
+        carrier, whose walk has already been cross-checked, so only
+        decorations are checked again.
+        """
+        carrier = self.carriers.get(s.join_t)
+        if carrier is None:
+            ordered, closed, least, _ = _walk(s.reduct())
+            has = [sum(1 << i for i, t in enumerate(closed) if t >> x & 1) for x in range(s.n)]
+            carrier = self.carriers[s.join_t] = ordered, closed, least, has
+        ordered, closed, least, has = carrier
+        rows = _closure_system(s)[1]
+        drop = 0
+        for t, r in enumerate(rows):
+            for u in iter_bits(r):
+                drop |= has[t] & ~has[u]
+        if drop:
+            kept = [not drop >> i & 1 for i in range(len(closed))]
+            ordered, closed, least = (tuple(compress(c, kept)) for c in (ordered, closed, least))
+        return self.lattice(s, _cross_checked(s, ordered) if s.operators else ordered, closed, least, rows)
+
+    def lattice(self, s: OpSemilattice, ordered, closed, least, rows) -> CongruenceLattice:
+        """Con on a walk's output; lattices with equal up rows share the tables kept in ``tables``."""
+        masks = [((1 << s.n) - 1) & ~t for t in closed]
+        lattice = _lattice_of(lambda: [c.block_string(s) for c in ordered], masks, self.tables)
+        return CongruenceLattice(s, ordered, lattice, closed, least, rows)
+
+    def natural_eta(self, conl: CongruenceLattice) -> InteriorMap:
+        """The map sending each congruence of Con to the least with its 0-class, on a store of ``stores``.
+
+        The 0-class of congruence i is down(m) for the least member m of its
+        closed set; eta's closed set is up(m) and tau's the closure of
+        {m, top} (see ``tau``), taken once per 0-class under the residual rows
+        that enumerated Con. The tau derived from the fibers of eta must
+        agree with it at every index.
+        """
+        s, lat, least = conl.semilattice, conl.lattice, conl._least
+        position = {t: i for i, t in enumerate(conl.closed)}
+        meet = s.lattice.meet_table
+        try:
+            h = tuple(position[s.up[m]] for m in least)
+            tau_at = {m: position[closure(meet, 1 << m | 1 << s.top, conl._rows)] for m in set(least)}
+        except KeyError:
+            raise InvariantViolation("closed sets do not match this congruence lattice") from None
+        im = InteriorMap(lat, h, self.stores.setdefault((lat.up, h), {}))
+        for i, (t, m) in enumerate(zip(im.tau, least)):
+            if t != tau_at[m]:
+                raise InvariantViolation(
+                    f"derived tau disagrees with the greatest-congruence construction at index {i}"
+                )
+        return im
 
 
 def _simple_over(congruences: Sequence[Congruence], operators) -> bool:
@@ -385,7 +432,7 @@ def is_simple(s: OpSemilattice) -> bool:
     The identity and the all-in-one congruence are compatible with every
     operator, so s is simple iff n >= 2 and no proper one is (``_simple_over``).
     """
-    return _simple_over(_sorted_congruences(s.reduct())[0], s.operators)
+    return _simple_over(_walk(s.reduct())[0], s.operators)
 
 
 def _closed_ideal_top(s: OpSemilattice, theta) -> int:
@@ -437,29 +484,6 @@ def tau(s: OpSemilattice, theta) -> Congruence:
     t = _closed_ideal_top(s, theta)
     meet, rows = _closure_system(s, s.up[t])
     return _congruence_of(s, closure(meet, 1 << t | 1 << s.top, rows))
-
-
-def _least_members(s: OpSemilattice, closed: Iterable[int]) -> list[int]:
-    """The least member of each closed set: the one it lies above (StopIteration if none)."""
-    return [next(x for x in iter_bits(t) if not t & ~s.up[x]) for t in closed]
-
-
-def _zero_class_maps(conl: CongruenceLattice, system, least=None) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """For each index i of Con, the indices of eta and of tau of congruence i.
-
-    The 0-class of congruence i is down(m) for the least member m of its
-    closed set (``least``, else ``_least_members``); eta's closed set is up(m)
-    and tau's the closure of {m, top} (see ``tau``), taken once per 0-class
-    from ``system``, ``_closure_system(s)``.
-    """
-    s, position = conl.semilattice, {t: i for i, t in enumerate(conl.closed)}
-    meet, rows = system
-    try:
-        least = _least_members(s, conl.closed) if least is None else least
-        tau_at = {m: position[closure(meet, 1 << m | 1 << s.top, rows)] for m in set(least)}
-        return tuple(position[s.up[m]] for m in least), tuple(tau_at[m] for m in least)
-    except (StopIteration, KeyError):
-        raise InvariantViolation("closed sets do not match this congruence lattice") from None
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,8 @@ first time something reads them and kept there, so the battery, the
 interior-map search and the coatom checks never compute one twice. A
 verdict keeps its witness as element indices and becomes a label dict only
 when read (``verdict``, and so ``AxiomReport``, suite rows, JSON and the
-CLI), so records of structures with equal up rows and h share what they keep.
+CLI), so records of structures with equal up rows and h share what they keep
+(one store per key in a ``congruence._Batch``).
 """
 
 from __future__ import annotations
@@ -137,10 +138,6 @@ def tau_of_map(l: FiniteLattice, h: Sequence[int]) -> tuple[int, ...]:
     for z, v in enumerate(h):
         fiber_join[v] = z if v not in fiber_join else l.join(fiber_join[v], z)
     return tuple(fiber_join[v] for v in h)
-
-
-def _lab(l: FiniteLattice, i: int) -> str:
-    return l.labels[i]
 
 
 @dataclass(frozen=True)
@@ -450,26 +447,15 @@ def natural_eta(s, conl) -> InteriorMap:
     """The least-congruence-with-same-0-class map on a congruence lattice.
 
     eta and the greatest-congruence companion tau are read off the closed
-    sets of Con (``congruence._zero_class_maps``); the tau derived from the
-    fibers of eta is verified to agree with the companion.
+    sets of Con and the residual rows its walk kept (``congruence._Batch``);
+    the tau derived from the fibers of eta is verified to agree with the
+    companion.
     """
-    from .congruence import _closure_system, _zero_class_maps
+    from .congruence import _Batch
 
     if conl.semilattice != s:
         raise InvariantViolation("congruence lattice does not belong to this semilattice")
-    return _natural_eta(conl.lattice, _zero_class_maps(conl, _closure_system(s)), {})
-
-
-def _natural_eta(l: FiniteLattice, maps, stores: dict) -> InteriorMap:
-    """``natural_eta`` on Con's ``_zero_class_maps``; maps with equal (up rows, eta) share one store."""
-    h, tau_of = maps
-    im = InteriorMap(l, h, stores.setdefault((l.up, h), {}))
-    for i, (t, expected) in enumerate(zip(im.tau, tau_of)):
-        if t != expected:
-            raise InvariantViolation(
-                f"derived tau disagrees with the greatest-congruence construction at index {i}"
-            )
-    return im
+    return _Batch().natural_eta(conl)
 
 
 def _is_distributive(l: FiniteLattice, d: int) -> bool:
@@ -629,7 +615,7 @@ def check_bicoatomic(l: FiniteLattice) -> Verdict:
                     continue
                 if not any(l.leq(u, c) and l.leq(v, d) and l.leq(l.meet(c, d), p)
                            for c in coat for d in coat):
-                    return Verdict(False, {"p": _lab(l, p), "u": _lab(l, u), "v": _lab(l, v)})
+                    return Verdict(False, {"p": l.labels[p], "u": l.labels[u], "v": l.labels[v]})
     return Verdict(True)
 
 
@@ -658,7 +644,7 @@ def check_four_coatom(l: FiniteLattice, im: InteriorMap) -> Verdict:
                         continue
                     if h[c] != h[l.meet(b, d)]:
                         return Verdict(
-                            False, {"a": _lab(l, a), "b": _lab(l, b), "c": _lab(l, c), "d": _lab(l, d)}
+                            False, {"a": l.labels[a], "b": l.labels[b], "c": l.labels[c], "d": l.labels[d]}
                         )
     return Verdict(True)
 
@@ -692,7 +678,7 @@ def check_coatom_dependence(l: FiniteLattice, im: InteriorMap) -> AxiomReport:
                  ("eta(x) not<= a", not l.leq(h[x], a)), ("eta(x) not<= z", not l.leq(h[x], z)))
         part = next((part for part, ok in holds if not ok), None)
         if part:
-            witness = {"x": _lab(l, x), "z": _lab(l, z), "a": _lab(l, a), "part": part}
+            witness = {"x": l.labels[x], "z": l.labels[z], "a": l.labels[a], "part": part}
             break
     entries.append(("june2", Verdict(witness is None, witness, f"instances={len(triples)}")))
 
@@ -704,7 +690,7 @@ def check_coatom_dependence(l: FiniteLattice, im: InteriorMap) -> AxiomReport:
             continue
         checked += 1
         if l.join(h[x], l.meet_all(zs)) != l.top:
-            witness = {"x": _lab(l, x), "zs": ",".join(_lab(l, z) for z in zs)}
+            witness = {"x": l.labels[x], "zs": ",".join(l.labels[z] for z in zs)}
             break
     entries.append(("june1", Verdict(witness is None, witness, f"maximal families={checked}")))
 
@@ -727,7 +713,7 @@ def check_coatom_dependence(l: FiniteLattice, im: InteriorMap) -> AxiomReport:
                 continue
             checked += 1
             if l.join(h[x], l.meet_all(zs)) != l.top:
-                witness = {"x": _lab(l, x), "a": _lab(l, a), "zs": ",".join(_lab(l, z) for z in zs)}
+                witness = {"x": l.labels[x], "a": l.labels[a], "zs": ",".join(l.labels[z] for z in zs)}
                 break
         if witness:
             break
@@ -740,7 +726,7 @@ def check_coatom_dependence(l: FiniteLattice, im: InteriorMap) -> AxiomReport:
                 continue
             zs = sorted({z for (x2, z, a) in triples if x2 == x and l.leq(m, a)})
             if zs and l.leq(l.meet_all(zs), x):
-                witness = {"x": _lab(l, x), "m": _lab(l, m), "zs": ",".join(_lab(l, z) for z in zs)}
+                witness = {"x": l.labels[x], "m": l.labels[m], "zs": ",".join(l.labels[z] for z in zs)}
                 break
         if witness:
             break

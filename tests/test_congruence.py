@@ -62,16 +62,15 @@ def _oracle_join(universe, a, b):
     return least[0]
 
 
-def _assert_engine_matches_oracle(s, carriers=None):
+def _assert_engine_matches_oracle(s, batch=None):
     universe = oracles.oracle_congruences(s)
     conl = all_congruences(s)
     assert [c.rep for c in conl.congruences] == _oracle_order(universe)
     assert is_simple(s) == (len(universe) == 2)
     # The batch path: the carrier's Con filtered by the residual rows.
-    rows = congruence._closure_system(s)[1]
-    (cons, closed), _ = congruence._decorated_congruences(s, rows, {} if carriers is None else carriers)
-    assert [c.rep for c in cons] == _oracle_order(universe)
-    assert closed == conl.closed
+    got = (congruence._Batch() if batch is None else batch).con(s)
+    assert [c.rep for c in got.congruences] == _oracle_order(universe)
+    assert got.closed == conl.closed
 
 
 def _cover_pairs(s):
@@ -425,12 +424,12 @@ def test_engine_matches_the_oracle_on_every_small_decoration():
     # Every single operator up to 5 elements (the 1-element carrier included),
     # and every ordered operator pair up to 4 elements. Only operators reach
     # the residual rows of the closed-set walk, and of the batch path's filter.
-    count, carriers = 0, {}
+    count, batch = 0, congruence._Batch()
     for s in itertools.chain(_decorations(5, 1), _decorations(4, 2)):
-        _assert_engine_matches_oracle(s, carriers)
+        _assert_engine_matches_oracle(s, batch)
         count += 1
     assert count == 308 + 697
-    assert len(carriers) == len(SMALL_CARRIERS)
+    assert len(batch.carriers) == len(SMALL_CARRIERS)
 
 
 def test_batch_con_equals_the_direct_walk_on_the_catalog():
@@ -438,17 +437,16 @@ def test_batch_con_equals_the_direct_walk_on_the_catalog():
     # walk of all_congruences and the per-entry least members must agree,
     # index order, eta and tau included.
     for seed in (0, 1, 2):
-        carriers = {}
+        batch = congruence._Batch()
         for _, s in catalog_for_acceptance(seed):
-            system = congruence._closure_system(s)
-            found, least = congruence._decorated_congruences(s, system[1], carriers)
-            conl = all_congruences(s)
-            assert found == (conl.congruences, conl.closed)
-            maps = congruence._zero_class_maps(conl, system, least)
-            assert maps == congruence._zero_class_maps(conl, system)
-            assert maps[0] == tuple(conl.index_of(eta(s, c)) for c in conl.congruences)
-            assert maps[1] == tuple(conl.index_of(tau(s, c)) for c in conl.congruences)
-        assert len(carriers) == 31
+            got, conl = batch.con(s), all_congruences(s)
+            assert (got.congruences, got.closed) == (conl.congruences, conl.closed)
+            assert (got._least, got._rows) == (conl._least, conl._rows)
+            im = batch.natural_eta(got)
+            assert (im.h, im.tau) == (natural_eta(s, conl).h, natural_eta(s, conl).tau)
+            assert im.h == tuple(conl.index_of(eta(s, c)) for c in conl.congruences)
+            assert im.tau == tuple(conl.index_of(tau(s, c)) for c in conl.congruences)
+        assert len(batch.carriers) == 31
 
 
 def _literal_residual_rows(s, within):
@@ -597,7 +595,7 @@ def test_con_scan_suites_build_each_carrier_con_and_ideal_list_once(monkeypatch)
     fresh = corpus.enumerate_semilattices.__wrapped__(6)
     monkeypatch.setattr(checks, "enumerate_semilattices", lambda _: fresh)
     monkeypatch.setattr(checks, "_scan_carriers", functools.cache(checks._scan_carriers.__wrapped__))
-    walks = _count_calls(monkeypatch, "_sorted_congruences")
+    walks = _count_calls(monkeypatch, "_walk")
     lists, ideals_of = [], galois.ideals
     monkeypatch.setattr(galois, "ideals", lambda s: lists.append(ideals_of(s)) or lists[-1])
     rows = [o for name in ("consl", "coatomistic", "simple-scan") for o in checks.run_suite(name)]
@@ -621,7 +619,7 @@ def test_is_simple_stops_at_the_first_compatible_proper_congruence(monkeypatch):
             return self.theta.rep
 
     spied = tuple(Spy(i, t) for i, t in enumerate(conl.congruences))
-    monkeypatch.setattr(congruence, "_sorted_congruences", lambda *_: (spied, conl.closed))
+    monkeypatch.setattr(congruence, "_walk", lambda *_: (spied, conl.closed))
     assert conl.congruences[3].rep == (0, 1, 2, 2)
     assert not is_simple(s.with_operators([("f", (0, 2, 3, 3))]))
     assert read == [1, 2, 3]

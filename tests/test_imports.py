@@ -80,3 +80,36 @@ def test_the_scan_sees_an_unread_private_name(tmp_path):
     )
     (tmp_path / "b.py").write_text("from a import _used\nimport a\n\nx = a._table\n")
     assert _unread_private_names([tmp_path / "a.py", tmp_path / "b.py"]) == ["a.py:9: _gone", "a.py:13: _Left"]
+
+
+def _private_imports(paths: list[Path]) -> list[str]:
+    """Every ``from .mod import _name`` in ``paths``, function-level ones included, as 'importer: mod._name'."""
+    out = []
+    for p in paths:
+        for node in ast.walk(ast.parse(p.read_text(), filename=str(p))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                out += [f"{p.stem}: {node.module}.{alias.name}" for alias in node.names
+                        if alias.name.startswith("_") and not alias.name.startswith("__")]
+    return sorted(out)
+
+
+def test_cross_module_private_imports_are_pinned():
+    # A private twin of a public function shows up here as a diff.
+    assert _private_imports(sorted(ROOT.glob("src/eqlat/*.py"))) == [
+        "checks: congruence._Batch",
+        "checks: congruence._simple_over",
+        "checks: galois._filterable_interior",
+        "checks: galois._verify_consl",
+        "cli: corpus._BUILDERS",
+        "congruence: order._lattice_of",
+        "galois: congruence._closed_of",
+        "interior: congruence._Batch",
+    ]
+
+
+def test_the_scan_sees_a_private_import(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from __future__ import annotations\nfrom .a import _x, y\nfrom b import _z\n\n\n"
+        "def f():\n    from .c import _w\n"
+    )
+    assert _private_imports([tmp_path / "m.py"]) == ["m: a._x", "m: c._w"]

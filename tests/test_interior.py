@@ -333,9 +333,9 @@ def test_distributive_elements_match_the_pair_scan():
 
 
 def test_natural_map_builds_the_closure_system_once(monkeypatch):
+    # all_congruences keeps the residual rows of its walk, and natural_eta
+    # reads them there.
     s = omega(3).structure
-    conl = all_congruences(s)
-    assert len({theta.zero_class_mask(s) for theta in conl.congruences}) >= 2
     calls = []
     real = congruence._closure_system
 
@@ -344,6 +344,8 @@ def test_natural_map_builds_the_closure_system_once(monkeypatch):
         return real(t)
 
     monkeypatch.setattr(congruence, "_closure_system", counting)
+    conl = all_congruences(s)
+    assert len({theta.zero_class_mask(s) for theta in conl.congruences}) >= 2
     natural_eta(s, conl)
     assert calls == [s]
 
@@ -351,9 +353,9 @@ def test_natural_map_builds_the_closure_system_once(monkeypatch):
 def test_a_shared_store_labels_each_witness_in_its_own_lattice():
     # M3 twice, with equal up rows and different labels: one store holds the
     # index verdicts, and each report reads them in its own labels.
-    h, stores = (0, 1, 2, 0, 4), {}
+    h, stores = (0, 1, 2, 0, 4), congruence._Batch().stores
     lattices = [lattice_of(lambda labels=labels: labels, [0, 1, 2, 4, 7]) for labels in ("0abc1", "zpqrt")]
-    maps = [interior._natural_eta(l, (h, tau_of_map(l, h)), stores) for l in lattices]
+    maps = [InteriorMap(l, h, stores.setdefault((l.up, h), {})) for l in lattices]
     assert len(stores) == 1 and maps[0]._store is maps[1]._store
     reports = [check_axioms(l, im).as_dict() for l, im in zip(lattices, maps)]
     assert [r["I6"]["witness"] for r in reports] == [
@@ -388,6 +390,17 @@ def test_natural_map_rejects_closed_sets_foreign_to_its_lattice(b2, foreign):
     stale = dataclasses.replace(conl, closed=(foreign,) + conl.closed[1:])
     with pytest.raises(InvariantViolation, match="closed sets do not match"):
         natural_eta(b2, stale)
+
+
+def test_natural_map_rejects_residual_rows_foreign_to_its_lattice():
+    # Under g = (0, 0, 2) the closure of {0, top} is the whole carrier, the
+    # identity's T; on the bare chain it is {0, top}, whose congruence [0][1 2]
+    # is the fiber join of eta at the identity.
+    s = chain(2).structure
+    conl = all_congruences(s)
+    stale = dataclasses.replace(conl, _rows=all_congruences(s.with_operators([("g", (0, 0, 2))]))._rows)
+    with pytest.raises(InvariantViolation, match="derived tau disagrees .* at index 0"):
+        natural_eta(s, stale)
 
 
 def test_natural_map_when_the_operators_generate_every_atom_map(atom_maps_b6):
