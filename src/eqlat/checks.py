@@ -23,9 +23,9 @@ from .corpus import (
     omega,
 )
 from .errors import ParamOutOfRange
-from .galois import _filterable_interior, _verify_consl, check_filterable
+from .galois import _filterable_interior, check_filterable, verify_consl
 from .interior import check_axioms, check_bicoatomic, check_coatom_dependence, check_four_coatom
-from .interior import enumerate_eios
+from .interior import enumerate_eios, natural_eta
 from .semilattice import all_endomorphisms
 
 _SCAN_MAX_ELEMENTS = 6
@@ -88,11 +88,12 @@ def _natural_reports(seed: int):
 
     One ``_Batch`` reads each Con off its carrier's, walked once per join
     table. Con lattices with equal up rows share tables, and maps with equal
-    (up rows, eta) share tau and the battery's verdicts, so each is computed
-    once per key; witnesses are labelled per entry. Only the rows are kept.
+    (up rows, eta) share tau and the verdicts in the batch's stores, which
+    ``natural_eta`` reads off each Con, so each is computed once per key;
+    witnesses are labelled per entry. Only the rows are kept.
     """
     batch = _Batch()
-    return [(name, check_axioms(conl.lattice, batch.natural_eta(conl)))
+    return [(name, check_axioms(conl.lattice, natural_eta(s, conl)))
             for name, s in catalog_for_acceptance(seed) for conl in [batch.con(s)]]
 
 
@@ -135,7 +136,7 @@ def suite_consl(seed: int = 0) -> list[CheckOutcome]:
     """Congruence/ideal-family duality on every bare semilattice up to six elements."""
     out = []
     for name, s, conl in _scan_carriers():
-        res = _verify_consl(s, conl)
+        res = verify_consl(conl)
         out.append(CheckOutcome("consl", name, res.passed, res.witness, res.note))
     return out
 

@@ -21,8 +21,8 @@ The 0-class of a congruence is the downset of the least member t of its
 closed set T (``_closed_of``; ``_congruence_of`` inverts it); the least with
 that 0-class has T = up(t) and the greatest (``tau``) T = closure({t, top}).
 
-The structures of one suite call share Con work through a ``_Batch``: each
-Con(S, F) read off its carrier's walk, Con's tables and the battery stores.
+One ``_Batch`` shares a suite call's Con work: each Con(S, F) read off its
+carrier's walk, Con's tables, and the battery stores each Con carries along.
 
 Validity is decided by union-find: an input is valid iff it equals what
 its own pairs generate. A partition is a congruence iff generating from its
@@ -41,7 +41,6 @@ from itertools import compress
 from typing import NoReturn
 
 from .errors import BudgetExceeded, InvariantViolation
-from .interior import InteriorMap
 from .order import FiniteLattice, _lattice_of, closed_sets, closure, iter_bits, popcount
 from .semilattice import IdealSet, OpSemilattice, ideal
 
@@ -226,7 +225,8 @@ class CongruenceLattice:
     identity congruence and the last index the all-in-one congruence. Labels in
     the lattice are the block strings. ``closed[i]`` is the mask of the largest
     block members of ``congruences[i]``, its closed set in ``all_congruences``.
-    The walk's least members and residual rows are kept for ``natural_eta``.
+    The walk's least members and residual rows, and the battery stores of the
+    batch that built it (``_stores``), are kept for ``natural_eta``.
     """
 
     semilattice: OpSemilattice
@@ -235,6 +235,7 @@ class CongruenceLattice:
     closed: tuple[int, ...]
     _least: tuple[int, ...] = field(repr=False, compare=False)
     _rows: Sequence[int] = field(repr=False, compare=False)
+    _stores: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -345,7 +346,7 @@ class _Batch:
     ``carriers`` keeps, per join table, the carrier's ``_walk`` and columns
     ``has`` (the indices whose T holds x); ``tables`` the Con tables per up
     rows (``order._lattice_of``); ``stores`` one battery store per (up rows,
-    eta), which each ``InteriorMap`` on that key fills.
+    eta), which every Con built here carries as ``_stores``.
     """
 
     def __init__(self) -> None:
@@ -381,32 +382,7 @@ class _Batch:
         """Con on a walk's output; lattices with equal up rows share the tables kept in ``tables``."""
         masks = [((1 << s.n) - 1) & ~t for t in closed]
         lattice = _lattice_of(lambda: [c.block_string(s) for c in ordered], masks, self.tables)
-        return CongruenceLattice(s, ordered, lattice, closed, least, rows)
-
-    def natural_eta(self, conl: CongruenceLattice) -> InteriorMap:
-        """The map sending each congruence of Con to the least with its 0-class, on a store of ``stores``.
-
-        The 0-class of congruence i is down(m) for the least member m of its
-        closed set; eta's closed set is up(m) and tau's the closure of
-        {m, top} (see ``tau``), taken once per 0-class under the residual rows
-        that enumerated Con. The tau derived from the fibers of eta must
-        agree with it at every index.
-        """
-        s, lat, least = conl.semilattice, conl.lattice, conl._least
-        position = {t: i for i, t in enumerate(conl.closed)}
-        meet = s.lattice.meet_table
-        try:
-            h = tuple(position[s.up[m]] for m in least)
-            tau_at = {m: position[closure(meet, 1 << m | 1 << s.top, conl._rows)] for m in set(least)}
-        except KeyError:
-            raise InvariantViolation("closed sets do not match this congruence lattice") from None
-        im = InteriorMap(lat, h, self.stores.setdefault((lat.up, h), {}))
-        for i, (t, m) in enumerate(zip(im.tau, least)):
-            if t != tau_at[m]:
-                raise InvariantViolation(
-                    f"derived tau disagrees with the greatest-congruence construction at index {i}"
-                )
-        return im
+        return CongruenceLattice(s, ordered, lattice, closed, least, rows, self.stores)
 
 
 def _simple_over(congruences: Sequence[Congruence], operators) -> bool:

@@ -4,8 +4,8 @@ Three strands share this module:
 
 * the order-reversing bijection between congruences of a finite
   join-semilattice with zero and the meet-closed families of its ideals
-  that contain the improper ideal (``galois_h`` / ``galois_rho`` /
-  ``verify_consl``);
+  that contain the improper ideal (``galois_h`` / ``galois_rho``, checked
+  by ``verify_consl`` on the Con it is given);
 * distributive quasiorders on a finite meet-semilattice with unit and
   their lattices of closed subalgebras (``QuasiOrder``,
   ``sub_closed_lattice``, ``quasiorder_from_sublattice``);
@@ -35,7 +35,6 @@ from .congruence import (
     Congruence,
     CongruenceLattice,
     _closed_of,
-    all_congruences,
     congruence_generated,
     join_congruences,
     make_congruence,
@@ -125,23 +124,19 @@ def galois_rho(s: OpSemilattice, family: Iterable) -> Congruence:
     return make_congruence(s.reduct(), [first.setdefault(key, x) for x, key in enumerate(sig)])
 
 
-def verify_consl(s: OpSemilattice) -> Verdict:
-    """Confirm the congruence/ideal-family duality on one semilattice.
+def verify_consl(conl: CongruenceLattice) -> Verdict:
+    """Confirm the congruence/ideal-family duality on the semilattice whose Con is ``conl``.
 
-    Builds every congruence of the reduct and every meet-closed top-containing
-    family of ideals, then checks that the two maps are mutually inverse
-    order-reversing bijections. Both sides are ``closed_sets`` walks, so Con
-    is first checked by union-find: it must hold theta v Cg(a, b) for each
-    congruence theta and each cover pair a < b that theta does not relate.
-    The consl suite passes each carrier's Con, built once for the con-scan
-    suites, to the same check (``_verify_consl``); this entry point builds it.
+    Builds every meet-closed top-containing family of ideals, then checks
+    that the two maps are mutually inverse order-reversing bijections. Both
+    sides are ``closed_sets`` walks, so Con is first checked by union-find:
+    it must hold theta v Cg(a, b) for each congruence theta and each cover
+    pair a < b that theta does not relate. The duality is stated for plain
+    semilattices, so the Con of a structure with operators is rejected.
     """
-    reduct = s.reduct()
-    return _verify_consl(reduct, all_congruences(reduct))
-
-
-def _verify_consl(reduct: OpSemilattice, conl: CongruenceLattice) -> Verdict:
-    """``verify_consl`` on an operator-free semilattice whose Con is ``conl``."""
+    reduct = conl.semilattice
+    if reduct.operators:
+        raise InvariantViolation("the consl duality needs the Con of a semilattice without operators")
     reps = {t.rep for t in conl.congruences}
     covers = [(p, congruence_generated(reduct, [p])) for p in reduct.poset.covers]
     for theta in conl.congruences:

@@ -22,8 +22,8 @@ lattice. tau is always derived from h by fiber joins:
       (decided exactly over the meet-closure of the distinct generators
       x -> tau(x ^ e), each state packed as one int of per-entry downsets so
       that a meet is one AND; under I2 a state tests only the slots x where
-      every generator of its family can fail; a closure past its fixed cap
-      is reported as a skip, never as a pass)
+      every generator of its family can fail; past its fixed state cap, or
+      where n^2-bit states times the cap pass 2^32 bits, it is a skip, never a pass)
 * dagger   tau(x) <= tau(c) and h(z) <= c imply h(h(z) v tau(x ^ z)) <= c
 * ddagger  h(h(z) v tau(x ^ z)) <= h(z) v tau(x)
 
@@ -45,7 +45,7 @@ interior-map search and the coatom checks never compute one twice. A
 verdict keeps its witness as element indices and becomes a label dict only
 when read (``verdict``, and so ``AxiomReport``, suite rows, JSON and the
 CLI), so records of structures with equal up rows and h share what they keep
-(one store per key in a ``congruence._Batch``).
+(``natural_eta`` takes the store for its key from the Con it reads).
 """
 
 from __future__ import annotations
@@ -54,9 +54,10 @@ import json
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import isqrt
 
 from .errors import BudgetExceeded, InvariantViolation
-from .order import FiniteLattice, iter_bits, popcount
+from .order import FiniteLattice, closure, iter_bits, popcount
 
 DEFAULT_EIO_AXIOMS = frozenset({"I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8"})
 # Default cap of enumerate_eios on its search nodes.
@@ -303,7 +304,7 @@ def _fail_ddagger(m):
 
 
 # The I9 family-state closure has at most 2^n - 1 states, so every carrier
-# of up to 14 elements is decided; larger closures past the cap are skipped.
+# of up to 14 elements is decided; past the cap, or n^2 x cap > 2^32, I9 is skipped.
 _I9_STATE_CAP = 1 << 14
 
 
@@ -324,10 +325,14 @@ def _check_i9(m) -> Verdict:
     its family's masks (every slot when I2 fails), in ascending x, decoding
     only the entries it tests. The closure is walked level by level in order
     of family size, so the first failing state comes with a family of
-    minimum size.
+    minimum size. Packing is quadratic in n, so lattices past the bit bound are skipped first.
     """
+    n, bound = m.lattice.n, isqrt((1 << 32) // _I9_STATE_CAP)
+    if n > bound:
+        note = f"skipped: {n} elements exceed {bound}; {_I9_STATE_CAP} states of n^2 bits pass 2^32 bits"
+        return Verdict(None, None, note)
     l, h, tau, up, join = m.lattice, m.h, m.tau, m.lattice.up, m.lattice.join_table
-    n, down, full = l.n, l.down, (1 << l.n) - 1
+    down, full = l.down, (1 << n) - 1
     by_down, tau_ge = {d: i for i, d in enumerate(down)}, m.tau_ge
     monotone = m.verdict("I2").passed
     gens: dict[int, tuple[int, int]] = {}  # packed generator: (its first e, its slot mask)
@@ -444,18 +449,31 @@ class InteriorMap(_MapData):
 
 
 def natural_eta(s, conl) -> InteriorMap:
-    """The least-congruence-with-same-0-class map on a congruence lattice.
+    """The map sending each congruence of Con(s) to the least with its 0-class.
 
-    eta and the greatest-congruence companion tau are read off the closed
-    sets of Con and the residual rows its walk kept (``congruence._Batch``);
-    the tau derived from the fibers of eta is verified to agree with the
-    companion.
+    Congruence i has 0-class down(m), m the least member of its closed set;
+    eta's closed set is up(m) and tau's the closure of {m, top} under the
+    residual rows Con was walked with. The tau derived from the fibers of eta
+    must agree with it at every index. The verdicts go in the store of
+    ``conl._stores`` for (up rows, eta), shared by every Con of one batch.
     """
-    from .congruence import _Batch
-
     if conl.semilattice != s:
         raise InvariantViolation("congruence lattice does not belong to this semilattice")
-    return _Batch().natural_eta(conl)
+    lat, least = conl.lattice, conl._least
+    position = {t: i for i, t in enumerate(conl.closed)}
+    meet = s.lattice.meet_table
+    try:
+        h = tuple(position[s.up[m]] for m in least)
+        tau_at = {m: position[closure(meet, 1 << m | 1 << s.top, conl._rows)] for m in set(least)}
+    except KeyError:
+        raise InvariantViolation("closed sets do not match this congruence lattice") from None
+    im = InteriorMap(lat, h, conl._stores.setdefault((lat.up, h), {}))
+    for i, (t, m) in enumerate(zip(im.tau, least)):
+        if t != tau_at[m]:
+            raise InvariantViolation(
+                f"derived tau disagrees with the greatest-congruence construction at index {i}"
+            )
+    return im
 
 
 def _is_distributive(l: FiniteLattice, d: int) -> bool:

@@ -19,8 +19,8 @@ from eqlat.congruence import all_congruences, all_don, all_eon, is_simple
 from eqlat.corpus import boolean, chain, m2, omega, run_claims
 from eqlat.errors import BudgetExceeded, SearchBudgetExceeded
 from eqlat.galois import algebraic_subsets, ideal_lattice, quasiorder_from_pairs
-from eqlat.interior import enumerate_eios
-from eqlat.order import canonical_key
+from eqlat.interior import DEFAULT_EIO_AXIOMS, InteriorMap, Verdict, enumerate_eios
+from eqlat.order import canonical_key, lattice_of
 from eqlat.semilattice import operator_monoid
 
 
@@ -64,6 +64,11 @@ CAPPED_SEARCHES = [
                  "closed sets", id="closed_sub_members"),
     pytest.param(interior, "_EIO_NODE_CAP", lambda: enumerate_eios(_B2.lattice), 11,
                  "search nodes", id="enumerate_eios"),
+    # I9 skips a map past its state cap; a search that selects I9 raises.
+    # The first of boolean(2)'s three maps closes 5 family states.
+    pytest.param(interior, "_I9_STATE_CAP",
+                 lambda: enumerate_eios(_B2.lattice, DEFAULT_EIO_AXIOMS | {"I9"}), 5,
+                 "I9 family states", id="enumerate_eios_i9"),
     # boolean(2) has one class of two atoms: 2! relabellings.
     pytest.param(order, "_RELABEL_CAP", lambda: canonical_key(_B2.join_t), 2, "relabellings",
                  id="canonical_key"),
@@ -82,9 +87,8 @@ def test_each_search_stops_one_past_its_cap(monkeypatch, module, cap, run, count
     assert (info.value.what, info.value.cap) == (what, count - 1)
 
 
-# Caps that bound no search: the I9 state cap turns into a skip, not a
-# BudgetExceeded, and the singles cap is a sample size.
-_NOT_SEARCH_CAPS = {("interior", "_I9_STATE_CAP"), ("corpus", "_SINGLES_CAP")}
+# The one cap that bounds no search: the singles cap is a sample size.
+_NOT_SEARCH_CAPS = {("corpus", "_SINGLES_CAP")}
 
 
 def test_every_cap_has_a_capped_search():
@@ -97,6 +101,22 @@ def test_every_cap_has_a_capped_search():
     rows = {(p.values[0].__name__.rpartition(".")[2], p.values[1]) for p in CAPPED_SEARCHES}
     assert _NOT_SEARCH_CAPS <= caps
     assert caps - _NOT_SEARCH_CAPS == rows
+
+
+def test_i9_skips_a_lattice_whose_states_could_pass_its_bit_bound(monkeypatch):
+    # A state is n^2 bits, so the cap's 2^14 states stay within 2^32 bits
+    # up to n = 512. Past that, I9 is skipped before a generator is packed.
+    big = lattice_of(lambda: [str(m) for m in range(1024)], range(1024))
+    im = InteriorMap(big, tuple(range(big.n)))
+    note = "skipped: 1024 elements exceed 512; 16384 states of n^2 bits pass 2^32 bits"
+    assert im.verdict("I9") == Verdict(None, None, note)
+    with pytest.raises(BudgetExceeded, match="^more than 16384 I9 family states exceed cap 16384$"):
+        im.holds("I9")
+    # The bound moves with the cap: at 2^28 states, 4 elements are decided and 5 are not.
+    monkeypatch.setattr(interior, "_I9_STATE_CAP", 1 << 28)
+    chain5 = lattice_of(lambda: "abcde", [0, 1, 3, 7, 15])
+    assert InteriorMap(_B2.lattice, (0, 1, 2, 3)).verdict("I9").passed is True
+    assert InteriorMap(chain5, (0, 1, 2, 3, 4)).verdict("I9").note.startswith("skipped: 5 elements exceed 4;")
 
 
 def test_there_is_one_budget_class():

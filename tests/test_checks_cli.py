@@ -64,6 +64,24 @@ def test_consl_suite_outcomes():
     json.loads(outcomes[0].to_json())
 
 
+def test_suites_reach_the_public_checks(monkeypatch):
+    # The suites call the public checks through the names checks binds, so a
+    # tracer that wraps those bindings sees every call.
+    calls = {"verify_consl": 0, "natural_eta": 0}
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(checks, name, counted(name, getattr(checks, name)))
+    checks.suite_consl()
+    checks._natural_reports.__wrapped__(0)
+    assert calls == {"verify_consl": 25, "natural_eta": 401}
+
+
 def test_june2_suite_runs_over_all_instances():
     outcomes = run_suite("june2")
     assert len(outcomes) == 382

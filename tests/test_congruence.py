@@ -442,7 +442,7 @@ def test_batch_con_equals_the_direct_walk_on_the_catalog():
             got, conl = batch.con(s), all_congruences(s)
             assert (got.congruences, got.closed) == (conl.congruences, conl.closed)
             assert (got._least, got._rows) == (conl._least, conl._rows)
-            im = batch.natural_eta(got)
+            im = natural_eta(s, got)
             assert (im.h, im.tau) == (natural_eta(s, conl).h, natural_eta(s, conl).tau)
             assert im.h == tuple(conl.index_of(eta(s, c)) for c in conl.congruences)
             assert im.tau == tuple(conl.index_of(tau(s, c)) for c in conl.congruences)

@@ -112,28 +112,33 @@ def test_verify_consl_reports_the_bijection():
         omega(3).structure,
         omega(5).structure,
     ):
-        result = verify_consl(s)
+        conl = all_congruences(s.reduct())
+        result = verify_consl(conl)
         assert result.passed, result.note
-        count = len(all_congruences(s.reduct()).congruences)
-        assert str(count) in (result.note or "")
+        assert str(len(conl.congruences)) in (result.note or "")
 
 
 def test_verify_consl_on_a_nondistributive_carrier(small_semilattices):
     pool = [s for s in small_semilattices if s.n == 5]
     assert pool
     for s in pool:
-        assert verify_consl(s).passed
+        assert verify_consl(all_congruences(s.reduct())).passed
 
 
-def test_verify_consl_needs_con_closed_under_cover_principal_joins(monkeypatch):
+def test_verify_consl_rejects_the_con_of_a_structure_with_operators():
+    # The duality is stated for plain semilattices; omega(3) has an operator.
+    with pytest.raises(InvariantViolation, match="without operators"):
+        verify_consl(all_congruences(omega(3).structure))
+
+
+def test_verify_consl_needs_con_closed_under_cover_principal_joins():
     # Con(2 x 2) without its join-reducible congruence [0][p q 1].
     s = boolean(2).structure
     idx = s.index
     missing = make_congruence(s, [[idx["0"]], [idx["p"], idx["q"], idx["1"]]])
     conl = all_congruences(s)
     stub = replace(conl, congruences=tuple(t for t in conl.congruences if t != missing))
-    monkeypatch.setattr(galois, "all_congruences", lambda _: stub)
-    result = verify_consl(s)
+    result = verify_consl(stub)
     assert not result.passed
     assert result.note == "a join with a cover principal is missing"
     assert result.witness == {"theta": "[0][p 1][q]"}
@@ -154,7 +159,7 @@ _IDENTITY_B2 = Congruence((0, 1, 2, 3))
 ])
 def test_verify_consl_reports_a_wrong_galois_map(monkeypatch, name, fake, witness, note):
     monkeypatch.setattr(galois, name, fake(getattr(galois, name)))
-    result = verify_consl(boolean(2).structure)
+    result = verify_consl(all_congruences(boolean(2).structure))
     assert (result.passed, result.witness, result.note) == (False, witness, note)
 
 
@@ -167,18 +172,15 @@ def test_verify_consl_reports_a_family_that_does_not_return(monkeypatch):
         return real(s, theta if len(calls) <= 7 else _IDENTITY_B2)
 
     monkeypatch.setattr(galois, "galois_h", late_wrong)
-    result = verify_consl(boolean(2).structure)
+    result = verify_consl(all_congruences(boolean(2).structure))
     assert (result.passed, result.witness, result.note) == (
         False, {"family": "{{0,p,q,1}}"}, "round trip through congruences does not return"
     )
 
 
-def test_verify_consl_reports_an_order_that_is_not_reversed(monkeypatch):
-    s = boolean(2).structure
-    conl = all_congruences(s)
-    flipped = replace(conl, lattice=dual(conl.lattice))
-    monkeypatch.setattr(galois, "all_congruences", lambda _: flipped)
-    result = verify_consl(s)
+def test_verify_consl_reports_an_order_that_is_not_reversed():
+    conl = all_congruences(boolean(2).structure)
+    result = verify_consl(replace(conl, lattice=dual(conl.lattice)))
     assert (result.passed, result.witness, result.note) == (
         False, {"theta": "[0][p 1][q]", "phi": "[0][p][q][1]"}, "containment is not reversed"
     )

@@ -99,11 +99,9 @@ def test_cross_module_private_imports_are_pinned():
         "checks: congruence._Batch",
         "checks: congruence._simple_over",
         "checks: galois._filterable_interior",
-        "checks: galois._verify_consl",
         "cli: corpus._BUILDERS",
         "congruence: order._lattice_of",
         "galois: congruence._closed_of",
-        "interior: congruence._Batch",
     ]
 
 
@@ -113,3 +111,38 @@ def test_the_scan_sees_a_private_import(tmp_path):
         "def f():\n    from .c import _w\n"
     )
     assert _private_imports([tmp_path / "m.py"]) == ["m: a._x", "m: c._w"]
+
+
+def _module_imports(path: Path) -> list[str]:
+    """The package modules that ``path`` imports relatively, function-level imports included."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.update([node.module] if node.module else [alias.name for alias in node.names])
+    return sorted(out)
+
+
+def test_module_import_graph_is_pinned():
+    # congruence and interior import neither each other nor any module that
+    # does, so the Con layer and the axiom battery build on order alone.
+    assert {p.stem: _module_imports(p) for p in sorted(ROOT.glob("src/eqlat/*.py"))} == {
+        "__init__": ["checks", "congruence", "corpus", "errors", "galois", "interior", "order",
+                     "semilattice"],
+        "checks": ["congruence", "corpus", "errors", "galois", "interior", "semilattice"],
+        "cli": ["checks", "congruence", "corpus", "errors", "interior", "order", "semilattice"],
+        "congruence": ["errors", "order", "semilattice"],
+        "corpus": ["congruence", "errors", "galois", "interior", "order", "semilattice"],
+        "errors": [],
+        "galois": ["congruence", "errors", "interior", "order", "semilattice"],
+        "interior": ["errors", "order"],
+        "order": ["errors"],
+        "semilattice": ["errors", "order"],
+    }
+
+
+def test_the_scan_sees_every_module_import(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from . import a, b\nfrom .c import x\nfrom d import y\nimport e\n\n\n"
+        "def f():\n    from .g import z\n"
+    )
+    assert _module_imports(tmp_path / "m.py") == ["a", "b", "c", "g"]

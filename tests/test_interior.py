@@ -350,10 +350,25 @@ def test_natural_map_builds_the_closure_system_once(monkeypatch):
     assert calls == [s]
 
 
+def test_natural_eta_calls_on_one_con_share_its_store(monkeypatch):
+    s = omega(3).structure
+    conl = all_congruences(s)
+    first = natural_eta(s, conl)
+    report = check_axioms(conl.lattice, first)
+    computed = []
+    for name, check in list(interior._AXIOMS.items()):
+        monkeypatch.setitem(interior._AXIOMS, name, lambda m, check=check: computed.append(1) or check(m))
+    second = natural_eta(s, conl)
+    assert second is not first and second._store is first._store
+    assert list(conl._stores.values()) == [first._store]
+    assert check_axioms(conl.lattice, second) == report
+    assert computed == []
+
+
 def test_a_shared_store_labels_each_witness_in_its_own_lattice():
     # M3 twice, with equal up rows and different labels: one store holds the
     # index verdicts, and each report reads them in its own labels.
-    h, stores = (0, 1, 2, 0, 4), congruence._Batch().stores
+    h, stores = (0, 1, 2, 0, 4), {}
     lattices = [lattice_of(lambda labels=labels: labels, [0, 1, 2, 4, 7]) for labels in ("0abc1", "zpqrt")]
     maps = [InteriorMap(l, h, stores.setdefault((l.up, h), {})) for l in lattices]
     assert len(stores) == 1 and maps[0]._store is maps[1]._store
