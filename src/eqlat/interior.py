@@ -20,10 +20,10 @@ lattice. tau is always derived from h by fiber joins:
       h(x) <= c and meet tau(z_i) <= tau(c)
       imply h(h(x) v meet tau(x ^ z_i)) <= c
       (decided exactly over the meet-closure of the distinct generators
-      x -> tau(x ^ e), each state packed as one int of per-entry downsets so
-      that a meet is one AND; under I2 a state tests only the slots x where
-      every generator of its family can fail; past its fixed state cap, or
-      where n^2-bit states times the cap pass 2^32 bits, it is a skip, never a pass)
+      x -> tau(x ^ e), each distinct one packed once into one int of
+      byte-aligned per-entry downsets so that a meet is one AND; under I2 a
+      state tests only the slots x where every generator of its family can fail;
+      past its state cap, or where n^2-bit states times the cap pass 2^32 bits, a skip, never a pass)
 * dagger   tau(x) <= tau(c) and h(z) <= c imply h(h(z) v tau(x ^ z)) <= c
 * ddagger  h(h(z) v tau(x ^ z)) <= h(z) v tau(x)
 
@@ -184,9 +184,12 @@ class _MapData:
                                   for k, i in v.witness.items()}, v.note)
 
     def holds(self, name: str) -> bool:
-        """Whether the named axiom passes; an I9 skip on its state cap raises BudgetExceeded."""
+        """Whether the named axiom passes; an I9 skip raises BudgetExceeded naming the bound that tripped."""
         passed = self.verdict(name).passed
         if passed is None:
+            bound = _i9_size_bound()
+            if self.lattice.n > bound:
+                raise BudgetExceeded("I9 lattice elements", bound)
             raise BudgetExceeded("I9 family states", _I9_STATE_CAP)
         return passed
 
@@ -308,6 +311,11 @@ def _fail_ddagger(m):
 _I9_STATE_CAP = 1 << 14
 
 
+def _i9_size_bound() -> int:
+    """The most elements I9 decides, 512 at the default cap: n^2-bit states times the cap fit 2^32 bits."""
+    return isqrt((1 << 32) // _I9_STATE_CAP)
+
+
 def _check_i9(m) -> Verdict:
     """I9 over every nonempty family, testing each distinct family state once.
 
@@ -316,40 +324,41 @@ def _check_i9(m) -> Verdict:
     state is the componentwise meet of the generators g_e[x] = tau(x ^ e)
     of its members, so the states are the meet-closure of the distinct
     generators; an e whose generator equals an earlier one's adds no state
-    and is dropped. A state is packed as one int, the downset of s[x] in
-    bits n*x onwards; downsets of meets are intersections, so the
-    componentwise meet is one AND of two ints, and a state takes n^2 / 8
-    bytes. Slot x fails only when h(h(x) v s[x]) is not below h(x); for a
-    monotone h (I2) that shrinks with s[x], so each generator carries the
-    mask of the slots where it can fail, and a state tests only the AND of
-    its family's masks (every slot when I2 fails), in ascending x, decoding
-    only the entries it tests. The closure is walked level by level in order
-    of family size, so the first failing state comes with a family of
-    minimum size. Packing is quadratic in n, so lattices past the bit bound are skipped first.
+    and is dropped. A state is packed as one int, the downset of s[x] in the
+    w = ceil(n/8) bytes from byte w*x onwards. g_e is the bytes of tau(y)'s
+    downset, built once per call, joined over y in the meet row of e; the
+    distinct ones are told apart by those bytes and each becomes an int by
+    one int.from_bytes. Downsets of meets are intersections, so the
+    componentwise meet is one AND of two ints; a state takes n*w bytes. Slot
+    x fails only when h(h(x) v s[x]) is not below h(x); for a monotone h
+    (I2) that shrinks with s[x], so each generator carries the mask of the
+    slots where it can fail, and a state tests only the AND of its family's
+    masks (every slot when I2 fails), in ascending x, decoding only the
+    entries it tests. The closure is walked level by level in order of
+    family size, so the first failing state comes with a family of minimum
+    size. Lattices past the bit bound are skipped before any bytes are built.
     """
-    n, bound = m.lattice.n, isqrt((1 << 32) // _I9_STATE_CAP)
+    n, bound = m.lattice.n, _i9_size_bound()
     if n > bound:
         note = f"skipped: {n} elements exceed {bound}; {_I9_STATE_CAP} states of n^2 bits pass 2^32 bits"
         return Verdict(None, None, note)
     l, h, tau, up, join = m.lattice, m.h, m.tau, m.lattice.up, m.lattice.join_table
-    down, full = l.down, (1 << n) - 1
-    by_down, tau_ge = {d: i for i, d in enumerate(down)}, m.tau_ge
-    monotone = m.verdict("I2").passed
-    gens: dict[int, tuple[int, int]] = {}  # packed generator: (its first e, its slot mask)
+    down, full, width = l.down, (1 << n) - 1, (n + 7) // 8
+    by_down, tau_ge, monotone = {d: i for i, d in enumerate(down)}, m.tau_ge, m.verdict("I2").passed
+    slot, slot_bytes = 8 * width, [down[t].to_bytes(width, "little") for t in tau]
+    first: dict[bytes, int] = {}  # generator g_e, its slots' bytes: its first e
     for e in range(n):
-        g = list(map(tau.__getitem__, l.meet_table[e]))  # g[x] = tau(x ^ e)
-        packed = 0
-        for gx in reversed(g):
-            packed = packed << n | down[gx]
-        if packed not in gens:
-            gens[packed] = (e, sum(1 << x for x in range(n)
-                                   if not (monotone and up[h[join[h[x]][g[x]]]] >> h[x] & 1)))
+        first.setdefault(b"".join(map(slot_bytes.__getitem__, l.meet_table[e])), e)
+    gens = [(int.from_bytes(g, "little"), e,  # (packed generator, its first e, its slot mask)
+             sum(1 << x for x, y in enumerate(l.meet_table[e])
+                 if not (monotone and up[h[join[h[x]][tau[y]]]] >> h[x] & 1)))
+            for g, e in first.items()]
     seen: set[int] = set()
-    level = [((1 << n * n) - 1, full, ())]
+    level = [((1 << n * slot) - 1, full, ())]
     while level:
         next_level = []
         for state, slots, family in level:
-            for g, (e, g_slots) in gens.items():
+            for g, e, g_slots in gens:
                 new = state & g
                 if new in seen:
                     continue
@@ -358,14 +367,14 @@ def _check_i9(m) -> Verdict:
                     note = f"skipped: {len(seen)} family states exceed cap {_I9_STATE_CAP}"
                     return Verdict(None, None, note)
                 zs, new_slots = family + (e,), slots & g_slots
-                hypo_c = tau_ge[by_down[new >> n * l.top & full]]
+                hypo_c = tau_ge[by_down[new >> slot * l.top & full]]
                 test = new_slots if hypo_c else 0
                 while test:
                     low = test & -test
                     test ^= low
                     x = low.bit_length() - 1
                     below = up[h[x]] & hypo_c
-                    fails = below and below & ~up[h[join[h[x]][by_down[new >> n * x & full]]]]
+                    fails = below and below & ~up[h[join[h[x]][by_down[new >> slot * x & full]]]]
                     if fails:
                         c = (fails & -fails).bit_length() - 1
                         return Verdict(False, {"x": x, "c": c, "zs": tuple(sorted(zs))})
@@ -621,13 +630,10 @@ def enumerate_eios(
 def check_bicoatomic(l: FiniteLattice) -> Verdict:
     """Every u, v below the top with u ^ v < p for a coatom p refine to a coatom meet."""
     coat = l.coatoms
+    below_top = [u for u in range(l.n) if u != l.top]
     for p in coat:
-        for u in range(l.n):
-            if u == l.top:
-                continue
-            for v in range(l.n):
-                if v == l.top:
-                    continue
+        for u in below_top:
+            for v in below_top:
                 m = l.meet(u, v)
                 if m == p or not l.leq(m, p):
                     continue
@@ -723,9 +729,7 @@ def check_coatom_dependence(l: FiniteLattice, im: InteriorMap) -> AxiomReport:
     witness = None
     checked = 0
     for x in coat:
-        for a in coat:
-            if a == x:
-                continue
+        for a in coat:  # no triple has a = x, so that a has no zs
             zs = sorted({z for (x2, z, a2) in triples if x2 == x and a2 == a})
             if not zs:
                 continue

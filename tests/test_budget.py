@@ -104,13 +104,14 @@ def test_every_cap_has_a_capped_search():
 
 
 def test_i9_skips_a_lattice_whose_states_could_pass_its_bit_bound(monkeypatch):
-    # A state is n^2 bits, so the cap's 2^14 states stay within 2^32 bits
-    # up to n = 512. Past that, I9 is skipped before a generator is packed.
+    # A state is n*ceil(n/8) bytes, so the cap's 2^14 states stay within 2^32
+    # bits up to n = 512. Past that, I9 is skipped before a generator is built,
+    # and holds names the element bound, not the state cap.
     big = lattice_of(lambda: [str(m) for m in range(1024)], range(1024))
     im = InteriorMap(big, tuple(range(big.n)))
     note = "skipped: 1024 elements exceed 512; 16384 states of n^2 bits pass 2^32 bits"
     assert im.verdict("I9") == Verdict(None, None, note)
-    with pytest.raises(BudgetExceeded, match="^more than 16384 I9 family states exceed cap 16384$"):
+    with pytest.raises(BudgetExceeded, match="^more than 512 I9 lattice elements exceed cap 512$"):
         im.holds("I9")
     # The bound moves with the cap: at 2^28 states, 4 elements are decided and 5 are not.
     monkeypatch.setattr(interior, "_I9_STATE_CAP", 1 << 28)

@@ -196,9 +196,10 @@ def test_truncation_map_counts():
 def test_implication_instances_are_pinned():
     # Digest of every (name, map, battery report) row of the implication
     # corpus, taken before the interior-map search became a backtracking one.
+    # The suites read only dagger, I5 and I9, so the full battery runs here.
     rows = [
-        (name, im.h, report.as_dict())
-        for name, _, _, im, report in checks._implication_instances()
+        (name, im.h, check_axioms(lat, im).as_dict())
+        for name, _, lat, im in checks._implication_instances()
     ]
     assert len(rows) == 382
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
@@ -506,6 +507,19 @@ def test_i9_verdicts_of_the_first_maps_of_m2_4_are_pinned():
 def test_i9_failure_on_p1_2_is_pinned():
     im = enumerate_eios(p1(2).structure)[1]
     assert im.verdict("I9") == Verdict(False, {"x": "{b1}", "c": "{b0}", "zs": "{a0,b0}"})
+
+
+@pytest.mark.parametrize("entry, counts, digest", [
+    (m2(3), (19, 3), "e1e391e04195cdeb21e61bb2f8b6a29754944b162fbe69b90b33be2f24c39349"),
+    (p1(2), (3, 26), "7b61064e270007027a1f26f246922036025805839a62ffde79c36736a05af46a"),
+], ids=["m2(3)", "p1(2)"])
+def test_i9_on_every_map_of_the_truncations_is_pinned(entry, counts, digest):
+    # n = 25 and 46: slots of several bytes, and elements whose generators
+    # repeat an earlier one's. Digest taken while each generator was packed
+    # bit by bit, in n-bit slots.
+    rows = [(im.h, im.verdict("I9").as_dict()) for im in enumerate_eios(entry.structure)]
+    assert tuple(sum(v["passed"] is p for _, v in rows) for p in (True, False)) == counts
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 @given(st.data())
