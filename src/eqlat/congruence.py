@@ -41,7 +41,7 @@ from itertools import compress
 from typing import NoReturn
 
 from .errors import BudgetExceeded, InvariantViolation
-from .order import FiniteLattice, _lattice_of, closed_sets, closure, iter_bits, popcount
+from .order import FiniteLattice, _lattice_of, closed_sets, closure, iter_bits
 from .semilattice import IdealSet, OpSemilattice, ideal
 
 # One cap for the congruence family, shared by its three views (Con, Don, Eon).
@@ -81,12 +81,7 @@ class Congruence:
         return tuple(blocks[r] for r in self.rep)
 
     def zero_class_mask(self, s: OpSemilattice) -> int:
-        r = self.rep[s.zero]
-        mask = 0
-        for i, ri in enumerate(self.rep):
-            if ri == r:
-                mask |= 1 << i
-        return mask
+        return self._block_masks[s.zero]
 
     def refines(self, other: "Congruence") -> bool:
         """self <= other in the congruence order."""
@@ -325,7 +320,7 @@ def _walk(s: OpSemilattice):
         found = closed_sets(meet, 1 << s.top, rows=rows, cap=_CON_CAP)
     except BudgetExceeded:
         raise BudgetExceeded("congruences", _CON_CAP) from None
-    keyed = sorted((-popcount(t), c.rep, t, c) for t in found for c in [_congruence_of(s, t)])
+    keyed = sorted((-t.bit_count(), c.rep, t, c) for t in found for c in [_congruence_of(s, t)])
     closed = tuple(t for _, _, t, _ in keyed)
     least = tuple(next(x for x in iter_bits(t) if not t & ~s.up[x]) for t in closed)
     return _cross_checked(s, tuple(c for *_, c in keyed)), closed, least, rows
@@ -476,7 +471,7 @@ class OrderedRelation:
         return bool((self.rows[x] >> y) & 1)
 
     def pair_count(self) -> int:
-        return sum(popcount(r) for r in self.rows)
+        return sum(r.bit_count() for r in self.rows)
 
     def contains(self, other: "OrderedRelation") -> bool:
         return all(o & ~r == 0 for r, o in zip(self.rows, other.rows))

@@ -35,7 +35,6 @@ from .order import (
     complete_sublattice_closure,
     iter_bits,
     lattice_of,
-    popcount,
     set_label,
 )
 from .semilattice import OpSemilattice, all_endomorphisms, from_join_table
@@ -181,7 +180,7 @@ _ATOM_LETTERS = "pqrst"
 
 
 def _boolean_semilattice(n: int) -> OpSemilattice:
-    masks = sorted(range(1 << n), key=lambda m: (popcount(m), m))
+    masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
     index = {m: i for i, m in enumerate(masks)}
 
     def name(m: int) -> str:
@@ -264,7 +263,7 @@ def _sub_dual_lattice(labels: Sequence[str], meet) -> FiniteLattice:
     _check_meet_table(labels, meet)
     full = (1 << len(labels)) - 1
     table = [[meet(i, j) for j in range(len(labels))] for i in range(len(labels))]
-    subs = sorted(closed_sets(table), key=lambda m: (popcount(m), m))
+    subs = sorted(closed_sets(table), key=lambda m: (m.bit_count(), m))
     return lattice_of(lambda: [set_label(labels, m) for m in subs], [full & ~m for m in subs])
 
 

@@ -41,7 +41,7 @@ from .congruence import (
 )
 from .errors import InvariantViolation, UnknownLabel
 from .interior import AxiomReport, InteriorMap, Verdict
-from .order import FiniteLattice, closed_sets, closure, iter_bits, lattice_of, popcount, set_label
+from .order import FiniteLattice, closed_sets, closure, iter_bits, lattice_of, set_label
 from .semilattice import IdealSet, OpSemilattice, ideals
 
 # Cap on the closed sets of one _closed_family walk: the meet-closed subsets
@@ -87,7 +87,7 @@ def _closed_family(table, base: int, rows=None) -> tuple[int, ...]:
     they are counted before any is kept.
     """
     found = closed_sets(table, base, rows=rows, cap=_SUBSET_CAP)
-    return tuple(sorted(found, key=lambda m: (popcount(m), m)))
+    return tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
 
 
 def algebraic_subsets(l: FiniteLattice) -> AlgebraicSubsetFamily:
@@ -335,7 +335,7 @@ def check_sub_duality(carrier: OpSemilattice, family: Iterable[int]) -> Verdict:
     The induced relation must satisfy all four quasiorder conditions and its
     closed-subalgebra family must equal the input family.
     """
-    members = tuple(sorted(set(int(m) for m in family), key=lambda m: (popcount(m), m)))
+    members = tuple(sorted(set(int(m) for m in family), key=lambda m: (m.bit_count(), m)))
     q = quasiorder_from_sublattice(carrier, members)
     report = check_distributive_quasiorder(q)
     bad = report.failing()

@@ -57,7 +57,7 @@ from functools import cached_property
 from math import isqrt
 
 from .errors import BudgetExceeded, InvariantViolation
-from .order import FiniteLattice, closure, iter_bits, popcount
+from .order import FiniteLattice, closure, iter_bits
 
 DEFAULT_EIO_AXIOMS = frozenset({"I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8"})
 # Default cap of enumerate_eios on its search nodes.
@@ -656,7 +656,7 @@ def check_four_coatom(l: FiniteLattice, im: InteriorMap) -> Verdict:
     coat = l.coatoms
     for a in coat:
         for d in coat:
-            if popcount(l.up[l.meet(a, d)]) != 4:
+            if l.up[l.meet(a, d)].bit_count() != 4:
                 continue
             if l.leq(h[a], d):
                 continue
@@ -677,80 +677,61 @@ def check_coatom_dependence(l: FiniteLattice, im: InteriorMap) -> AxiomReport:
     """The coatom dependence battery: june2, june1, june5, june6.
 
     A triple of pairwise distinct coatoms (x, z, a) is in scope when
-    x ^ z <= a. june2 checks its four conclusions; june1 checks
-    h(x) v (meet of all in-scope z for x) = top; june5 the same per fixed a;
-    june6 scans for a family with meet of the a's not below x but meet of
-    the z's below x. june5/june6 presuppose I9, so they are skipped (verdict
-    None) when I9 fails or is itself skipped. The I9 verdict is read from
-    ``im``, so a map whose battery has run does not run I9 again.
+    x ^ z <= a. One scope table holds, per coatom x and other coatom z in
+    order, the mask of the a completing an in-scope triple; june2 checks the
+    four conclusions of each triple. june1, june5 and june6 scan cases (x, a
+    named element or None, a mask of admissible a) for the first whose
+    family zs, the z with an admissible a, fails: june1 admits every a and
+    june5 one, failing when h(x) v meet(zs) != top; june6 admits the a above
+    each m not below x and fails when meet(zs) <= x, so it reads no h.
+    june5/june6 presuppose I9, so they are skipped (verdict None) when I9
+    fails or is itself skipped. The I9 verdict is read from ``im``, so a map
+    whose battery has run does not run I9 again.
     """
     if im.lattice != l:
         raise InvariantViolation("interior map belongs to a different lattice")
     if not im.satisfies_i5:
         raise InvariantViolation("coatom dependence checks need a map satisfying I5")
-    h, tau = im.h, im.tau
+    h, tau, up, meet, join = im.h, im.tau, l.up, l.meet_table, l.join_table
     coat = l.coatoms
-    triples = [(x, z, a) for x in coat for z in coat for a in coat
-               if len({x, z, a}) == 3 and l.leq(l.meet(x, z), a)]
+    coat_mask = sum(1 << c for c in coat)
+    scope = {x: [(z, up[meet[x][z]] & coat_mask & ~(1 << x | 1 << z)) for z in coat if z != x] for x in coat}
+    triples = [(x, z, a) for x in coat for z, above in scope[x] for a in coat if above >> a & 1]
 
-    entries: list[tuple[str, Verdict]] = []
+    def scan(name, key, cases, fails, note=None) -> tuple[str, Verdict]:
+        checked, witness = 0, None
+        for x, named, admissible in cases:
+            zs = [z for z, above in scope[x] if above & admissible]
+            checked += bool(zs)
+            if zs and fails(x, l.meet_all(zs)):
+                named_part = {} if named is None else {key: l.labels[named]}
+                witness = {"x": l.labels[x], **named_part, "zs": ",".join(l.labels[z] for z in zs)}
+                break
+        return name, Verdict(witness is None, witness, note or f"maximal families={checked}")
+
+    def short_of_top(x, meet_zs):
+        return join[h[x]][meet_zs] != l.top
 
     witness = None
     for x, z, a in triples:
-        m = l.meet(x, z)
+        m = meet[x][z]
         holds = (("eta(a) <= x^z", l.leq(h[a], m)), ("tau(x^z) = a", tau[m] == a),
                  ("eta(x) not<= a", not l.leq(h[x], a)), ("eta(x) not<= z", not l.leq(h[x], z)))
         part = next((part for part, ok in holds if not ok), None)
         if part:
             witness = {"x": l.labels[x], "z": l.labels[z], "a": l.labels[a], "part": part}
             break
-    entries.append(("june2", Verdict(witness is None, witness, f"instances={len(triples)}")))
-
-    witness = None
-    checked = 0
-    for x in coat:
-        zs = sorted({z for (x2, z, _) in triples if x2 == x})
-        if not zs:
-            continue
-        checked += 1
-        if l.join(h[x], l.meet_all(zs)) != l.top:
-            witness = {"x": l.labels[x], "zs": ",".join(l.labels[z] for z in zs)}
-            break
-    entries.append(("june1", Verdict(witness is None, witness, f"maximal families={checked}")))
+    entries = [("june2", Verdict(witness is None, witness, f"instances={len(triples)}")),
+               scan("june1", None, ((x, None, coat_mask) for x in coat), short_of_top)]
 
     i9 = im.verdict("I9")
     if not i9.passed:
         reason = "I9 hypothesis not established" if i9.passed is False else f"I9 not decided ({i9.note})"
         skip = Verdict(None, None, f"skipped: {reason}")
-        entries.append(("june5", skip))
-        entries.append(("june6", skip))
+        entries += [("june5", skip), ("june6", skip)]
         return AxiomReport(tuple(entries))
 
-    witness = None
-    checked = 0
-    for x in coat:
-        for a in coat:  # no triple has a = x, so that a has no zs
-            zs = sorted({z for (x2, z, a2) in triples if x2 == x and a2 == a})
-            if not zs:
-                continue
-            checked += 1
-            if l.join(h[x], l.meet_all(zs)) != l.top:
-                witness = {"x": l.labels[x], "a": l.labels[a], "zs": ",".join(l.labels[z] for z in zs)}
-                break
-        if witness:
-            break
-    entries.append(("june5", Verdict(witness is None, witness, f"maximal families={checked}")))
-
-    witness = None
-    for x in coat:
-        for m in range(l.n):
-            if l.leq(m, x):
-                continue
-            zs = sorted({z for (x2, z, a) in triples if x2 == x and l.leq(m, a)})
-            if zs and l.leq(l.meet_all(zs), x):
-                witness = {"x": l.labels[x], "m": l.labels[m], "zs": ",".join(l.labels[z] for z in zs)}
-                break
-        if witness:
-            break
-    entries.append(("june6", Verdict(witness is None, witness, "family scan over meet lower bounds")))
+    entries.append(scan("june5", "a", ((x, a, 1 << a) for x in coat for a in coat), short_of_top))
+    entries.append(scan("june6", "m", ((x, m, up[m]) for x in coat for m in range(l.n) if not up[m] >> x & 1),
+                        lambda x, meet_zs: up[meet_zs] >> x & 1, "family scan over meet lower bounds"))
     return AxiomReport(tuple(entries))

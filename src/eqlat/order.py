@@ -40,10 +40,6 @@ def iter_bits(mask: int):
         mask ^= low
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def closure(
     table: Sequence[Sequence[int]] | None,
     mask: int,

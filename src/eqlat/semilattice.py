@@ -22,7 +22,7 @@ from .errors import (
     UnknownLabel,
     ZeroNotPreserved,
 )
-from .order import FiniteLattice, FinitePoset, as_lattice, iter_bits, json_list, popcount
+from .order import FiniteLattice, FinitePoset, as_lattice, build_poset, iter_bits, json_list
 
 _MONOID_CAP = 10_000
 # The cached properties of OpSemilattice that read only the carrier.
@@ -134,7 +134,7 @@ class OpSemilattice:
 
     @cached_property
     def _ideals(self) -> tuple["IdealSet", ...]:
-        return tuple(IdealSet(m, self.n) for m in sorted(self.down, key=lambda m: (popcount(m), m)))
+        return tuple(IdealSet(m, self.n) for m in sorted(self.down, key=lambda m: (m.bit_count(), m)))
 
     def reduct(self) -> "OpSemilattice":
         """The same semilattice with all operators removed."""
@@ -222,8 +222,6 @@ def semilattice_from_json(text: str) -> OpSemilattice:
             raise InvariantViolation("joins list does not cover every pair")
         join_table = table
     elif "covers" in data:
-        from .order import build_poset  # local import to keep module load light
-
         poset = build_poset(labels, [(str(lo), str(hi)) for lo, hi in json_list(data, "covers", 2)])
         lat = as_lattice(poset)
         join_table = [list(r) for r in lat.join_table]
@@ -294,7 +292,7 @@ class IdealSet:
 
     @property
     def size(self) -> int:
-        return popcount(self.mask)
+        return self.mask.bit_count()
 
 
 def ideal(s: OpSemilattice, members: int | Iterable[int]) -> IdealSet:
@@ -358,7 +356,7 @@ def all_endomorphisms(s: OpSemilattice) -> tuple[tuple[int, ...], ...]:
     """
     n, jt, up = s.n, s.join_t, s.up
     steps = []
-    for x in sorted(range(n), key=lambda x: popcount(s.down[x]))[1:]:
+    for x in sorted(range(n), key=lambda x: s.down[x].bit_count())[1:]:
         covers = [c for c, y in s.poset.covers if y == x]
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if jt[a][b] == x not in (a, b)]
         steps.append((x, covers, pairs))

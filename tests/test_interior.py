@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -645,6 +646,26 @@ def test_coatom_dependence_failures_are_pinned(name, h, expected):
     assert im in enumerate_eios(l, axioms=_BASIC + ("I5",))
     report = check_coatom_dependence(l, im)
     assert {key: (v.passed, v.witness, v.note) for key, v in report.entries} == expected
+
+
+def test_every_coatom_dependence_report_up_to_seven_elements_is_pinned():
+    # Every I1-I5 map on every lattice of enumerate_semilattices(7); the
+    # digest of the rows was taken before june1, june5 and june6 shared one
+    # family scan over one scope table.
+    rows = []
+    for name, s in named_by_size(enumerate_semilattices(7), "L"):
+        lat = s.lattice
+        rows += [(name, im.h, check_coatom_dependence(lat, im).as_dict())
+                 for im in enumerate_eios(lat, axioms=_BASIC + ("I5",))]
+    assert len(rows) == 1054
+    outcomes = Counter((key, v["passed"]) for *_, report in rows for key, v in report.items())
+    assert {key: n for key, n in outcomes.items() if key[1] is not True} == {
+        ("june1", False): 211, ("june2", False): 270, ("june5", False): 42, ("june6", False): 12,
+        ("june5", None): 224, ("june6", None): 224,
+    }
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "00ca0a16d8930ac97bc52381c363527455b12bfca45f3b8187b85334d6975799"
+    )
 
 
 def test_four_coatom_failure_is_pinned():
