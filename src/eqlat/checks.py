@@ -25,7 +25,7 @@ from .corpus import (
 from .errors import ParamOutOfRange
 from .galois import _filterable_interior, check_filterable, verify_consl
 from .interior import check_axioms, check_bicoatomic, check_coatom_dependence, check_four_coatom
-from .interior import enumerate_eios, natural_eta
+from .interior import Verdict, enumerate_eios, natural_eta
 from .semilattice import all_endomorphisms
 
 _SCAN_MAX_ELEMENTS = 6
@@ -131,48 +131,34 @@ def _scan_carriers():
             for name, s in named_by_size(enumerate_semilattices(_SCAN_MAX_ELEMENTS))]
 
 
+def _rows(check: str, pairs) -> list[CheckOutcome]:
+    """One row per (structure name, Verdict) pair."""
+    return [CheckOutcome(check, name, v.passed, v.witness, v.note) for name, v in pairs]
+
+
 def suite_consl(seed: int = 0) -> list[CheckOutcome]:
     """Congruence/ideal-family duality on every bare semilattice up to six elements."""
-    out = []
-    for name, s, conl in _scan_carriers():
-        res = verify_consl(conl)
-        out.append(CheckOutcome("consl", name, res.passed, res.witness, res.note))
-    return out
+    return _rows("consl", [(name, verify_consl(conl)) for name, s, conl in _scan_carriers()])
 
 
-def _axiom_outcome(check_name: str, structure: str, report, axiom_names) -> CheckOutcome:
-    """One row: the first failing axiom, else the first skipped one, else a pass."""
+def _axiom_verdict(report, axiom_names) -> Verdict:
+    """The first failing axiom, else the first skipped one, else a pass with a lone axiom's note."""
     verdicts = [(ax, report.verdict(ax)) for ax in axiom_names]
     for ax, v in verdicts:
         if v.passed is False:
-            return CheckOutcome(check_name, structure, False, v.witness, f"failing axiom {ax}")
+            return Verdict(False, v.witness, f"failing axiom {ax}")
     for ax, v in verdicts:
         if v.passed is None:
-            return CheckOutcome(check_name, structure, None, None, f"{ax} {v.note}")
-    note = report.verdict("I9").note if check_name == "twelve" else None
-    return CheckOutcome(check_name, structure, True, None, note)
+            return Verdict(None, note=f"{ax} {v.note}")
+    return Verdict(True, None, verdicts[0][1].note if len(verdicts) == 1 else None)
 
 
-def _axiom_suite(check_name: str, axiom_names: tuple[str, ...], seed: int) -> list[CheckOutcome]:
-    return [
-        _axiom_outcome(check_name, name, report, axiom_names)
-        for name, report in _natural_reports(seed)
-    ]
-
-
-def suite_equaint(seed: int = 0) -> list[CheckOutcome]:
-    """The zero-class collapse map passes I1 through I7 on every catalog entry."""
-    return _axiom_suite("equaint", _EQUAINT, seed)
-
-
-def suite_prop(seed: int = 0) -> list[CheckOutcome]:
-    """The zero-class collapse map passes dagger and ddagger on every catalog entry."""
-    return _axiom_suite("prop", ("dagger", "ddagger"), seed)
-
-
-def suite_twelve(seed: int = 0) -> list[CheckOutcome]:
-    """The zero-class collapse map passes I9 on every catalog entry."""
-    return _axiom_suite("twelve", ("I9",), seed)
+def _axiom_suite(check: str, axiom_names: tuple[str, ...]):
+    """The suite giving each natural map's verdict on ``axiom_names``."""
+    def suite(seed: int = 0) -> list[CheckOutcome]:
+        return _rows(check, [(name, _axiom_verdict(report, axiom_names))
+                             for name, report in _natural_reports(seed)])
+    return suite
 
 
 def suite_bicoatom(seed: int = 0) -> list[CheckOutcome]:
@@ -181,55 +167,32 @@ def suite_bicoatom(seed: int = 0) -> list[CheckOutcome]:
     for name, lname, lat, im in _implication_instances():
         k = lattices.get(lname, (lat, 0))[1]
         lattices[lname] = (lat, k + (im.verdict("dagger").passed is True))
-    out = []
+    pairs = []
     for lname, (lat, k) in lattices.items():
         if k == 0:
-            out.append(CheckOutcome("bicoatom", lname, None, None, "skip: no dagger-passing map"))
-            continue
-        res = check_bicoatomic(lat)
-        out.append(CheckOutcome("bicoatom", lname, res.passed, res.witness,
-                                f"dagger-passing maps: {k}"))
-    return out
+            pairs.append((lname, Verdict(None, note="skip: no dagger-passing map")))
+        else:
+            res = check_bicoatomic(lat)
+            pairs.append((lname, Verdict(res.passed, res.witness, f"dagger-passing maps: {k}")))
+    return _rows("bicoatom", pairs)
 
 
 def suite_four_coatom(seed: int = 0) -> list[CheckOutcome]:
     """Dagger-passing interior maps satisfy the four-coatom implication."""
-    out = []
+    pairs = []
     for name, lname, lat, im in _implication_instances():
-        if not im.verdict("dagger").passed:
-            out.append(CheckOutcome("four-coatom", name, None, None, "skip: dagger fails"))
-            continue
-        res = check_four_coatom(lat, im)
-        out.append(CheckOutcome("four-coatom", name, res.passed, res.witness))
-    return out
+        if im.verdict("dagger").passed:
+            pairs.append((name, check_four_coatom(lat, im)))
+        else:
+            pairs.append((name, Verdict(None, note="skip: dagger fails")))
+    return _rows("four-coatom", pairs)
 
 
-def _june_suite(entry_name: str, seed: int) -> list[CheckOutcome]:
-    out = []
-    for name, dep in _dependence_reports():
-        v = dep.verdict(entry_name)
-        out.append(CheckOutcome(entry_name, name, v.passed, v.witness, v.note))
-    return out
-
-
-def suite_june1(seed: int = 0) -> list[CheckOutcome]:
-    """Coatom dependence: the join identity over maximal families."""
-    return _june_suite("june1", seed)
-
-
-def suite_june2(seed: int = 0) -> list[CheckOutcome]:
-    """Coatom dependence: the four per-triple conclusions."""
-    return _june_suite("june2", seed)
-
-
-def suite_june5(seed: int = 0) -> list[CheckOutcome]:
-    """Coatom dependence under I9: per-coatom families share the join identity."""
-    return _june_suite("june5", seed)
-
-
-def suite_june6(seed: int = 0) -> list[CheckOutcome]:
-    """Coatom dependence under I9: meets of witnesses stay off the coatom."""
-    return _june_suite("june6", seed)
+def _june_suite(entry: str):
+    """The suite reading the ``entry`` verdict off each map's coatom-dependence report."""
+    def suite(seed: int = 0) -> list[CheckOutcome]:
+        return _rows(entry, [(name, dep.verdict(entry)) for name, dep in _dependence_reports()])
+    return suite
 
 
 def suite_filterable(seed: int = 0) -> list[CheckOutcome]:
@@ -240,27 +203,26 @@ def suite_filterable(seed: int = 0) -> list[CheckOutcome]:
     induced zero-class collapse map passes I1 through I7. The nine-element
     reconstruction is included as the standing nontrivial example.
     """
-    out = []
     entry = k_lattice()
-    res = check_filterable(entry.extra["ambient"], entry.extra["members"])
-    out.append(CheckOutcome("filterable", entry.name, res.passed, res.witness, res.note))
+    out = _rows("filterable", [(entry.name, check_filterable(entry.extra["ambient"],
+                                                             entry.extra["members"]))])
     for name, s in catalog_for_acceptance(seed):
         if not getattr(s, "operators", ()):
             continue
         res, induced = _filterable_interior(s, all_congruences(s).congruences)
-        out.append(CheckOutcome("filterable", name, res.passed, res.witness, res.note))
         if induced is None:
-            out.append(CheckOutcome("filterable-interior", name, None, None,
-                                    "skip: family is not filterable"))
-            continue
-        lat, im, _ = induced
-        out.append(_axiom_outcome("filterable-interior", name, check_axioms(lat, im), _EQUAINT))
+            induced_verdict = Verdict(None, note="skip: family is not filterable")
+        else:
+            lat, im, _ = induced
+            induced_verdict = _axiom_verdict(check_axioms(lat, im), _EQUAINT)
+        out += _rows("filterable", [(name, res)])
+        out += _rows("filterable-interior", [(name, induced_verdict)])
     return out
 
 
 def suite_simple_scan(seed: int = 0) -> list[CheckOutcome]:
     """Semilattices with one operator and only two congruences have two elements."""
-    out = []
+    pairs = []
     for name, s, conl in _scan_carriers():
         endos = all_endomorphisms(s)
         simple = 0
@@ -270,16 +232,14 @@ def suite_simple_scan(seed: int = 0) -> list[CheckOutcome]:
                 simple += 1
                 if s.n != 2 and witness is None:
                     witness = {"operator": ",".join(s.labels[v] for v in f)}
-        out.append(CheckOutcome(
-            "simple-scan", name, witness is None, witness,
-            f"endomorphisms={len(endos)}, simple instances={simple}",
-        ))
-    return out
+        note = f"endomorphisms={len(endos)}, simple instances={simple}"
+        pairs.append((name, Verdict(witness is None, witness, note)))
+    return _rows("simple-scan", pairs)
 
 
 def suite_coatomistic(seed: int = 0) -> list[CheckOutcome]:
     """Every element of an operator-free congruence lattice is a meet of coatoms."""
-    out = []
+    pairs = []
     for name, s, conl in _scan_carriers():
         lat = conl.lattice
         witness = None
@@ -288,22 +248,28 @@ def suite_coatomistic(seed: int = 0) -> list[CheckOutcome]:
             if lat.meet_all(above) != v:
                 witness = {"element": lat.labels[v]}
                 break
-        out.append(CheckOutcome("coatomistic", name, witness is None, witness,
-                                f"|Con|={lat.n}"))
-    return out
+        pairs.append((name, Verdict(witness is None, witness, f"|Con|={lat.n}")))
+    return _rows("coatomistic", pairs)
 
 
 SUITES = {
     "consl": suite_consl,
-    "equaint": suite_equaint,
-    "prop": suite_prop,
-    "twelve": suite_twelve,
+    # The zero-class collapse map passes I1 through I7 on every catalog entry.
+    "equaint": _axiom_suite("equaint", _EQUAINT),
+    # The zero-class collapse map passes dagger and ddagger on every catalog entry.
+    "prop": _axiom_suite("prop", ("dagger", "ddagger")),
+    # The zero-class collapse map passes I9 on every catalog entry.
+    "twelve": _axiom_suite("twelve", ("I9",)),
     "bicoatom": suite_bicoatom,
     "four-coatom": suite_four_coatom,
-    "june1": suite_june1,
-    "june2": suite_june2,
-    "june5": suite_june5,
-    "june6": suite_june6,
+    # Coatom dependence: the join identity over maximal families.
+    "june1": _june_suite("june1"),
+    # Coatom dependence: the four per-triple conclusions.
+    "june2": _june_suite("june2"),
+    # Coatom dependence under I9: per-coatom families share the join identity.
+    "june5": _june_suite("june5"),
+    # Coatom dependence under I9: meets of witnesses stay off the coatom.
+    "june6": _june_suite("june6"),
     "filterable": suite_filterable,
     "simple-scan": suite_simple_scan,
     "coatomistic": suite_coatomistic,

@@ -612,8 +612,8 @@ def enumerate_eios(
     InteriorMap of each of its leaves, which keeps their verdicts. Maps come
     in the order of their image masks. Raises BudgetExceeded when the search
     visits more than ``max_nodes`` (default ``_EIO_NODE_CAP``) nodes, before
-    any map is built, or when I9 is selected and skipped on its state cap
-    for some candidate.
+    any map is built, or when I9 is selected and skipped for some candidate,
+    on its lattice-size bound (512 elements) or on its state cap.
     """
     ax = frozenset(axioms) if axioms is not None else DEFAULT_EIO_AXIOMS
     unknown = ax - set(AXIOM_NAMES)

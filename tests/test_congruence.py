@@ -589,8 +589,8 @@ def test_natural_reports_walk_each_carrier_once(monkeypatch):
 
 def test_con_scan_suites_build_each_carrier_con_and_ideal_list_once(monkeypatch):
     # simple-scan, coatomistic and consl share one Con per carrier (75 walks
-    # when each suite walked its own), and consl's 982 ideals calls return one
-    # sorted list per carrier (982 sorts when each call sorted). Fresh carriers
+    # when each suite walked its own), and consl's 516 ideals calls return one
+    # sorted list per carrier (516 sorts when each call sorted). Fresh carriers
     # and a fresh shared list, so nothing is cached from other tests.
     fresh = corpus.enumerate_semilattices.__wrapped__(6)
     monkeypatch.setattr(checks, "enumerate_semilattices", lambda _: fresh)
@@ -600,7 +600,7 @@ def test_con_scan_suites_build_each_carrier_con_and_ideal_list_once(monkeypatch)
     monkeypatch.setattr(galois, "ideals", lambda s: lists.append(ideals_of(s)) or lists[-1])
     rows = [o for name in ("consl", "coatomistic", "simple-scan") for o in checks.run_suite(name)]
     assert len(rows) == 75 and checks.all_passed(rows)
-    assert (len(walks), len(lists), len({id(found) for found in lists})) == (25, 982, 25)
+    assert (len(walks), len(lists), len({id(found) for found in lists})) == (25, 516, 25)
 
 
 def test_is_simple_stops_at_the_first_compatible_proper_congruence(monkeypatch):
