@@ -31,20 +31,22 @@ Maps passing I1 to I8 are enumerated by a depth-first search over a linear
 extension that decides which elements enter the image. I5 prunes it where
 an element joins two maximal members of one fiber, read off per-value fiber
 masks into an int mask of tied values; a placement that keeps h(u) leaves
-the masks as they are. With I6 only distributive elements enter. It counts
-its nodes against a cap. In the battery, I2 is decided on cover pairs and
-I5 inside fibers, with the first witness of the full pair scans; I6 per
-image value by the congruence lemma of ``_is_distributive``, scanning rows
-of the meet and join tables only for the witness of the first value that
-fails. dagger and ddagger scan those rows.
+the masks as they are. With I6 only distributive elements enter, each tested
+the first time the search asks. It counts its nodes against a cap. In the
+battery, I2 is decided on cover pairs and I5 inside fibers, with the first
+witness of the full pair scans; I6 per image value by the congruence lemma
+of ``_is_distributive``, scanning rows of the meet and join tables only for
+the witness of the first value that fails. dagger and ddagger scan those rows.
 
 A map is one record, ``_MapData``, of which ``InteriorMap`` is the validated
 kind: tau, its rows and each axiom's verdict are computed on the record the
 first time something reads them and kept there, so the battery, the
-interior-map search and the coatom checks never compute one twice. A
-verdict keeps its witness as element indices and becomes a label dict only
-when read (``verdict``, and so ``AxiomReport``, suite rows, JSON and the
-CLI), so records of structures with equal up rows and h share what they keep
+interior-map search and the coatom checks never compute one twice. A record
+from the search starts with the pass verdicts the search decided, so it is
+trusted; ``InteriorMap`` validates every map from outside. A verdict keeps
+its witness as element indices and becomes a label dict only when read
+(``verdict``, and so ``AxiomReport``, suite rows, JSON and the CLI), so
+records of structures with equal up rows and h share what they keep
 (``natural_eta`` takes the store for its key from the Con it reads).
 """
 
@@ -53,7 +55,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, partial
 from math import isqrt
 
 from .errors import BudgetExceeded, InvariantViolation
@@ -393,6 +395,7 @@ def _plain(fail, note: str | None = None):
     return check
 
 
+_I8_NOTE = "pseudo-one fixed to top; reduces to I4 on a finite carrier"
 _AXIOMS = {
     "I1": _plain(_fail_i1),
     "I2": _plain(_fail_i2),
@@ -401,7 +404,7 @@ _AXIOMS = {
     "I5": _plain(_fail_i5),
     "I6": _plain(_fail_i6),
     "I7": _plain(_fail_i7),
-    "I8": _plain(_fail_i4, "pseudo-one fixed to top; reduces to I4 on a finite carrier"),
+    "I8": _plain(_fail_i4, _I8_NOTE),
     "I9": _check_i9,
     "dagger": _plain(_fail_dagger),
     "ddagger": _plain(_fail_ddagger),
@@ -427,7 +430,7 @@ def check_axioms(l: FiniteLattice, h) -> AxiomReport:
 
 @dataclass(frozen=True)
 class InteriorMap(_MapData):
-    """A unary map passing I1 to I4, with its derived tau and interval blocks."""
+    """A unary map passing I1 to I4 (computed unless its store holds them), with tau and interval blocks."""
 
     def __post_init__(self) -> None:
         n, hv = self.lattice.n, self.h
@@ -503,16 +506,6 @@ def _is_distributive(l: FiniteLattice, d: int) -> bool:
     )
 
 
-def _distributive_elements(l: FiniteLattice) -> int:
-    """Mask of the distributive elements, the points an I6 image may use.
-
-    They are closed under joins,
-    (d v e) v (y ^ z) = d v ((e v y) ^ (e v z)) = (d v e v y) ^ (d v e v z),
-    so an element the interior-map search forces into the image is one too.
-    """
-    return sum(1 << d for d in range(l.n) if _is_distributive(l, d))
-
-
 def _search_maps(l: FiniteLattice, i5: bool, i6: bool, cap: int) -> list[tuple[int, ...]]:
     """Every map passing I1 to I4 and I7 (and I5, I6 when asked), by image mask.
 
@@ -520,7 +513,11 @@ def _search_maps(l: FiniteLattice, i5: bool, i6: bool, cap: int) -> list[tuple[i
     each x, v is the join of h over the lower covers of x (x itself at the
     bottom). When v = x, x is forced into the image, which keeps the image
     join-closed; the top is always in it (I4). Otherwise h(x) is v, or x
-    when x may enter the image: with I6 only a distributive x may. With I5
+    when x may enter the image: with I6 only a distributive x may, tested
+    the first time a branch asks and kept for the rest of the call. A forced
+    x needs no test: distributive elements are closed under joins,
+    (d v e) v (y ^ z) = d v ((e v y) ^ (e v z)) = (d v e v y) ^ (d v e v z),
+    so an x forced as the join of image points is one too. With I5
     x is tested as it is placed: a tie h(y) = h(z) = w on incomparable y, z
     with y v z = x must have h(x) = w, and as w <= y < x that means w = v.
     ``fiber[w]`` masks by extension position the elements h sends to w;
@@ -535,7 +532,7 @@ def _search_maps(l: FiniteLattice, i5: bool, i6: bool, cap: int) -> list[tuple[i
     more than ``cap`` of them raise BudgetExceeded.
     """
     n, join, down, top = l.n, l.join_table, l.down, l.top
-    free = _distributive_elements(l) if i6 else (1 << n) - 1
+    free = cache(partial(_is_distributive, l)) if i6 else lambda x: True
     order = sorted(range(n), key=lambda x: down[x].bit_count())
     pos = {x: k for k, x in enumerate(order)}
     pdown = [sum(1 << pos[y] for y in iter_bits(down[x])) for x in order]
@@ -590,7 +587,7 @@ def _search_maps(l: FiniteLattice, i5: bool, i6: bool, cap: int) -> list[tuple[i
                 stack.append((k + 1, x))
         elif not tied:
             stack.append((k + 1, v))
-            if free >> x & 1:
+            if free(x):
                 stack.append((k + 1, x))
         elif tied == 1 << v:
             stack.append((k + 1, v))
@@ -607,13 +604,15 @@ def enumerate_eios(
     Maps passing I1 to I4 are exactly x -> (largest image member below x)
     for the join-closed image sets holding the top, so I1 to I4 must be in
     the selection. ``_search_maps`` finds them by a depth-first search,
-    pruned on I5 and with only distributive image points under I6; the
-    other selected axioms (I9, dagger, ddagger) are checked on the
-    InteriorMap of each of its leaves, which keeps their verdicts. Maps come
-    in the order of their image masks. Raises BudgetExceeded when the search
-    visits more than ``max_nodes`` (default ``_EIO_NODE_CAP``) nodes, before
-    any map is built, or when I9 is selected and skipped for some candidate,
-    on its lattice-size bound (512 elements) or on its state cap.
+    pruned on I5 and with only distributive image points under I6. Each
+    leaf's InteriorMap starts with the registry's pass verdicts of the
+    selected axioms the search decided, so it re-decides none; the other
+    selected axioms (I9, dagger, ddagger) are checked on the InteriorMap of
+    each of its leaves, which keeps their verdicts. Maps come in the order
+    of their image masks. Raises BudgetExceeded when the search visits more
+    than ``max_nodes`` (default ``_EIO_NODE_CAP``) nodes, before any map is
+    built, or when I9 is selected and skipped for some candidate, on its
+    lattice-size bound (512 elements) or on its state cap.
     """
     ax = frozenset(axioms) if axioms is not None else DEFAULT_EIO_AXIOMS
     unknown = ax - set(AXIOM_NAMES)
@@ -622,8 +621,9 @@ def enumerate_eios(
     if not set(_BASIC_AXIOMS) <= ax:
         raise InvariantViolation("image-based enumeration requires axioms I1 through I4")
     extra = [name for name in AXIOM_NAMES if name in ax - _DECIDED_BY_SEARCH]
+    decided = {a: Verdict(True, None, _I8_NOTE if a == "I8" else None) for a in _DECIDED_BY_SEARCH & ax}
     cap = _EIO_NODE_CAP if max_nodes is None else max_nodes
-    maps = (InteriorMap(l, h) for h in _search_maps(l, "I5" in ax, "I6" in ax, cap))
+    maps = (InteriorMap(l, h, dict(decided)) for h in _search_maps(l, "I5" in ax, "I6" in ax, cap))
     return tuple(im for im in maps if all(im.holds(name) for name in extra))
 
 

@@ -83,8 +83,9 @@ def test_enumeration_budget_guard():
 
 
 def test_the_distributive_filter_does_not_stall_a_large_search():
-    # The I6 filter runs before the first search node; on a 500-element
-    # chain an O(n^3) filter kept the node cap from tripping for seconds.
+    # The I6 filter runs inside the search, once per element it asks about;
+    # on a 500-element chain an O(n^3) filter kept the node cap from
+    # tripping for seconds.
     n = 500
     full = (1 << n) - 1
     up = tuple(full ^ ((1 << i) - 1) for i in range(n))
@@ -151,6 +152,47 @@ def test_search_maps_of_m2_4_are_pinned():
     maps = [im.as_label_map() for im in enumerate_eios(m2(4).structure)]
     assert len(maps) == 485
     assert hashlib.sha256(json.dumps(maps).encode()).hexdigest() == M2_4_LABEL_MAPS_DIGEST
+
+
+def test_search_leaves_hold_the_registry_verdicts_the_search_decided():
+    lattices = [s.lattice for s in enumerate_semilattices(7)] + [boolean(3).structure.lattice]
+    cases = [(l, axioms) for l in lattices for axioms in (_BASIC, _BASIC + ("I5",), _BASIC + ("I6",), None)]
+    # m2(3) has 134,364 maps passing I1 to I4; p1(2)'s search passes the
+    # default node cap unless I6 prunes it.
+    cases += [(m2(3).structure, axioms) for axioms in (_BASIC + ("I5",), _BASIC + ("I6",), None)]
+    cases += [(p1(2).structure, axioms) for axioms in (_BASIC + ("I6",), None)]
+    for l, axioms in cases:
+        decided = interior._DECIDED_BY_SEARCH & frozenset(axioms or DEFAULT_EIO_AXIOMS)
+        for im in enumerate_eios(l, axioms):
+            stored = {name: v for name, v in im._store.items() if name in interior._AXIOMS}
+            assert stored.keys() == decided, (l.labels, axioms, im.h)
+            for name, v in stored.items():
+                assert v == interior._AXIOMS[name](interior._MapData(im.lattice, im.h)), (name, im.h)
+
+
+def test_search_leaves_re_decide_nothing(monkeypatch):
+    def refuse(m):
+        raise AssertionError("a search leaf re-decided an axiom")
+
+    for name in interior._DECIDED_BY_SEARCH:
+        monkeypatch.setitem(interior._AXIOMS, name, refuse)
+    maps = [im.as_label_map() for im in enumerate_eios(m2(4).structure)]
+    assert len(maps) == 485
+    assert hashlib.sha256(json.dumps(maps).encode()).hexdigest() == M2_4_LABEL_MAPS_DIGEST
+
+
+def test_the_search_tests_an_i6_point_only_when_a_branch_asks(monkeypatch):
+    # p1(3) has 146 elements and m2(4) 49; a forced image point is a join
+    # of distributive ones, so it needs no test.
+    asked = []
+    is_distributive = interior._is_distributive
+    monkeypatch.setattr(interior, "_is_distributive", lambda l, d: asked.append(d) or is_distributive(l, d))
+    with pytest.raises(SearchBudgetExceeded):
+        enumerate_eios(p1(3).structure, max_nodes=16384)
+    assert (len(asked), len(set(asked))) == (49, 49)
+    asked.clear()
+    enumerate_eios(m2(4).structure)
+    assert (len(asked), len(set(asked))) == (21, 21)
 
 
 def _glued_chains(k):
@@ -331,7 +373,8 @@ def test_distributive_elements_match_the_pair_scan():
     truncations += [p1(k) for k in range(1, 4)] + [k_lattice()]
     lattices += [getattr(e.structure, "lattice", e.structure) for e in truncations]
     for l in lattices:
-        assert interior._distributive_elements(l) == oracles.oracle_distributive_elements(l)
+        mask = sum(1 << d for d in range(l.n) if interior._is_distributive(l, d))
+        assert mask == oracles.oracle_distributive_elements(l)
 
 
 def test_natural_map_builds_the_closure_system_once(monkeypatch):
