@@ -32,7 +32,7 @@ from .congruence import (
 )
 from .corpus import (
     Catalog,
-    CheckResult,
+    CheckOutcome,
     Claim,
     CorpusEntry,
     boolean,
@@ -47,7 +47,7 @@ from .corpus import (
     p1,
     run_claims,
 )
-from .checks import CheckOutcome, SUITES, all_passed, catalog_for_acceptance, run_suite
+from .checks import SUITES, all_passed, catalog_for_acceptance, run_suite
 from .errors import (
     BudgetExceeded,
     CycleError,

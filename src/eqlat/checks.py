@@ -9,12 +9,11 @@ when no row failed (skips do not count as failures).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from functools import cache
 
 from .congruence import _Batch, _simple_over, all_congruences
 from .corpus import (
+    CheckOutcome,
     boolean,
     enumerate_semilattices,
     generate_catalog,
@@ -30,32 +29,6 @@ from .semilattice import all_endomorphisms
 
 _SCAN_MAX_ELEMENTS = 6
 _EQUAINT = ("I1", "I2", "I3", "I4", "I5", "I6", "I7")
-
-
-@dataclass(frozen=True)
-class CheckOutcome:
-    check: str
-    structure: str
-    passed: bool | None
-    witness: dict | None = None
-    note: str | None = None
-
-    @property
-    def verdict(self) -> str:
-        if self.passed is None:
-            return "skip"
-        return "pass" if self.passed else "fail"
-
-    def as_dict(self) -> dict:
-        out: dict = {"check": self.check, "structure": self.structure, "verdict": self.verdict}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.note is not None:
-            out["note"] = self.note
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())
 
 
 def all_passed(outcomes) -> bool:
@@ -201,15 +174,17 @@ def suite_filterable(seed: int = 0) -> list[CheckOutcome]:
     For every decorated catalog entry: the operator-respecting congruences
     form a filterable sublattice of the reduct congruence lattice, and the
     induced zero-class collapse map passes I1 through I7. The nine-element
-    reconstruction is included as the standing nontrivial example.
+    reconstruction is included as the standing nontrivial example. One
+    ``_Batch`` reads each entry's Con off its carrier's.
     """
     entry = k_lattice()
     out = _rows("filterable", [(entry.name, check_filterable(entry.extra["ambient"],
                                                              entry.extra["members"]))])
+    batch = _Batch()
     for name, s in catalog_for_acceptance(seed):
         if not getattr(s, "operators", ()):
             continue
-        res, induced = _filterable_interior(s, all_congruences(s).congruences)
+        res, induced = _filterable_interior(s, batch.con(s).congruences)
         if induced is None:
             induced_verdict = Verdict(None, note="skip: family is not filterable")
         else:

@@ -12,9 +12,9 @@ Subcommands:
 * ``corpus NAME``         build a named structure and re-check its claims
 * ``export TARGET``       emit a corpus structure or input file as DOT/JSON
 
-Exit codes: 0 all checks pass, 1 a check failed (JSON report on stdout),
-2 usage or input error (message on stderr), 3 internal error (traceback on
-stderr).
+Exit codes: 0 no check failed (a skip is not a failure), 1 a check failed
+(JSON report on stdout), 2 usage or input error (message on stderr), 3
+internal error (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def _cmd_corpus(args) -> int:
         "claims": [r.as_dict() for r in results],
     }
     _emit(json.dumps(payload, indent=2), args.out)
-    return 0 if all(r.passed for r in results) else 1
+    return 0 if all_passed(results) else 1
 
 
 def _cmd_export(args) -> int:

@@ -6,14 +6,17 @@ operator, three finite truncations of infinite meet-semilattice families
 congruence sublattice generated inside the congruence lattice of the
 three-atom Boolean semilattice.
 
-``generate_catalog`` enumerates every join-semilattice with zero up to a
-size bound, one representative per isomorphism class, optionally decorated
-with operator sets.
+``run_claims`` re-checks an entry's claims as ``CheckOutcome`` rows, the
+row type of the suites in ``eqlat.checks``: a search skipped on its budget
+is a skip, never a pass. ``generate_catalog`` enumerates every
+join-semilattice with zero up to a size bound, one representative per
+isomorphism class, optionally decorated with operator sets.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from dataclasses import dataclass, field
 from functools import cache
@@ -55,21 +58,40 @@ class Claim:
 
 
 @dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one claim of a corpus entry, as ``run_claims`` reports it."""
+class CheckOutcome:
+    """One verdict row: a suite outcome, or a claim of a corpus entry.
 
-    name: str
-    passed: bool
-    witness: dict[str, str] | None = None
+    ``passed`` is None when the check did not run, and ``note`` says why.
+    """
+
+    check: str
+    structure: str
+    passed: bool | None
+    witness: dict | None = None
     note: str | None = None
 
+    @property
+    def name(self) -> str:
+        # An older name for ``check``; it stays while the benchmark harness
+        # (``bench/workload.py``) reads it on corpus rows.
+        return self.check
+
+    @property
+    def verdict(self) -> str:
+        if self.passed is None:
+            return "skip"
+        return "pass" if self.passed else "fail"
+
     def as_dict(self) -> dict:
-        out: dict = {"check": self.name, "passed": self.passed}
+        out: dict = {"check": self.check, "structure": self.structure, "verdict": self.verdict}
         if self.witness is not None:
             out["witness"] = self.witness
         if self.note is not None:
             out["note"] = self.note
         return out
+
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict())
 
 
 @dataclass
@@ -152,10 +174,12 @@ def _evaluate_claim(entry: CorpusEntry, op: str, memo: dict):
 _EVIDENCE_CAP = 1 << 14
 
 
-def run_claims(entry: CorpusEntry) -> tuple[CheckResult, ...]:
-    """Evaluate every claim; non-assertive claims pass and report the observation.
+def run_claims(entry: CorpusEntry) -> tuple[CheckOutcome, ...]:
+    """One row per claim: asserted claims pass or fail, observations report what they saw.
 
-    The entry's Con lattice and its interior-map search run at most once per call.
+    A non-assertive claim passes with its observation in the note, or is a
+    skip (``passed`` None) when its search blew the evidence cap. The
+    entry's Con lattice and its interior-map search run at most once per call.
     """
     results = []
     memo: dict = {}
@@ -164,15 +188,15 @@ def run_claims(entry: CorpusEntry) -> tuple[CheckResult, ...]:
             observed = _evaluate_claim(entry, claim.op, memo)
             ok = observed == claim.expected
             witness = None if ok else {"observed": repr(observed), "expected": repr(claim.expected)}
-            results.append(CheckResult(claim.op, ok, witness))
+            results.append(CheckOutcome(claim.op, entry.name, ok, witness))
             continue
         try:
             observed = _evaluate_claim(entry, claim.op, memo)
         except BudgetExceeded as exc:
-            note = f"evidence search skipped: {exc}"
+            passed, note = None, f"evidence search skipped: {exc}"
         else:
-            note = f"observed={observed!r}; finite-truncation evidence, not asserted"
-        results.append(CheckResult(claim.op, True, None, note))
+            passed, note = True, f"observed={observed!r}; finite-truncation evidence, not asserted"
+        results.append(CheckOutcome(claim.op, entry.name, passed, None, note))
     return tuple(results)
 
 
@@ -531,9 +555,6 @@ class Catalog:
 
     def __iter__(self):
         return iter(zip(self.names, self.entries))
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 # A base with more endomorphisms than this gets a seeded sample of them as

@@ -290,10 +290,6 @@ class IdealSet:
     def __contains__(self, i: int) -> bool:
         return bool((self.mask >> i) & 1)
 
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
 
 def ideal(s: OpSemilattice, members: int | Iterable[int]) -> IdealSet:
     """Validate and wrap an ideal given as a mask or an iterable of indices.

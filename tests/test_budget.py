@@ -27,8 +27,8 @@ from eqlat.semilattice import operator_monoid
 def _evidence(entry) -> None:
     """run_claims as a search: an evidence note reporting a blown cap is raised."""
     for r in run_claims(entry):
-        assert r.passed
         skipped = re.fullmatch(r"evidence search skipped: more than (\d+) (.+) exceed cap \1", r.note or "")
+        assert r.passed is (None if skipped else True), r
         if skipped:
             raise BudgetExceeded(skipped[2], int(skipped[1]))
         assert r.note is None or r.note.startswith("observed="), r.note

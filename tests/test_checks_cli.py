@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -17,7 +18,7 @@ from eqlat.checks import (
 )
 from eqlat.cli import main
 from eqlat.congruence import all_congruences, make_congruence
-from eqlat.corpus import boolean
+from eqlat.corpus import Claim, boolean, build_named
 from eqlat.errors import ParamOutOfRange
 from eqlat.interior import check_axioms, natural_eta
 
@@ -209,7 +210,7 @@ def test_cli_verify_filterable_reports_a_family_that_is_not_filterable(monkeypat
     s = b3.with_operators([("id", tuple(range(8)))])
     family = [make_congruence(b3, [[0], list(range(1, 8))]), make_congruence(b3, [list(range(8))])]
     monkeypatch.setattr(checks, "catalog_for_acceptance", lambda seed=0: [("B3+id", s)])
-    monkeypatch.setattr(checks, "all_congruences", lambda _: SimpleNamespace(congruences=family))
+    monkeypatch.setattr(checks._Batch, "con", lambda self, _: SimpleNamespace(congruences=family))
     assert main(["verify", "filterable"]) == 1
     rows = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
     assert rows[1:3] == [
@@ -229,7 +230,31 @@ def test_cli_corpus_reports_claims(capsys):
     assert main(["corpus", "omega", "--n", "3"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["name"] == "omega(3)" or data["name"].startswith("omega")
-    assert all(c["passed"] for c in data["claims"])
+    assert all(c["verdict"] == "pass" for c in data["claims"])
+
+
+def test_cli_corpus_reports_a_budget_skipped_search_as_a_skip(capsys):
+    assert main(["corpus", "p1", "--n", "3"]) == 0
+    rows = {c["check"]: c for c in json.loads(capsys.readouterr().out)["claims"]}
+    assert rows["element_count"]["verdict"] == "pass"
+    for check in ("eio_count", "eio_i9_all"):
+        assert rows[check] == {
+            "check": check, "structure": "p1(3)", "verdict": "skip",
+            "note": "evidence search skipped: more than 16384 search nodes exceed cap 16384",
+        }
+
+
+def test_cli_corpus_exits_1_on_a_failing_claim(monkeypatch, capsys):
+    def wrong_count(name, n=None):
+        entry = build_named(name, n)
+        return replace(entry, claims=(Claim("element_count", entry.structure.n + 1),) + entry.claims[1:])
+
+    monkeypatch.setattr(cli, "build_named", wrong_count)
+    assert main(["corpus", "omega", "--n", "3"]) == 1
+    claims = json.loads(capsys.readouterr().out)["claims"]
+    assert claims[0] == {"check": "element_count", "structure": "omega(3)", "verdict": "fail",
+                         "witness": {"observed": "4", "expected": "5"}}
+    assert [c["verdict"] for c in claims[1:]] == ["pass", "pass", "pass"]
 
 
 def test_cli_corpus_requires_parameter(capsys):

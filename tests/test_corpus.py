@@ -133,6 +133,11 @@ def test_catalog_rejects_bad_parameters():
         generate_catalog(3, max_operators=-1)
 
 
+def _settled(result):
+    """The ``passed`` a claim row must read: None on a budget-skipped search, else True."""
+    return None if (result.note or "").startswith("evidence search skipped") else True
+
+
 @pytest.mark.parametrize(
     "name,params",
     [("boolean", range(0, 6)), ("chain", range(0, 13)), ("omega", range(1, 11)),
@@ -142,7 +147,7 @@ def test_all_parameterized_builders_verify_their_claims(name, params):
     for n in params:
         entry = build_named(name, n)
         for result in run_claims(entry):
-            assert result.passed, (name, n, result)
+            assert result.passed is _settled(result), (name, n, result)
 
 
 def test_reconstruction_entry_claims(k_entry):
@@ -171,7 +176,7 @@ def test_truncation_flags_and_evidence_notes():
 def test_oversized_truncation_evidence_is_skipped_not_crashed():
     entry = p1(3)
     results = run_claims(entry)
-    assert all(r.passed for r in results)
+    assert all(r.passed is _settled(r) for r in results)
     assert any("evidence search skipped" in (r.note or "") for r in results)
 
 
@@ -180,15 +185,15 @@ def test_truncation_evidence_within_the_cap_is_observed():
         (m_infinity(4), 1, True), (m_infinity(5), 1, True), (m2(3), 22, False), (p1(2), 29, False),
     )
     for entry, count, i9_all in cases:
-        notes = {r.name: r.note for r in run_claims(entry)}
+        notes = {r.check: r.note for r in run_claims(entry)}
         assert notes["eio_count"].startswith(f"observed={count};"), entry.name
         assert notes["eio_i9_all"].startswith(f"observed={i9_all};"), entry.name
 
 
 def test_i9_evidence_past_the_state_cap_is_skipped_not_false(monkeypatch):
     monkeypatch.setattr(interior, "_I9_STATE_CAP", 1)
-    result = {r.name: r for r in run_claims(m2(2))}["eio_i9_all"]
-    assert result.passed
+    result = {r.check: r for r in run_claims(m2(2))}["eio_i9_all"]
+    assert result.passed is None
     assert result.note.startswith("evidence search skipped") and "exceed cap" in result.note
 
 
@@ -218,7 +223,7 @@ def test_run_claims_builds_each_search_once(monkeypatch):
     # with the same note after one search.
     monkeypatch.setattr(corpus, "_EVIDENCE_CAP", 1)
     eios.clear()
-    notes = [r.note for r in run_claims(m2(2)) if r.name != "element_count"]
+    notes = [r.note for r in run_claims(m2(2)) if r.check != "element_count"]
     assert len(eios) == 1
     assert len(notes) == 2 and notes[0] == notes[1]
     assert notes[0].startswith("evidence search skipped: more than 1 search nodes")
