@@ -22,7 +22,7 @@ closed set T (``_closed_of``; ``_congruence_of`` inverts it); the least with
 that 0-class has T = up(t) and the greatest (``tau``) T = closure({t, top}).
 
 One ``_Batch`` shares a suite call's Con work: each Con(S, F) read off its
-carrier's walk, Con's tables, and the battery stores each Con carries along.
+carrier's walk, and the battery stores each Con carries along.
 
 Validity is decided by union-find: an input is valid iff it equals what
 its own pairs generate. A partition is a congruence iff generating from its
@@ -41,7 +41,7 @@ from itertools import compress
 from typing import NoReturn
 
 from .errors import BudgetExceeded, InvariantViolation
-from .order import FiniteLattice, _lattice_of, closed_sets, closure, iter_bits
+from .order import FiniteLattice, closed_sets, closure, iter_bits, lattice_of
 from .semilattice import IdealSet, OpSemilattice, ideal
 
 # One cap for the congruence family, shared by its three views (Con, Don, Eon).
@@ -189,9 +189,18 @@ def _extend(s: OpSemilattice, rep: Sequence[int], pairs: Iterable[tuple[int, int
     return _roots(parent)
 
 
+def _index_pairs(s: OpSemilattice, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """``pairs`` as a list; InvariantViolation names the first that is not two element indices."""
+    pairs = list(pairs)
+    for p in pairs:
+        if len(p) != 2 or not all(isinstance(x, int) and x in range(s.n) for x in p):
+            raise InvariantViolation(f"pair {p!r} is not two element indices")
+    return pairs
+
+
 def congruence_generated(s: OpSemilattice, pairs: Iterable[tuple[int, int]]) -> Congruence:
     """Least congruence relating every given pair."""
-    return Congruence(_extend(s, range(s.n), pairs))
+    return Congruence(_extend(s, range(s.n), _index_pairs(s, pairs)))
 
 
 def join_congruences(s: OpSemilattice, a: Congruence, b: Congruence) -> Congruence:
@@ -200,6 +209,8 @@ def join_congruences(s: OpSemilattice, a: Congruence, b: Congruence) -> Congruen
     If x = z0, z1, ..., zk = y alternate a- and b-related steps, so do
     z0 + w, ..., zk + w and f(z0), ..., f(zk); the partition join is compatible.
     """
+    if a.n != s.n or b.n != s.n:
+        raise InvariantViolation(f"congruences are given on {a.n} and {b.n} elements, not {s.n}")
     parent = list(a.rep)
     for i, r in enumerate(b.rep):
         _union(parent, r, i)
@@ -208,6 +219,8 @@ def join_congruences(s: OpSemilattice, a: Congruence, b: Congruence) -> Congruen
 
 def meet_congruences(a: Congruence, b: Congruence) -> Congruence:
     """Common refinement (block intersection)."""
+    if a.n != b.n:
+        raise InvariantViolation(f"congruences are given on {a.n} and {b.n} elements")
     first: dict[tuple[int, int], int] = {}
     return Congruence(tuple(map(first.setdefault, zip(a.rep, b.rep), range(a.n))))
 
@@ -339,13 +352,12 @@ class _Batch:
     """The Con work that the structures of one suite call share; nothing keeps it after the call.
 
     ``carriers`` keeps, per join table, the carrier's ``_walk`` and columns
-    ``has`` (the indices whose T holds x); ``tables`` the Con tables per up
-    rows (``order._lattice_of``); ``stores`` one battery store per (up rows,
-    eta), which every Con built here carries as ``_stores``.
+    ``has`` (the indices whose T holds x); ``stores`` one battery store per
+    (up rows, eta), which every Con built here carries as ``_stores``.
     """
 
     def __init__(self) -> None:
-        self.carriers, self.tables, self.stores = {}, {}, {}
+        self.carriers, self.stores = {}, {}
 
     def con(self, s: OpSemilattice) -> CongruenceLattice:
         """Con(s), read off its carrier's walk.
@@ -374,9 +386,9 @@ class _Batch:
         return self.lattice(s, _cross_checked(s, ordered) if s.operators else ordered, closed, least, rows)
 
     def lattice(self, s: OpSemilattice, ordered, closed, least, rows) -> CongruenceLattice:
-        """Con on a walk's output; lattices with equal up rows share the tables kept in ``tables``."""
+        """Con on a walk's output."""
         masks = [((1 << s.n) - 1) & ~t for t in closed]
-        lattice = _lattice_of(lambda: [c.block_string(s) for c in ordered], masks, self.tables)
+        lattice = lattice_of(lambda: [c.block_string(s) for c in ordered], masks)
         return CongruenceLattice(s, ordered, lattice, closed, least, rows, self.stores)
 
 
@@ -537,12 +549,12 @@ def don_of_eon(s: OpSemilattice, rel: OrderedRelation) -> OrderedRelation:
 def don_generated(s: OpSemilattice, pairs: Iterable[tuple[int, int]]) -> OrderedRelation:
     """Least don relation holding every pair; a R b iff a ~ a + b, so it is don_of Cg(a, a + b)."""
     jt = s.join_t
-    return don_of(s, congruence_generated(s, [(a, jt[a][b]) for a, b in pairs]))
+    return don_of(s, congruence_generated(s, [(a, jt[a][b]) for a, b in _index_pairs(s, pairs)]))
 
 
 def eon_generated(s: OpSemilattice, pairs: Iterable[tuple[int, int]]) -> OrderedRelation:
     """Least eon relation holding every pair a <= b: the eon view of Cg(pairs)."""
-    pairs = list(pairs)
+    pairs = _index_pairs(s, pairs)
     if not all(s.leq(a, b) for a, b in pairs):
         raise InvariantViolation("eon generators must satisfy a <= b")
     return _eon_of(s, congruence_generated(s, pairs))
@@ -564,7 +576,7 @@ def all_eon(s: OpSemilattice) -> tuple[OrderedRelation, ...]:
 
 def quotient(s: OpSemilattice, theta: Congruence) -> OpSemilattice:
     """The quotient semilattice; classes become elements labeled by their members."""
-    classes = theta.classes()
+    classes = make_congruence(s, theta.rep).classes()
     class_of = {}
     for k, cls in enumerate(classes):
         for m in cls:

@@ -237,10 +237,8 @@ def chain(n: int) -> CorpusEntry:
     labels = [str(i) for i in range(n + 1)]
     table = [[max(i, j) for j in range(n + 1)] for i in range(n + 1)]
     s = from_join_table(labels, table, 0)
-    claims = [Claim("element_count", n + 1)]
-    if n <= 6:
-        claims.append(Claim("congruence_count", 1 << n))
-    return CorpusEntry(f"chain({n})", s, tuple(claims))
+    claims = (Claim("element_count", n + 1), Claim("congruence_count", 1 << n))
+    return CorpusEntry(f"chain({n})", s, claims)
 
 
 def omega(n: int) -> CorpusEntry:

@@ -98,7 +98,9 @@ def algebraic_subsets(l: FiniteLattice) -> AlgebraicSubsetFamily:
 def _ideal_mask_of(item) -> int:
     if isinstance(item, IdealSet):
         return item.mask
-    return int(item)
+    if not isinstance(item, int):
+        raise InvariantViolation(f"family member {item!r} is neither an IdealSet nor a mask")
+    return item
 
 
 def galois_h(s: OpSemilattice, theta: Congruence) -> tuple[IdealSet, ...]:
@@ -347,13 +349,16 @@ def _sublattice(
 
     Members (Congruence objects, rep vectors or block lists) are validated as
     reduct congruences, deduplicated and sorted coarsest-last by (-block_count,
-    rep). Raises InvariantViolation unless the family is closed under meet
-    (meet-closure of T_a | T_b) and join (T_a & T_b). ``collapse[i]`` indexes
+    rep). Raises InvariantViolation on an empty family, and unless the family
+    is closed under meet (meet-closure of T_a | T_b) and join (T_a & T_b).
+    ``collapse[i]`` indexes
     eta of member i, T = up(t) for the top t of its 0-class; None off the
     family. The verdict is ``check_filterable``'s.
     """
     reduct = s.reduct()
     parsed = [make_congruence(reduct, t.rep if isinstance(t, Congruence) else t) for t in family]
+    if not parsed:
+        raise InvariantViolation("empty family")
     members = tuple(sorted({t.rep: t for t in parsed}.values(), key=lambda t: (-t.block_count, t.rep)))
     closed = [_closed_of(reduct, t) for t in members]
     index = {c: i for i, c in enumerate(closed)}

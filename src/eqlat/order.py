@@ -14,8 +14,11 @@ Conventions
   enumerates every closed mask (Close-by-One) and serves every subset search,
   the congruence lattice included
 * ``lattice_of`` is the one way the package builds a lattice from its own
-  masks, ordered by containment, its labels built when first read;
-  ``as_lattice`` reads posets from outside (``FinitePoset``, ``build_poset``, JSON)
+  masks, ordered by containment, its labels built when first read
+* ``as_lattice`` is the one table builder, and it validates posets from
+  outside (``FinitePoset``, ``build_poset``, JSON); a ``FiniteLattice`` holds
+  its poset alone and calls ``as_lattice`` on it the first time its tables,
+  bottom or top are read
 * ``canonical_key`` is the one isomorphism test: equal keys, isomorphic
   join-semilattices with zero
 """
@@ -109,21 +112,19 @@ def set_label(labels: Sequence[str], mask: int) -> str:
     return "{" + ",".join(labels[i] for i in iter_bits(mask)) + "}"
 
 
-class _LabelsOnFirstRead:
-    """Builds the labels that ``lattice_of`` was given as a function, the first time they are read."""
-
-    def __get__(self, poset, owner=None):
-        if poset is None:  # read on the class: the dataclass field gets no default
-            raise AttributeError("labels")
-        return poset.__dict__.setdefault("labels", tuple(poset.__dict__.pop("_labels_of")()))
-
-
 @dataclass(frozen=True)
 class FinitePoset:
     """A finite partial order: labels plus an up-set bitmask per element."""
 
-    labels: tuple[str, ...] = _LabelsOnFirstRead()
+    labels: tuple[str, ...]
     up: tuple[int, ...]
+
+    def __getattr__(self, name: str):
+        """Builds the labels that ``lattice_of`` left unset, the first time they are read."""
+        if name != "labels" or "_labels_of" not in self.__dict__:
+            raise AttributeError(name)
+        labels = self.__dict__["labels"] = tuple(self.__dict__.pop("_labels_of")())
+        return labels
 
     def __post_init__(self) -> None:
         n = len(self.labels)
@@ -223,13 +224,16 @@ def build_poset(labels: Sequence[str], covers: Iterable[tuple[str, str]]) -> Fin
 
 @dataclass(frozen=True)
 class FiniteLattice:
-    """A finite lattice: a poset together with total meet and join tables."""
+    """A finite lattice: a poset, with its meet and join tables, bottom and top built on first read."""
 
     poset: FinitePoset
-    meet_table: tuple[tuple[int, ...], ...]
-    join_table: tuple[tuple[int, ...], ...]
-    bottom: int
-    top: int
+
+    def __getattr__(self, name: str):
+        """Fills the tables, bottom and top from ``as_lattice`` the first time one of them is read."""
+        if name not in ("meet_table", "join_table", "bottom", "top"):
+            raise AttributeError(name)
+        self.__dict__.update(as_lattice(self.poset).__dict__)
+        return self.__dict__[name]
 
     @property
     def n(self) -> int:
@@ -301,7 +305,9 @@ def as_lattice(poset: FinitePoset) -> FiniteLattice:
                 if table[i][j] is None:
                     raise NotALattice(f"no {kind} for {poset.labels[i]!r}, {poset.labels[j]!r}")
     full = (1 << poset.n) - 1
-    return FiniteLattice(poset, meet, join, by_up[full], by_down[full])
+    lat = FiniteLattice(poset)
+    lat.__dict__.update(meet_table=meet, join_table=join, bottom=by_up[full], top=by_down[full])
+    return lat
 
 
 def lattice_of(labels: Callable[[], Sequence[str]], masks: Sequence[int]) -> FiniteLattice:
@@ -312,11 +318,6 @@ def lattice_of(labels: Callable[[], Sequence[str]], masks: Sequence[int]) -> Fin
     per mask; it runs the first time something reads them. Column k holds the
     masks with bit k: up[i] meets the columns of masks[i]'s bits, down[i] avoids the rest.
     """
-    return _lattice_of(labels, masks, {})
-
-
-def _lattice_of(labels: Callable[[], Sequence[str]], masks: Sequence[int], tables: dict) -> FiniteLattice:
-    """``lattice_of``; lattices with equal up rows share the tables kept in ``tables`` (never a lattice)."""
     masks, n = tuple(masks), len(masks)
     if not n or len(set(masks)) != n:
         raise InvariantViolation("masks must be distinct, and at least one")
@@ -330,11 +331,7 @@ def _lattice_of(labels: Callable[[], Sequence[str]], masks: Sequence[int], table
                 down[i] &= ~column
     poset = object.__new__(FinitePoset)
     poset.__dict__.update(_labels_of=labels, up=tuple(up), down=tuple(down))
-    if poset.up in tables:
-        return FiniteLattice(poset, *tables[poset.up])
-    lat = as_lattice(poset)
-    tables[poset.up] = lat.meet_table, lat.join_table, lat.bottom, lat.top
-    return lat
+    return FiniteLattice(poset)
 
 
 def lattice_from_covers(labels: Sequence[str], covers: Iterable[tuple[str, str]]) -> FiniteLattice:

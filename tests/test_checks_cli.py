@@ -233,6 +233,12 @@ def test_cli_corpus_reports_claims(capsys):
     assert all(c["verdict"] == "pass" for c in data["claims"])
 
 
+def test_cli_corpus_counts_the_congruences_of_the_longest_chain(capsys):
+    assert main(["corpus", "chain", "--n", "12"]) == 0
+    rows = {c["check"]: c for c in json.loads(capsys.readouterr().out)["claims"]}
+    assert rows["congruence_count"]["verdict"] == "pass"
+
+
 def test_cli_corpus_reports_a_budget_skipped_search_as_a_skip(capsys):
     assert main(["corpus", "p1", "--n", "3"]) == 0
     rows = {c["check"]: c for c in json.loads(capsys.readouterr().out)["claims"]}

@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given
@@ -387,6 +388,23 @@ def test_eon_generators_must_lie_in_the_order():
         eon_generated(s, [(0, 1), (2, 1)])
 
 
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda s: join_congruences(s, Congruence((0, 1, 2)), Congruence((0, 0))),
+                 "given on 3 and 2 elements, not 3", id="join-length"),
+    pytest.param(lambda s: meet_congruences(Congruence((0, 1, 2)), Congruence((0, 0))),
+                 "given on 3 and 2 elements", id="meet-length"),
+    pytest.param(lambda s: quotient(s, Congruence((0, 1, 0))), r"not a congruence: \('0', '1'\) is forced",
+                 id="quotient-partition"),
+    pytest.param(lambda s: congruence_generated(s, [(0, 1), (0, 9)]), r"^pair \(0, 9\)", id="generated-pair"),
+    pytest.param(lambda s: don_generated(s, [(0, 9)]), r"^pair \(0, 9\)", id="don-pair"),
+    pytest.param(lambda s: eon_generated(s, [(0, 9)]), r"^pair \(0, 9\)", id="eon-pair"),
+    pytest.param(lambda s: galois.galois_rho(s, ["x"]), "family member 'x'", id="rho-member"),
+])
+def test_malformed_congruence_inputs_raise_typed_errors(call, message):
+    with pytest.raises(InvariantViolation, match=message):
+        call(chain(2).structure)
+
+
 def test_quotient_by_congruence():
     b2 = boolean(2).structure
     theta = congruence_generated(b2, [(0, b2.index["p"])])
@@ -504,6 +522,18 @@ def test_con_labels_are_built_only_when_read(monkeypatch):
         assert calls == list(conl.congruences)
         assert conl.lattice.labels == conl.lattice.poset.labels and len(calls) == conl.n
         calls.clear()
+
+
+def test_con_is_read_without_its_tables(monkeypatch):
+    # Size, JSON and positions read the congruences and the order's rows;
+    # the meet and join tables are built on the first read of one of them.
+    built, build = [], order.as_lattice
+    monkeypatch.setattr(order, "as_lattice", lambda p: built.append(1) or build(p))
+    conl = all_congruences(chain(10).structure)
+    assert conl.n == 1024 and json.loads(conl.to_json())["count"] == 1024
+    assert conl.index_of(conl.congruences[-1]) == 1023 and built == []
+    assert conl.lattice.top == 1023 and built == [1]
+    assert conl.lattice.top == 1023 and conl.lattice.meet(1, 2) == 0 and built == [1]
 
 
 @given(st.data())
@@ -630,6 +660,7 @@ def test_is_simple_stops_at_the_first_compatible_proper_congruence(monkeypatch):
 
 def test_is_simple_builds_no_congruence_lattice(monkeypatch):
     # _simple_over reads Con's congruences only; chain(8) has 256 of them.
+    # A lattice builds its tables on first read, so the control reads one.
     def refuse(poset):
         raise AssertionError("is_simple built a lattice")
 
@@ -638,7 +669,7 @@ def test_is_simple_builds_no_congruence_lattice(monkeypatch):
     assert not is_simple(omega(8).structure)
     assert is_simple(chain(1).structure)
     with pytest.raises(AssertionError, match="built a lattice"):
-        all_congruences(chain(8).structure)
+        all_congruences(chain(8).structure).lattice.top
 
 
 def test_simple_scan_path_matches_the_cover_pair_criterion():

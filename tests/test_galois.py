@@ -327,6 +327,13 @@ def test_filterable_rejects_a_congruence_of_the_wrong_length(b2):
         check_filterable(b2, [Congruence((0, 1, 2))])
 
 
+@pytest.mark.parametrize("build", [check_filterable, sublattice_interior])
+def test_an_empty_congruence_family_is_rejected(b2, build):
+    # A check over no members checked nothing, so it must not pass.
+    with pytest.raises(InvariantViolation, match="^empty family$"):
+        build(b2, [])
+
+
 def test_family_members_are_validated_as_congruences(b2):
     # [0][p q][1] is a partition, but p ~ q forces p = p + p ~ q + p = 1.
     family = [Congruence((0, 1, 2, 3)), Congruence((0, 1, 1, 3)), Congruence((0, 0, 0, 0))]

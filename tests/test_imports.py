@@ -100,7 +100,6 @@ def test_cross_module_private_imports_are_pinned():
         "checks: congruence._simple_over",
         "checks: galois._filterable_interior",
         "cli: corpus._BUILDERS",
-        "congruence: order._lattice_of",
         "galois: congruence._closed_of",
     ]
 

@@ -426,9 +426,10 @@ def test_a_shared_store_labels_each_witness_in_its_own_lattice():
 
 
 def test_natural_reports_run_one_battery_per_order_and_map(monkeypatch):
-    # 401 catalog entries; 218 distinct Con orders (up rows) and 274 distinct
-    # (up rows, eta) at seed 0, 205 and 256 at seed 1.
-    for seed, batteries, orders in ((0, 274, 218), (1, 256, 205)):
+    # 401 catalog entries; 274 distinct (up rows, eta) at seed 0, 256 at seed 1.
+    # A Con lattice builds its tables when first read, and only a battery
+    # reads them, so there is one table build per battery.
+    for seed, batteries in ((0, 274), (1, 256)):
         checks.catalog_for_acceptance(seed)
         i9, built = [], []
         check_i9, build = interior._AXIOMS["I9"], order.as_lattice
@@ -436,8 +437,8 @@ def test_natural_reports_run_one_battery_per_order_and_map(monkeypatch):
         monkeypatch.setattr(order, "as_lattice", lambda p: built.append(1) or build(p))
         rows = checks._natural_reports.__wrapped__(seed)
         monkeypatch.undo()
-        assert (len(rows), len(i9), len(built)) == (401, batteries, orders)
-        # Each entry on its own, with no store or tables shared.
+        assert (len(rows), len(i9), len(built)) == (401, batteries, batteries)
+        # Each entry on its own, with no store shared.
         assert rows == [(name, check_axioms(c.lattice, natural_eta(s, c)))
                         for name, s in checks.catalog_for_acceptance(seed) for c in [all_congruences(s)]]
 
